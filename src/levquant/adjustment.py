@@ -18,7 +18,7 @@ import numpy as np
 
 from .effects import fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
-from .panel import MACRO_VARIABLES, Regime, RegimeRule, design_from_panel
+from .panel import MACRO_VARIABLES, Regime, RegimeRule, _shift_year, design_from_panel
 from .quantreg import DesignMatrix, QuantileFit, fit_quantile
 
 DEFAULT_THETAS = (0.15, 0.35, 0.5, 0.75, 0.95)
@@ -76,22 +76,9 @@ def lag_leverage(panel, kind="book"):
     """
     if kind not in _LEVERAGE_VAR:
         raise ConfigError(f"leverage must be 'book' or 'market', got {kind!r}")
-    panel._need_rows()
     var = _LEVERAGE_VAR[kind]
-    lag_field = var + "_lag"
-    out = []
-    prev = None
-    for row in panel.rows:
-        lag = None
-        if (
-            prev is not None
-            and prev.firm_id == row.firm_id
-            and prev.fiscal_year == row.fiscal_year - 1
-        ):
-            lag = getattr(prev, var)
-        out.append(replace(row, **{lag_field: lag}))
-        prev = row
-    return panel.with_rows(out)
+    lag = _shift_year(panel.firm_codes, panel.years, panel.variable(var))
+    return panel._with_columns({var + "_lag": lag})
 
 
 def _fit_speed(panel, spec, theta, fit_options):
@@ -153,7 +140,7 @@ def estimate_speed(panel, spec, *, fit_options=None):
     [0, 1] is reported with ``out_of_range`` set rather than clipped.
     """
     var = _LEVERAGE_VAR[spec.leverage]
-    if all(getattr(r, var + "_lag") is None for r in panel.rows or ()):
+    if np.isnan(panel.variable(var + "_lag")).all():
         panel = lag_leverage(panel, spec.leverage)
     return [_fit_speed(panel, spec, th, fit_options) for th in spec.thetas]
 
@@ -208,18 +195,13 @@ def estimate_speed_by_regime(panel, spec, *, fit_options=None):
     panel = lag_leverage(panel, spec.leverage)
     split = split_regimes(panel.macro, spec.regime_split)
     var = _LEVERAGE_VAR[spec.leverage]
+    complete = ~np.isnan(panel.variable(var)) & ~np.isnan(panel.variable(var + "_lag"))
     k = len(spec.determinants) + len(spec.macro_vars) + 1
     needed = spec.min_rows_per_coef * k
     results, skipped = {}, {}
     for regime in (Regime.Growth, Regime.Recession):
-        mask = np.asarray(
-            [split.by_year[r.fiscal_year] is regime for r in panel.rows]
-        )
-        usable = sum(
-            1
-            for r, m in zip(panel.rows, mask)
-            if m and getattr(r, var) is not None and getattr(r, var + "_lag") is not None
-        )
+        mask = np.isin(panel.years, split.years_in(regime))
+        usable = int(np.count_nonzero(mask & complete))
         if usable < needed:
             skipped[regime] = (
                 f"{usable} usable rows < required {needed} ({k} coefficients)"

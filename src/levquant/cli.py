@@ -17,8 +17,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import reports
-from .adjustment import TargetModelSpec, estimate_speed, estimate_speed_by_regime, lag_leverage
-from .effects import fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects, hausman_test
+from .adjustment import (
+    DEFAULT_DETERMINANTS, DEFAULT_THETAS, TargetModelSpec,
+    estimate_speed, estimate_speed_by_regime, lag_leverage,
+)
+from .effects import (
+    DEFAULT_GROUP_CAP, fit_fixed_effects, fit_quantile_fixed_effects,
+    fit_random_effects, hausman_test,
+)
 from .errors import ConfigError
 from .panel import (
     MACRO_VARIABLES,
@@ -44,9 +50,6 @@ from .synthgen import (
 
 ENV_CONFIG = "LEVQUANT_CONFIG"
 
-DEFAULT_DETERMINANTS = (
-    "liqta", "mbratio", "ndts", "profta", "sizeat", "growthat", "invta",
-)
 STAGES = ("ingest", "describe", "correlate", "hausman", "qreg", "speed")
 
 
@@ -56,7 +59,7 @@ class RunConfig:
     macro: str | None = None
     tax_table: str | None = None
     tax_rate: float = 0.21
-    theta: tuple = (0.15, 0.35, 0.5, 0.75, 0.95)
+    theta: tuple = DEFAULT_THETAS
     leverage: str = "both"
     determinants: tuple = DEFAULT_DETERMINANTS
     macro_vars: tuple = MACRO_VARIABLES
@@ -69,7 +72,7 @@ class RunConfig:
     significance: float = 0.05
     fe_mode: str = "dummy"
     penalty: float = 1.0
-    group_cap: int = 5000
+    group_cap: int = DEFAULT_GROUP_CAP
     two_step: bool = False
 
     @property
@@ -506,7 +509,7 @@ def cmd_simulate(args):
         os.path.join(args.out, "tax_rates.csv"),
     )
     write_ground_truth(truth, os.path.join(args.out, "ground_truth.txt"))
-    print(f"wrote synthetic panel ({len(panel.records)} rows) to {args.out}")
+    print(f"wrote synthetic panel ({len(panel)} rows) to {args.out}")
     return 0
 
 

@@ -20,6 +20,8 @@ from .quantreg import (
     _validate_theta,
 )
 
+DEFAULT_GROUP_CAP = 5000  # most firms a dummy-mode fit accepts
+
 
 class EffectsKind(enum.Enum):
     FixedWithin = "fixed_within"
@@ -86,16 +88,8 @@ def within_transform(matrix, groups):
     become all-zero rows).
     """
     M = np.asarray(matrix, dtype=float)
-    vec = M.ndim == 1
-    if vec:
-        M = M[:, None]
-    _, codes = _group_codes(groups, M.shape[0])
-    counts = np.bincount(codes).astype(float)
-    means = np.zeros((counts.size, M.shape[1]))
-    for j in range(M.shape[1]):
-        means[:, j] = np.bincount(codes, weights=M[:, j]) / counts
-    out = M - means[codes]
-    return out[:, 0] if vec else out
+    labels, codes = _group_codes(groups, M.shape[0])
+    return M - _group_means(M, codes, labels.size)[codes]
 
 
 def _group_means(M, codes, n_groups):
@@ -284,7 +278,7 @@ def fit_quantile_fixed_effects(
     *,
     mode="dummy",
     penalty=1.0,
-    group_cap=5000,
+    group_cap=DEFAULT_GROUP_CAP,
     tol=1e-9,
     max_iter=500,
     fallback=True,

@@ -18,7 +18,9 @@ import csv
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 from scipy import stats
@@ -123,99 +125,132 @@ class ValidationReport:
         return len(self.flagged)
 
 
-class Panel:
-    """Sorted, indexed firm-year panel; immutable after construction.
+_RAW_ITEMS = tuple(f.name for f in fields(FirmYearRecord))[2:]
 
-    ``records`` always holds the accepted raw statements; ``rows`` holds
-    the derived observation rows once ``derive_variables`` has run, and
-    ``macro`` the joined macro series.
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+def _shift_year(firm, year, values):
+    """``values`` moved one position down within each firm: entry i holds
+    the value of entry i-1 when that is the same firm's immediately
+    preceding year, NaN otherwise.  Entries are sorted by (firm, year)."""
+    out = np.full(values.shape, np.nan)
+    follows = (firm[1:] == firm[:-1]) & (year[1:] == year[:-1] + 1)
+    out[1:][follows] = values[:-1][follows]
+    return out
+
+
+def _absent_as_none(column):
+    return [None if math.isnan(v) else v for v in column.tolist()]
+
+
+class Panel:
+    """Firm-year panel as read-only numpy columns sorted by (firm, year).
+
+    Records are the accepted raw statements, one float column per raw item.
+    ``derive_variables`` adds rows: the usable records (total assets > 0)
+    with one float column per derived variable and leverage lag, NaN where
+    absent, plus the joined ``macro`` series.  ``firm_codes`` (indexing the
+    sorted ``firm_labels``) and ``years`` describe the rows, or the records
+    before derivation.  ``records`` and ``rows`` are tuple views.
     """
 
-    def __init__(self, records, rows=None, macro=None, validation=None):
-        recs = sorted(records, key=lambda r: (r.firm_id, r.fiscal_year))
-        self.records = tuple(recs)
-        self.rows = None if rows is None else tuple(rows)
+    def __init__(self, firm_labels, firm_codes, years, items, *, columns=None,
+                 macro=None, validation):
+        self.firm_labels = _frozen(firm_labels)
+        self._record_firm = _frozen(firm_codes)
+        self._record_year = _frozen(years)
+        self._items = {k: _frozen(v) for k, v in items.items()}
+        self._columns = None if columns is None else {
+            k: _frozen(v) for k, v in columns.items()
+        }
         self.macro = None if macro is None else dict(macro)
-        self.validation = validation or ValidationReport(
-            n_read=len(self.records), n_accepted=len(self.records)
-        )
-        self._record_index = self._build_index(self.records)
-        self._row_index = None if self.rows is None else self._build_index(self.rows)
-
-    @staticmethod
-    def _build_index(items):
-        index = {}
-        start = 0
-        for i, item in enumerate(items):
-            if i and items[i - 1].firm_id != item.firm_id:
-                index[items[i - 1].firm_id] = (start, i)
-                start = i
-        if items:
-            index[items[-1].firm_id] = (start, len(items))
-        return index
+        self.validation = validation
+        if columns is None:
+            self.firm_codes, self.years = self._record_firm, self._record_year
+        else:
+            usable = self._items["total_assets"] > 0.0
+            self.firm_codes = _frozen(self._record_firm[usable])
+            self.years = _frozen(self._record_year[usable])
 
     def __len__(self):
-        return len(self.rows) if self.rows is not None else len(self.records)
+        return len(self.years)
 
     @property
     def firms(self):
-        idx = self._row_index if self.rows is not None else self._record_index
-        return tuple(idx)
-
-    @property
-    def n_firms(self):
-        return len(self.firms)
+        return tuple(self.firm_labels[np.unique(self.firm_codes)].tolist())
 
     @property
     def year_span(self):
-        items = self.rows if self.rows is not None else self.records
-        if not items:
+        if not len(self):
             return None
-        years = [r.fiscal_year for r in items]
-        return (min(years), max(years))
+        return (int(self.years.min()), int(self.years.max()))
 
-    def records_for(self, firm_id):
-        lo, hi = self._record_index.get(firm_id, (0, 0))
-        return self.records[lo:hi]
+    def _view(self, cls, codes, years, columns, firm_id=None):
+        lo, hi = 0, len(codes)
+        if firm_id is not None:
+            code = np.searchsorted(self.firm_labels, firm_id)
+            if code == len(self.firm_labels) or self.firm_labels[code] != firm_id:
+                return ()
+            lo, hi = np.searchsorted(codes, [code, code + 1])
+        values = [self.firm_labels[codes[lo:hi]].tolist(), years[lo:hi].tolist()]
+        values += [_absent_as_none(columns[f.name][lo:hi]) for f in fields(cls)[2:]]
+        return tuple(cls(*v) for v in zip(*values))
+
+    @cached_property
+    def records(self):
+        """The accepted raw statements as FirmYearRecord tuples."""
+        return self._view(
+            FirmYearRecord, self._record_firm, self._record_year, self._items
+        )
+
+    @cached_property
+    def rows(self):
+        """The derived rows as ObservationRow tuples; None before
+        ``derive_variables``."""
+        if self._columns is None:
+            return None
+        return self._view(ObservationRow, self.firm_codes, self.years, self._columns)
 
     def rows_for(self, firm_id):
         self._need_rows()
-        lo, hi = self._row_index.get(firm_id, (0, 0))
-        return self.rows[lo:hi]
+        return self._view(
+            ObservationRow, self.firm_codes, self.years, self._columns, firm_id
+        )
 
     def _need_rows(self):
-        if self.rows is None:
+        if self._columns is None:
             raise DataValidationError(
                 "variables not derived yet: run derive_variables first"
             )
 
     def variable(self, name):
-        """Column of a derived (or macro, resolved by year) variable as a
-        float array with NaN for absent values."""
+        """Read-only column of a derived (or macro, resolved by year)
+        variable as a float array with NaN for absent values."""
         self._need_rows()
         if name in MACRO_VARIABLES or name in ("inflation", "gdp_growth"):
             if self.macro is None:
                 raise DataValidationError("macro series not joined")
             attr = "inflation" if name == "inflation" else "gdp_growth"
-            vals = [getattr(self.macro[r.fiscal_year], attr) for r in self.rows]
-            return np.asarray(vals, dtype=float)
-        out = np.empty(len(self.rows))
-        for i, row in enumerate(self.rows):
-            try:
-                v = getattr(row, name)
-            except AttributeError:
-                raise KeyError(
-                    f"unknown variable {name!r}; available: "
-                    f"{', '.join(VARIABLES)}, levb_lag, levm_lag, "
-                    f"{', '.join(MACRO_VARIABLES)}"
-                ) from None
-            out[i] = math.nan if v is None else v
-        return out
+            years, inverse = np.unique(self.years, return_inverse=True)
+            per_year = [getattr(self.macro[y], attr) for y in years.tolist()]
+            return np.asarray(per_year, dtype=float)[inverse]
+        try:
+            return self._columns[name]
+        except KeyError:
+            raise KeyError(
+                f"unknown variable {name!r}; available: "
+                f"{', '.join(VARIABLES)}, levb_lag, levm_lag, "
+                f"{', '.join(MACRO_VARIABLES)}"
+            ) from None
 
-    def with_rows(self, rows, macro=None):
+    def _with_columns(self, columns, macro=None):
         return Panel(
-            self.records,
-            rows=rows,
+            self.firm_labels, self._record_firm, self._record_year, self._items,
+            columns={**(self._columns or {}), **columns},
             macro=self.macro if macro is None else macro,
             validation=self.validation,
         )
@@ -224,11 +259,14 @@ class Panel:
         """New panel restricted to the derived rows where ``keep_mask`` is
         true (records of the surviving firm-years are kept alongside)."""
         self._need_rows()
-        keep_mask = np.asarray(keep_mask, dtype=bool)
-        rows = [r for r, k in zip(self.rows, keep_mask) if k]
-        keys = {(r.firm_id, r.fiscal_year) for r in rows}
-        recs = [r for r in self.records if (r.firm_id, r.fiscal_year) in keys]
-        return Panel(recs, rows=rows, macro=self.macro, validation=self.validation)
+        keep = np.asarray(keep_mask, dtype=bool)
+        recs = np.flatnonzero(self._items["total_assets"] > 0.0)[keep]
+        return Panel(
+            self.firm_labels, self._record_firm[recs], self._record_year[recs],
+            {k: v[recs] for k, v in self._items.items()},
+            columns={k: v[keep] for k, v in self._columns.items()},
+            macro=self.macro, validation=self.validation,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +293,19 @@ def ingest_panel(records):
         if not rec.usable:
             report.flagged.append((key, "total_assets <= 0: unusable"))
     report.n_accepted = len(accepted)
-    return Panel(accepted.values(), validation=report)
+    keys = sorted(accepted)
+    labels = list(dict.fromkeys(firm for firm, _ in keys))
+    code = {firm: i for i, firm in enumerate(labels)}
+    raw = attrgetter(*_RAW_ITEMS)
+    table = np.array([raw(accepted[k]) for k in keys], dtype=float)
+    table = table.reshape(len(keys), len(_RAW_ITEMS)).T.copy()
+    return Panel(
+        np.array(labels, dtype=str),
+        np.array([code[firm] for firm, _ in keys], dtype=np.intp),
+        np.array([year for _, year in keys], dtype=np.int64),
+        dict(zip(_RAW_ITEMS, table)),
+        validation=report,
+    )
 
 
 def _parse_float(text):
@@ -265,42 +315,67 @@ def _parse_float(text):
     return value
 
 
-def read_panel_csv(path):
-    """Read the firm-year CSV into a Panel, collecting row-level rejections."""
-    parse_rejects = []
-    records = []
+def _read_csv(path, columns):
+    """Yield (line number, row dict) for each data row of a CSV file whose
+    header must name every one of ``columns``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [c for c in PANEL_COLUMNS if c not in header]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise DataValidationError(
                 f"{path}: missing column(s): {', '.join(missing)}"
             )
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
-            try:
-                mkt = row["mkt_eq"].strip()
-                records.append(
-                    FirmYearRecord(
-                        firm_id=row["firm_id"].strip(),
-                        fiscal_year=int(row["fyear"]),
-                        total_assets=_parse_float(row["at"]),
-                        book_debt=_parse_float(row["debt"]),
-                        market_equity=_parse_float(mkt) if mkt else None,
-                        current_assets=_parse_float(row["act"]),
-                        current_liabilities=_parse_float(row["lct"]),
-                        ebit=_parse_float(row["ebit"]),
-                        interest_payable=_parse_float(row["ip"]),
-                        income_tax=_parse_float(row["txt"]),
-                        sales=_parse_float(row["sale"]),
-                        net_ppe=_parse_float(row["ppent"]),
-                        depreciation=_parse_float(row["dp"]),
-                    )
-                )
-            except (ValueError, TypeError) as err:
-                parse_rejects.append((f"line {lineno}", f"malformed value: {err}"))
-    if not records and not parse_rejects:
+            yield lineno, row
+    if lineno == 1:
         raise DataValidationError(f"{path}: no data rows")
+
+
+def _read_years(path, columns, parse):
+    """year -> parse(row) for each data row of a CSV file keyed by year."""
+    out = {}
+    for lineno, row in _read_csv(path, columns):
+        try:
+            year = int(row["year"])
+            value = parse(row)
+        except (ValueError, TypeError) as err:
+            raise DataValidationError(
+                f"{path}: line {lineno}: malformed value: {err}"
+            ) from None
+        if year in out:
+            raise DataValidationError(f"{path}: duplicate year {year}")
+        out[year] = value
+    return out
+
+
+def read_panel_csv(path):
+    """Read the firm-year CSV into a Panel, collecting row-level rejections."""
+    parse_rejects = []
+    records = []
+    for lineno, row in _read_csv(path, PANEL_COLUMNS):
+        try:
+            mkt = row["mkt_eq"].strip()
+            records.append(
+                FirmYearRecord(
+                    firm_id=row["firm_id"].strip(),
+                    fiscal_year=int(row["fyear"]),
+                    total_assets=_parse_float(row["at"]),
+                    book_debt=_parse_float(row["debt"]),
+                    market_equity=_parse_float(mkt) if mkt else None,
+                    current_assets=_parse_float(row["act"]),
+                    current_liabilities=_parse_float(row["lct"]),
+                    ebit=_parse_float(row["ebit"]),
+                    interest_payable=_parse_float(row["ip"]),
+                    income_tax=_parse_float(row["txt"]),
+                    sales=_parse_float(row["sale"]),
+                    net_ppe=_parse_float(row["ppent"]),
+                    depreciation=_parse_float(row["dp"]),
+                )
+            )
+        except (ValueError, TypeError) as err:
+            parse_rejects.append((f"line {lineno}", f"malformed value: {err}"))
     panel = ingest_panel(records)
     panel.validation.n_read += len(parse_rejects)
     panel.validation.rejected = parse_rejects + panel.validation.rejected
@@ -309,46 +384,19 @@ def read_panel_csv(path):
 
 def read_macro_csv(path, rule=RegimeRule()):
     """Read the macro series; regimes are derived from ``rule``."""
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in MACRO_COLUMNS if c not in header]
-        if missing:
-            raise DataValidationError(
-                f"{path}: missing column(s): {', '.join(missing)}"
-            )
-        for row in reader:
-            year = int(row["year"])
-            if year in out:
-                raise DataValidationError(f"{path}: duplicate year {year}")
-            gdp = _parse_float(row["gdp_growth"])
-            out[year] = MacroYear(
-                year=year,
-                inflation=_parse_float(row["cpi_inflation"]),
-                gdp_growth=gdp,
-                regime=rule.classify(gdp),
-            )
-    if not out:
-        raise DataValidationError(f"{path}: no data rows")
-    return dict(sorted(out.items()))
+    series = _read_years(
+        path, MACRO_COLUMNS,
+        lambda row: (_parse_float(row["cpi_inflation"]), _parse_float(row["gdp_growth"])),
+    )
+    return {
+        year: MacroYear(year=year, inflation=infl, gdp_growth=gdp,
+                        regime=rule.classify(gdp))
+        for year, (infl, gdp) in sorted(series.items())
+    }
 
 
 def read_tax_csv(path):
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in TAX_COLUMNS if c not in header]
-        if missing:
-            raise DataValidationError(
-                f"{path}: missing column(s): {', '.join(missing)}"
-            )
-        for row in reader:
-            out[int(row["year"])] = _parse_float(row["tax_rate"])
-    if not out:
-        raise DataValidationError(f"{path}: no data rows")
-    return out
+    return _read_years(path, TAX_COLUMNS, lambda row: _parse_float(row["tax_rate"]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,67 +404,19 @@ def read_tax_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def _derive_row(rec, prev, tax_rate):
-    if tax_rate <= 0.0:
-        raise ConfigError(f"tax rate must be positive, got {tax_rate}")
-    ta = rec.total_assets
-    levb = rec.book_debt / ta
-    levm = mbratio = None
-    if rec.market_equity is not None:
-        denom = rec.book_debt + rec.market_equity
-        if denom != 0.0:
-            levm = rec.book_debt / denom
-        mbratio = denom / ta
-    ndts = rec.ebit - rec.interest_payable - rec.income_tax / tax_rate
-    profta = rec.ebit / ta
-    sizeat = math.log(rec.sales) if rec.sales > 0.0 else None
-    liqta = (
-        rec.current_assets / rec.current_liabilities
-        if rec.current_liabilities != 0.0
-        else None
-    )
-    growthat = invta = None
-    if prev is not None:
-        # prev is the same firm's immediately preceding fiscal year
-        if prev.sales > 0.0:
-            growthat = rec.sales / prev.sales - 1.0
-        invta = rec.net_ppe - prev.net_ppe + rec.depreciation
-    return ObservationRow(
-        firm_id=rec.firm_id,
-        fiscal_year=rec.fiscal_year,
-        levb=levb,
-        levm=levm,
-        ndts=ndts,
-        profta=profta,
-        sizeat=sizeat,
-        growthat=growthat,
-        invta=invta,
-        liqta=liqta,
-        mbratio=mbratio,
-    )
-
-
-def _winsorize_rows(rows, limits):
+def _winsorize(columns, limits):
     lo_q, hi_q = limits
     if not (0.0 <= lo_q < hi_q <= 1.0):
         raise ConfigError(f"bad winsorization limits {limits}")
-    columns = {}
     for name in VARIABLES:
-        vals = [getattr(r, name) for r in rows if getattr(r, name) is not None]
+        col = columns[name]
+        vals = col[~np.isnan(col)]
         if len(vals) >= 2:
-            columns[name] = (
-                float(np.quantile(vals, lo_q)),
-                float(np.quantile(vals, hi_q)),
-            )
-    out = []
-    for r in rows:
-        updates = {}
-        for name, (lo, hi) in columns.items():
-            v = getattr(r, name)
-            if v is not None:
-                updates[name] = min(max(v, lo), hi)
-        out.append(replace(r, **updates))
-    return out
+            lo = float(np.quantile(vals, lo_q))
+            hi = float(np.quantile(vals, hi_q))
+            # the ties of min(max(v, lo), hi); NaN stays absent
+            col = np.where(lo > col, lo, col)
+            columns[name] = np.where(hi < col, hi, col)
 
 
 def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
@@ -438,33 +438,55 @@ def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
             "table for long samples",
             stacklevel=2,
         )
-        constant = float(tax_rate_by_year)
-        tax_rate_by_year = None
-    else:
-        constant = None
+        # every year that reaches the rate lookup has passed the macro check
+        tax_rate_by_year = dict.fromkeys(macro, float(tax_rate_by_year))
 
-    rows = []
-    for firm in panel._record_index:
-        recs = panel.records_for(firm)
-        by_year = {r.fiscal_year: r for r in recs}
-        for rec in recs:
-            if not rec.usable:
-                continue
-            year = rec.fiscal_year
-            if year not in macro:
-                raise DataValidationError(f"no macro data for year {year}")
-            if constant is not None:
-                rate = constant
-            else:
-                try:
-                    rate = tax_rate_by_year[year]
-                except KeyError:
-                    raise ConfigError(f"no tax rate for year {year}") from None
-            rows.append(_derive_row(rec, by_year.get(year - 1), rate))
-    rows.sort(key=lambda r: (r.firm_id, r.fiscal_year))
+    raw = panel._items
+    usable = raw["total_assets"] > 0.0
+    years = panel._record_year[usable]
+    # checked year by year in row order, so the first bad row names the error
+    rate_by_year = {}
+    for year in dict.fromkeys(years.tolist()):
+        if year not in macro:
+            raise DataValidationError(f"no macro data for year {year}")
+        try:
+            rate = tax_rate_by_year[year]
+        except KeyError:
+            raise ConfigError(f"no tax rate for year {year}") from None
+        if rate <= 0.0:
+            raise ConfigError(f"tax rate must be positive, got {rate}")
+        rate_by_year[year] = rate
+    distinct, inverse = np.unique(years, return_inverse=True)
+    tax_rate = np.asarray([rate_by_year[y] for y in distinct.tolist()])[inverse]
+
+    # growth and investment read the preceding record, usable or not
+    keys = (panel._record_firm, panel._record_year)
+    prev_sales = _shift_year(*keys, raw["sales"])[usable]
+    prev_ppe = _shift_year(*keys, raw["net_ppe"])[usable]
+    x = {name: col[usable] for name, col in raw.items()}
+    ta, debt, mkt = x["total_assets"], x["book_debt"], x["market_equity"]
+    sales, lct = x["sales"], x["current_liabilities"]
+    denom = debt + mkt
+    nan = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = {
+            "levb": debt / ta,
+            "levm": np.where(denom != 0.0, debt / denom, nan),
+            "ndts": x["ebit"] - x["interest_payable"] - x["income_tax"] / tax_rate,
+            "profta": x["ebit"] / ta,
+            # math.log, not np.log: the two differ in the last bit on some inputs
+            "sizeat": np.asarray(
+                [math.log(s) if s > 0.0 else nan for s in sales.tolist()], dtype=float
+            ),
+            "growthat": np.where(prev_sales > 0.0, sales / prev_sales - 1.0, nan),
+            "invta": x["net_ppe"] - prev_ppe + x["depreciation"],
+            "liqta": np.where(lct != 0.0, x["current_assets"] / lct, nan),
+            "mbratio": denom / ta,
+        }
     if winsorize is not None:
-        rows = _winsorize_rows(rows, winsorize)
-    return panel.with_rows(rows, macro=macro)
+        _winsorize(columns, winsorize)
+    columns["levb_lag"] = columns["levm_lag"] = np.full(len(years), nan)
+    return panel._with_columns(columns, macro=macro)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +511,9 @@ def yearly_means(panel, variables=VARIABLES):
     observations is NaN (rendered with an explicit marker downstream).
     """
     panel._need_rows()
-    years = sorted({r.fiscal_year for r in panel.rows})
+    row_years = panel.years
+    years = np.unique(row_years).tolist()
     cols = {v: panel.variable(v) for v in variables}
-    row_years = np.asarray([r.fiscal_year for r in panel.rows])
     values = np.full((len(years) + 1, len(variables)), np.nan)
     for i, year in enumerate(years):
         in_year = row_years == year
@@ -580,7 +602,6 @@ def design_from_panel(panel, response, predictors, *, intercept=False):
     Returns the DesignMatrix, the firm label per row, and the fiscal year
     per row.  Rows missing the response or any predictor are dropped.
     """
-    panel._need_rows()
     yv = panel.variable(response)
     cols = [panel.variable(v) for v in predictors]
     keep = ~np.isnan(yv)
@@ -595,7 +616,7 @@ def design_from_panel(panel, response, predictors, *, intercept=False):
     if intercept:
         X = np.column_stack([np.ones(X.shape[0]), X])
         names = (INTERCEPT,) + names
-    firms = np.asarray([r.firm_id for r in panel.rows])[keep]
-    years = np.asarray([r.fiscal_year for r in panel.rows])[keep]
+    firms = panel.firm_labels[panel.firm_codes[keep]]
+    years = panel.years[keep]
     design = DesignMatrix(names=names, X=X, y=yv[keep])
     return design, firms, years

@@ -125,13 +125,22 @@ class QuantileFit:
 def check_loss(residuals, theta):
     """Asymmetric absolute loss: theta * r for r >= 0, (1-theta) * |r| for r < 0."""
     theta = _validate_theta(theta)
-    r = np.asarray(residuals, dtype=float)
-    return float(np.sum(np.where(r >= 0.0, theta * r, (theta - 1.0) * r)))
+    return _weighted_pinball(np.asarray(residuals, dtype=float), theta, 1.0 - theta)
 
 
 def _weighted_pinball(r, p, q):
     # per-row generalization: p_i * r+ + q_i * r-
     return float(np.sum(np.where(r >= 0.0, p * r, -q * r)))
+
+
+def _koenker_machado(objective, y, theta):
+    """1 - objective / intercept-only objective, never above 1 since the
+    objective is never negative; 0 for a constant response or rounding noise."""
+    obj0 = _unconditional_objective(y, theta)
+    if obj0 <= 0.0:
+        return 0.0
+    value = 1.0 - objective / obj0
+    return 0.0 if -1e-9 < value < 0.0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +427,7 @@ def _finish_fit(ops, y, beta, theta, p, q, meta, data_rows=None):
     else:
         r_data, y_data = r[:data_rows], y[:data_rows]
     objective = check_loss(r_data, theta)
-    obj0 = _unconditional_objective(y_data, theta)
-    if obj0 <= 0.0:
-        pr2 = 0.0
-    else:
-        pr2 = 1.0 - objective / obj0
-        if -1e-9 < pr2 < 0.0:
-            pr2 = 0.0
-        if 1.0 < pr2 < 1.0 + 1e-9:
-            pr2 = 1.0
+    pr2 = _koenker_machado(objective, y_data, theta)
     n_neg, n_pos, n_zero = _classify_residuals(r_data, y_data)
     return beta, r_data, objective, pr2, (n_neg, n_pos, n_zero)
 
@@ -512,14 +513,7 @@ def pseudo_r2(fit, design, theta):
     By convention the value is 0 when the intercept-only objective is 0
     (constant response).
     """
-    theta = _validate_theta(theta)
-    obj0 = _unconditional_objective(design.y, theta)
-    if obj0 <= 0.0:
-        return 0.0
-    value = 1.0 - fit.objective / obj0
-    if -1e-9 < value < 0.0:
-        return 0.0
-    return value
+    return _koenker_machado(fit.objective, design.y, _validate_theta(theta))
 
 
 # ---------------------------------------------------------------------------

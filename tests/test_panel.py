@@ -401,3 +401,27 @@ class TestDesignFromPanel:
                                          intercept=True)
         assert design.names == ("intercept", "profta", "inflation")
         assert_allclose(design.X[:, 2], [1.0, 2.0, 3.0])
+
+
+class TestCsvValidation:
+    def test_malformed_macro_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "macro.csv"
+        path.write_text("year,cpi_inflation,gdp_growth\n2000,2.1,2.1\n2001,x,1.0\n")
+        with pytest.raises(DataValidationError, match=r"macro\.csv: line 3: malformed"):
+            read_macro_csv(path)
+
+    def test_malformed_tax_year_names_path_and_line(self, tmp_path):
+        from levquant import read_tax_csv
+
+        path = tmp_path / "tax.csv"
+        path.write_text("year,tax_rate\n20x1,0.21\n")
+        with pytest.raises(DataValidationError, match=r"tax\.csv: line 2: malformed"):
+            read_tax_csv(path)
+
+    def test_duplicate_tax_year_rejected(self, tmp_path):
+        from levquant import read_tax_csv
+
+        path = tmp_path / "tax.csv"
+        path.write_text("year,tax_rate\n2000,0.21\n2001,0.25\n2000,0.30\n")
+        with pytest.raises(DataValidationError, match="duplicate year 2000"):
+            read_tax_csv(path)
