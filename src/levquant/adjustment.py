@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effects import fit_quantile_fixed_effects
+from .effects import DEFAULT_GROUP_CAP, fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
 from .panel import MACRO_VARIABLES, Regime, RegimeRule, _shift_year, design_from_panel
 from .quantreg import DesignMatrix, QuantileFit, fit_quantile
@@ -40,6 +40,7 @@ class TargetModelSpec:
     regime_split: RegimeRule | None = None
     fe_mode: str = "dummy"
     penalty: float = 1.0
+    group_cap: int = DEFAULT_GROUP_CAP
     two_step: bool = False
     min_rows_per_coef: int = 10
 
@@ -91,7 +92,8 @@ def _fit_speed(panel, spec, theta, fit_options):
         lam, fit, n_used = _two_step(design, firms, spec, theta, kw)
     else:
         fit = fit_quantile_fixed_effects(
-            design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty, **kw
+            design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty,
+            group_cap=spec.group_cap, **kw
         )
         lam = fit.coefficients[lag_name]
         n_used = design.n
@@ -117,7 +119,8 @@ def _two_step(design, firms, spec, theta, kw):
         names=[design.names[j] for j in keep], X=design.X[:, keep], y=design.y
     )
     step1 = fit_quantile_fixed_effects(
-        target_design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty, **kw
+        target_design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty,
+        group_cap=spec.group_cap, **kw
     )
     beta = np.asarray([step1.coefficients[m] for m in target_design.names])
     effects = np.asarray([step1.group_effects[str(f)] for f in firms])

@@ -285,6 +285,7 @@ def stage_qreg(ctx):
                     design, theta, cfg.bootstrap,
                     seed=ctx._boot_seed(kind, i),
                     cluster=firms, refit_group_effects=True,
+                    mode=cfg.fe_mode, penalty=cfg.penalty, group_cap=cfg.group_cap,
                 )
                 fits[theta].std_errors = boot.std_errors
                 se[theta] = boot.std_errors
@@ -323,6 +324,7 @@ def stage_speed(ctx):
             regime_split=RegimeRule(threshold=cfg.regime_threshold),
             fe_mode=cfg.fe_mode,
             penalty=cfg.penalty,
+            group_cap=cfg.group_cap,
             two_step=cfg.two_step,
         )
         panel = lag_leverage(ctx.panel, kind)

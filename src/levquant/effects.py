@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from .errors import ConfigError, DataValidationError, DesignError
 from .quantreg import (
+    DEFAULT_GROUP_CAP,
     INTERCEPT,
     DesignMatrix,
     QuantileFit,
@@ -19,8 +20,6 @@ from .quantreg import (
     _solve_pinball,
     _validate_theta,
 )
-
-DEFAULT_GROUP_CAP = 5000  # most firms a dummy-mode fit accepts
 
 
 class EffectsKind(enum.Enum):

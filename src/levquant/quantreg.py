@@ -1,8 +1,9 @@
 """Conditional-quantile linear models fit by check-loss minimization.
 
 The production solver is a Frisch-Newton interior point method on the
-bounded-variable dual LP (Mehrotra predictor-corrector), with an
-iteratively reweighted least squares fallback on a smoothed objective.
+bounded-variable dual LP (Mehrotra predictor-corrector), finished by a
+vertex polish; when the interior point fails, the primal LP is solved
+exactly by HiGHS (``scipy.optimize.linprog``).
 ``fit_quantile_oracle`` provides a provably exact small-instance reference
 via brute-force basis enumeration; it is meant for tests and verification
 and refuses large instances.
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
+import scipy.sparse
 from scipy.stats import norm
 
 from .errors import (
@@ -26,6 +29,7 @@ from .errors import (
 )
 
 INTERCEPT = "intercept"
+DEFAULT_GROUP_CAP = 5000  # most firms a dummy-mode fixed-effects fit accepts
 
 
 def _validate_theta(theta):
@@ -161,22 +165,24 @@ class _DenseOps:
     def rmatvec(self, v):  # X^T @ v, length k
         return self.X.T @ v
 
-    def solve_normal(self, d, rhs):  # solve (X^T diag(d) X) out = rhs
-        M = (self.X * d[:, None]).T @ self.X
-        return _chol_solve(M, rhs)
+    def factor(self, d):  # solver for (X^T diag(d) X) out = rhs
+        return _chol_factor((self.X * d[:, None]).T @ self.X)
 
-    def row_matrix(self, idx):
-        return self.X[idx]
+    def sparse(self):
+        return scipy.sparse.csr_matrix(self.X)
 
-    def polish_rows(self, r):
-        return np.argsort(np.abs(r), kind="stable")[: self.ncols]
+    def vertex(self, r, y):
+        # the basic solution through the k smallest residuals
+        idx = np.argsort(np.abs(r), kind="stable")[: self.ncols]
+        return _solve_square(self.X[idx], y[idx])
 
 
 class _GroupedOps:
     """Design [X | G] where G is a one-indicator-per-row group block.
 
     Exploits the diagonal structure of the indicator block so Newton steps
-    cost O(n * kx^2) instead of O(n * (kx + n_groups)^2).
+    cost O(n * kx^2) instead of O(n * (kx + n_groups)^2), and a vertex
+    costs one kx x kx solve instead of a (kx + n_groups)^2 one.
     """
 
     def __init__(self, X, codes, n_groups):
@@ -194,7 +200,9 @@ class _GroupedOps:
         tail = np.bincount(self.codes, weights=v, minlength=self.n_groups)
         return np.concatenate([head, tail])
 
-    def solve_normal(self, d, rhs):
+    def factor(self, d):
+        # block elimination of the diagonal group block: only the kx x kx
+        # Schur complement is Cholesky-factored
         X, codes, G, kx = self.X, self.codes, self.n_groups, self.kx
         dX = X * d[:, None]
         Mxx = dX.T @ X
@@ -202,19 +210,23 @@ class _GroupedOps:
         Mxg = np.empty((kx, G))
         for j in range(kx):
             Mxg[j] = np.bincount(codes, weights=dX[:, j], minlength=G)
-        fx, fg = rhs[:kx], rhs[kx:]
         ratio = Mxg / Mgg[None, :]
-        S = Mxx - ratio @ Mxg.T
-        out_x = _chol_solve(S, fx - ratio @ fg)
-        out_g = (fg - Mxg.T @ out_x) / Mgg
-        return np.concatenate([out_x, out_g])
+        solve_x = _chol_factor(Mxx - ratio @ Mxg.T)
 
-    def row_matrix(self, idx):
-        m = len(idx)
-        rows = np.zeros((m, self.ncols))
-        rows[:, : self.kx] = self.X[idx]
-        rows[np.arange(m), self.kx + self.codes[idx]] = 1.0
-        return rows
+        def solve(rhs):
+            fx, fg = rhs[:kx], rhs[kx:]
+            out_x = solve_x(fx - ratio @ fg)
+            out_g = (fg - Mxg.T @ out_x) / Mgg
+            return np.concatenate([out_x, out_g])
+
+        return solve
+
+    def sparse(self):
+        n = self.codes.size
+        indicators = scipy.sparse.csr_matrix(
+            (np.ones(n), (np.arange(n), self.codes)), shape=(n, self.n_groups)
+        )
+        return scipy.sparse.hstack([self.X, indicators], format="csr")
 
     def polish_rows(self, r):
         # a basic solution needs one interpolated row per group plus kx
@@ -228,10 +240,26 @@ class _GroupedOps:
         taken[per_group] = True
         by_resid = np.argsort(absr, kind="stable")
         rest = by_resid[~taken[by_resid]][: self.kx]
-        return np.concatenate([per_group, rest])
+        return per_group, rest
+
+    def vertex(self, r, y):
+        # each group's pinned row fixes its effect, a_g = y_p - x_p'b; an
+        # extra row j minus the pinned row of its group leaves
+        # (x_j - x_p)'b = y_j - y_p, a kx x kx system
+        pinned, rest = self.polish_rows(r)
+        if pinned.size != self.n_groups:  # an empty group has no effect row
+            return None
+        base = pinned[self.codes[rest]]
+        b = _solve_square(self.X[rest] - self.X[base], y[rest] - y[base])
+        if b is None:
+            return None
+        cand = np.concatenate([b, y[pinned] - self.X[pinned] @ b])
+        return cand if np.isfinite(cand).all() else None
 
 
-def _chol_solve(M, rhs):
+def _chol_factor(M):
+    """Cholesky-factor M, adding diagonal jitter on failure; returns a
+    solver for M out = rhs."""
     jitter = 0.0
     scale = float(np.trace(M)) / max(M.shape[0], 1) or 1.0
     for _ in range(4):
@@ -239,10 +267,23 @@ def _chol_solve(M, rhs):
             cf = scipy.linalg.cho_factor(
                 M + jitter * np.eye(M.shape[0]), check_finite=False
             )
-            return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+            return lambda rhs: scipy.linalg.cho_solve(cf, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-12 * scale)
     raise scipy.linalg.LinAlgError("normal-equation matrix is singular")
+
+
+def _solve_square(A, b):
+    """Solution of A x = b, or None when A is singular (or not square) or
+    the solution is not finite."""
+    try:
+        with warnings.catch_warnings():
+            # singular candidates are fine: they are rejected on objective
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            x = scipy.linalg.solve(A, b)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
+    return x if np.isfinite(x).all() else None
 
 
 def _check_rank_dense(X, names):
@@ -277,7 +318,7 @@ def _interior_point(ops, y, p, q, tol, max_iter):
     b = ops.rmatvec(q)
     a = q.astype(float).copy()
     s = p.astype(float).copy()
-    nu = ops.solve_normal(np.ones(n), ops.rmatvec(c))
+    nu = ops.factor(np.ones(n))(ops.rmatvec(c))
     rho = c - ops.matvec(nu)
     delta = 0.1 * float(np.mean(np.abs(rho))) + 1e-10
     z = np.maximum(rho, 0.0) + delta
@@ -293,10 +334,11 @@ def _interior_point(ops, y, p, q, tol, max_iter):
         za = z / a
         ws = w / s
         d = 1.0 / (za + ws)
+        solve = ops.factor(d)  # shared by the predictor and the corrector
 
         # affine (predictor) direction
         rhs2 = r_d + z - w
-        dnu = ops.solve_normal(d, r_p + ops.rmatvec(d * rhs2))
+        dnu = solve(r_p + ops.rmatvec(d * rhs2))
         da = d * (ops.matvec(dnu) - rhs2)
         ds = -da
         dz = -z - za * da
@@ -314,7 +356,7 @@ def _interior_point(ops, y, p, q, tol, max_iter):
         g_z = tgt / a - z - (da * dz) / a
         g_w = tgt / s - w - (ds * dw) / s
         rhs2 = r_d - g_z + g_w
-        dnu = ops.solve_normal(d, r_p + ops.rmatvec(d * rhs2))
+        dnu = solve(r_p + ops.rmatvec(d * rhs2))
         da = d * (ops.matvec(dnu) - rhs2)
         ds = -da
         dz = g_z - za * da
@@ -342,25 +384,14 @@ def _polish_vertex(ops, y, beta, p, q):
     """Snap an interior solution to the best nearby basic (vertex) solution.
 
     Quantile-regression optima occur at coefficient vectors interpolating k
-    observations; refitting through the k smallest residuals sharpens the
-    interior iterate to an exact vertex.  Kept only when it does not worsen
-    the objective.
+    observations; refitting through the rows with the smallest residuals
+    (``ops.vertex``) sharpens the interior iterate to an exact vertex.
+    Kept only when it does not worsen the objective.
     """
-    k = ops.ncols
     r = y - ops.matvec(beta)
     loss = _weighted_pinball(r, p, q)
-    idx = ops.polish_rows(r)
-    if idx.size != k:
-        return beta, r, loss, False
-    rows = ops.row_matrix(idx)
-    try:
-        with warnings.catch_warnings():
-            # singular candidates are fine: they are rejected on objective
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            cand = scipy.linalg.solve(rows, y[idx])
-    except (scipy.linalg.LinAlgError, ValueError):
-        return beta, r, loss, False
-    if not np.isfinite(cand).all():
+    cand = ops.vertex(r, y)
+    if cand is None:
         return beta, r, loss, False
     r_cand = y - ops.matvec(cand)
     loss_cand = _weighted_pinball(r_cand, p, q)
@@ -369,18 +400,25 @@ def _polish_vertex(ops, y, beta, p, q):
     return beta, r, loss, False
 
 
-def _irls(ops, y, p, q, iters=400):
-    """Smoothed-objective iteratively reweighted least squares fallback."""
-    scale = max(1.0, float(np.max(np.abs(y))))
-    eps = 1e-3 * scale
-    beta = ops.solve_normal(np.ones(y.size), ops.rmatvec(y))
-    for i in range(iters):
-        r = y - ops.matvec(beta)
-        wgt = np.where(r >= 0.0, p, q) / np.maximum(np.abs(r), eps)
-        beta = ops.solve_normal(wgt, ops.rmatvec(wgt * y))
-        if (i + 1) % 25 == 0:
-            eps = max(eps * 0.1, 1e-12 * scale)
-    return beta
+def _highs(ops, y, p, q):
+    """Exact solve of the pinball LP by HiGHS: min p'u + q'v subject to
+    A b + u - v = y, u, v >= 0.  Raises ConvergenceError unless HiGHS
+    reports an optimal solution."""
+    n, k = y.size, ops.ncols
+    eye = scipy.sparse.identity(n, format="csr")
+    res = scipy.optimize.linprog(
+        np.concatenate([np.zeros(k), p, q]),
+        A_eq=scipy.sparse.hstack([ops.sparse(), eye, -eye], format="csr"),
+        b_eq=y,
+        bounds=[(None, None)] * k + [(0.0, None)] * (2 * n),
+        method="highs",
+    )
+    if res.status != 0:
+        raise ConvergenceError(
+            f"HiGHS fallback failed: {res.message}",
+            diagnostics={"highs_status": res.status},
+        )
+    return res.x[:k]
 
 
 def _classify_residuals(r, y):
@@ -389,27 +427,6 @@ def _classify_residuals(r, y):
     n_neg = int(np.sum(r < -ztol))
     n_pos = int(np.sum(r > ztol))
     return n_neg, n_pos, int(np.sum(zero))
-
-
-def _coordinate_optimality(ops, y, r, p, q):
-    """Subgradient check: both one-sided directional derivatives of the
-    weighted pinball loss must be nonnegative along every coordinate."""
-    ztol = 1e-8 * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
-    zero = np.abs(r) <= ztol
-    w = np.where(r > 0, -p, q)
-    w[zero] = 0.0
-    base = ops.rmatvec(w)
-    idx = np.flatnonzero(zero)
-    Z = ops.row_matrix(idx)
-    pos = np.clip(Z, 0.0, None)
-    neg = pos - Z
-    up_fwd = q[idx] @ pos + p[idx] @ neg    # slack along +e_j
-    up_bwd = q[idx] @ neg + p[idx] @ pos    # slack along -e_j
-    scale = ops.rmatvec(np.maximum(p, q) * (1.0 + np.abs(y)))
-    tol = 1e-6 * (np.abs(scale) + 1.0)
-    return bool(
-        np.all(base + up_fwd >= -tol) and np.all(-base + up_bwd >= -tol)
-    )
 
 
 def _unconditional_objective(y, theta):
@@ -433,41 +450,30 @@ def _finish_fit(ops, y, beta, theta, p, q, meta, data_rows=None):
 
 
 def _solve_pinball(ops, y, theta, p, q, tol, max_iter, fallback, data_rows=None):
-    meta = {"algorithm": "frisch-newton"}
     try:
         nu, iterations, gap, converged = _interior_point(ops, y, p, q, tol, max_iter)
     except scipy.linalg.LinAlgError:
         nu, iterations, gap, converged = None, 0, math.inf, False
     if converged:
-        meta.update(iterations=iterations, converged=True, duality_gap=gap)
-        out = _finish_fit(ops, y, -nu, theta, p, q, meta, data_rows)
-        return out, meta
-    if fallback:
-        beta = _irls(ops, y, p, q)
-        meta = {
-            "algorithm": "irls",
-            "iterations": iterations,
-            "converged": True,
-            "duality_gap": gap,
-        }
-        out = _finish_fit(ops, y, beta, theta, p, q, meta, data_rows)
-        # the fallback has no duality certificate; insist on the
-        # subgradient conditions before accepting its result
-        beta_out = out[0]
-        if not _coordinate_optimality(ops, y, y - ops.matvec(beta_out), p, q):
-            raise ConvergenceError(
-                "fallback solution failed the subgradient optimality check",
-                best_coefficients=dict(enumerate(beta_out)),
-                diagnostics={"iterations": iterations, "duality_gap": gap},
-            )
-        return out, meta
-    best = None if nu is None else dict(zip(range(ops.ncols), -nu))
-    raise ConvergenceError(
-        f"interior point did not converge in {max_iter} iterations "
-        f"(duality gap {gap:.3e})",
-        best_coefficients=best,
-        diagnostics={"iterations": iterations, "duality_gap": gap},
-    )
+        algorithm, beta = "frisch-newton", -nu
+    elif fallback:
+        # iterations and gap stay those of the failed interior point
+        algorithm, beta = "highs", _highs(ops, y, p, q)
+    else:
+        best = None if nu is None else dict(zip(range(ops.ncols), -nu))
+        raise ConvergenceError(
+            f"interior point did not converge in {max_iter} iterations "
+            f"(duality gap {gap:.3e})",
+            best_coefficients=best,
+            diagnostics={"iterations": iterations, "duality_gap": gap},
+        )
+    meta = {
+        "algorithm": algorithm,
+        "iterations": iterations,
+        "converged": True,
+        "duality_gap": gap,
+    }
+    return _finish_fit(ops, y, beta, theta, p, q, meta, data_rows), meta
 
 
 def fit_quantile(design, theta, *, tol=1e-9, max_iter=500, fallback=True):
@@ -479,7 +485,7 @@ def fit_quantile(design, theta, *, tol=1e-9, max_iter=500, fallback=True):
     theta : float in (0, 1)
     tol : relative duality-gap convergence tolerance.
     max_iter : interior point iteration cap.
-    fallback : run the smoothed IRLS fallback if the interior point fails.
+    fallback : solve the LP exactly with HiGHS if the interior point fails.
 
     Returns
     -------
@@ -601,6 +607,9 @@ def bootstrap_se(
     cluster=None,
     *,
     refit_group_effects=False,
+    mode="dummy",
+    penalty=1.0,
+    group_cap=DEFAULT_GROUP_CAP,
     tol=1e-9,
     max_iter=500,
 ):
@@ -611,7 +620,9 @@ def bootstrap_se(
     ``refit_group_effects`` the cluster labels double as fixed-effect
     groups: every drawn cluster copy gets a fresh effect and only the slope
     coefficients (plus the mean effect, under ``"fixed_effects_mean"``) are
-    collected.  Replicate seeds derive deterministically from ``seed``, so
+    collected; ``mode``, ``penalty`` and ``group_cap`` select the
+    fixed-effects estimator refit, as in ``fit_quantile_fixed_effects``.
+    Replicate seeds derive deterministically from ``seed``, so
     results are bit-identical across runs and parallelism schedules.
 
     Degenerate (rank-deficient) resamples are redrawn and counted; more
@@ -637,6 +648,11 @@ def bootstrap_se(
     if refit_group_effects:
         names = [m for m in names if m != INTERCEPT] + ["fixed_effects_mean"]
     rows = np.empty((n_boot, len(names)))
+    refit_fe_kw = (
+        dict(mode=mode, penalty=penalty, group_cap=group_cap)
+        if refit_group_effects
+        else None
+    )
     attempts = 0
     degenerate = 0
     for b in range(n_boot):
@@ -654,8 +670,8 @@ def bootstrap_se(
                 )
             try:
                 rows[b] = _refit(
-                    design, idx, draw_groups, names, theta,
-                    refit_group_effects, tol, max_iter,
+                    design, idx, draw_groups, names, theta, refit_fe_kw,
+                    tol, max_iter,
                 )
                 break
             except (DesignError, ConvergenceError, scipy.linalg.LinAlgError):
@@ -679,8 +695,8 @@ def bootstrap_se(
     )
 
 
-def _refit(design, idx, draw_groups, names, theta, refit_fe, tol, max_iter):
-    if refit_fe:
+def _refit(design, idx, draw_groups, names, theta, refit_fe_kw, tol, max_iter):
+    if refit_fe_kw is not None:
         from .effects import fit_quantile_fixed_effects
 
         keep = [j for j, m in enumerate(design.names) if m != INTERCEPT]
@@ -690,7 +706,7 @@ def _refit(design, idx, draw_groups, names, theta, refit_fe, tol, max_iter):
             y=design.y[idx],
         )
         fit = fit_quantile_fixed_effects(
-            sub, draw_groups, theta, tol=tol, max_iter=max_iter
+            sub, draw_groups, theta, tol=tol, max_iter=max_iter, **refit_fe_kw
         )
         vals = [fit.coefficients[m] for m in names[:-1]]
         vals.append(float(np.mean(list(fit.group_effects.values()))))

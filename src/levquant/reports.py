@@ -337,4 +337,7 @@ def render_recovery(report):
                 str(c.estimates.size),
             ]
         )
-    return "\n".join(lines[:-1] + _table(rows)) + "\n"
+    lines = lines[:-1] + _table(rows)
+    if report.failures:
+        lines += ["", "[failed]"] + list(report.failures)
+    return "\n".join(lines) + "\n"

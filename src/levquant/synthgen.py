@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .adjustment import TargetModelSpec, estimate_speed, estimate_speed_by_regime
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError, DataValidationError, DesignError
 from .panel import (
     FirmYearRecord,
     MacroYear,
@@ -285,7 +286,11 @@ class RecoveryCell:
 class RecoveryReport:
     cells: list
     replications: int
-    n_failed: int
+    failures: list = field(default_factory=list)  # one reason per failed replication
+
+    @property
+    def n_failed(self):
+        return len(self.failures)
 
 
 def monte_carlo_speed(
@@ -301,7 +306,9 @@ def monte_carlo_speed(
 
     Per-replication seeds derive from the master seed, so the report is
     deterministic (and independent of any parallel execution order).
-    Estimator failures are recorded, excluded, and counted.
+    Estimator failures (data, design, convergence and linear-algebra
+    errors) are excluded and counted, each with its reason; any other
+    exception is a programming error and propagates.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")
@@ -322,8 +329,8 @@ def monte_carlo_speed(
     else:
         keys = [(th, None) for th in thetas]
     draws = {key: [] for key in keys}
-    n_failed = 0
-    for child in children:
+    failures = []
+    for i, child in enumerate(children):
         rep_seed = int(child.generate_state(1, dtype=np.uint64)[0])
         rep_config = replace(config, seed=rep_seed)
         try:
@@ -336,8 +343,11 @@ def monte_carlo_speed(
             else:
                 for res in estimate_speed(panel, spec, fit_options=fit_options):
                     draws[(res.theta, None)].append(res.speed)
-        except Exception:
-            n_failed += 1
+        except (
+            DataValidationError, DesignError, ConvergenceError,
+            scipy.linalg.LinAlgError,
+        ) as err:
+            failures.append(f"replication {i}: {type(err).__name__}: {err}")
     cells = []
     for (th, regime), values in draws.items():
         true_delta = config.delta_for(regime) if per_regime else config.delta
@@ -350,7 +360,7 @@ def monte_carlo_speed(
                 n_failed=replications - len(values),
             )
         )
-    return RecoveryReport(cells=cells, replications=replications, n_failed=n_failed)
+    return RecoveryReport(cells=cells, replications=replications, failures=failures)
 
 
 # ---------------------------------------------------------------------------

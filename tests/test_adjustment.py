@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levquant import (
     ConfigError,
+    DataValidationError,
     MacroYear,
     Regime,
     RegimeRule,
@@ -104,6 +106,11 @@ class TestEstimateSpeed:
         res = estimate_speed(panel, spec)[0]
         assert res.leverage == "market"
         assert abs(res.speed - 0.5) <= 0.07
+
+    def test_group_cap_is_enforced(self):
+        panel, _ = synth_panel()
+        with pytest.raises(DataValidationError, match=r"dummy-mode cap \(10\)"):
+            estimate_speed(panel, replace(SPEC, group_cap=10))
 
     def test_all_requested_thetas_reported(self):
         panel, _ = synth_panel(n_firms=80, t_max=10, seed=7)

@@ -2,10 +2,15 @@ import hashlib
 import os
 import re
 
+import numpy as np
 import pytest
 
-from levquant import SynthConfig, generate_panel, write_macro_csv, write_panel_csv, write_tax_csv
-from levquant.cli import main, read_config_file, resolve_config, build_parser
+from levquant import (
+    DesignMatrix, SynthConfig, generate_panel, write_macro_csv, write_panel_csv, write_tax_csv,
+)
+from levquant.cli import Pipeline, main, read_config_file, resolve_config, build_parser
+from levquant.effects import fit_quantile_fixed_effects
+from levquant.panel import design_from_panel
 
 THETAS = ("0.15", "0.35", "0.5", "0.75", "0.95")
 
@@ -161,6 +166,51 @@ class TestTableShapes:
         for name in ("yearly_means.txt", "quantile_book.txt", "speed.txt"):
             text = (out / name).read_text()
             assert "  -  " not in text  # missing cells must say NA, not blank
+
+
+class TestConfiguredEstimator:
+    def test_penalized_bootstrap_refits_penalized_estimator(self, synth_inputs, tmp_path):
+        out = tmp_path / "penalized"
+        cfg_path = tmp_path / "c.cfg"
+        extra = "fe_mode = penalized\npenalty = 0.5\nleverage = book\ntheta = 0.5\n"
+        write_config(cfg_path, synth_inputs, out, bootstrap=4, extra=extra)
+        assert main(["qreg", "--config", str(cfg_path)]) == 0
+        reported = {}
+        for line in (out / "quantile_book.csv").read_text().splitlines()[1:]:
+            name, _, _, se, _ = line.split(",")
+            if se:
+                reported[name] = float(se)
+
+        # the same cluster draws, each refit by the penalized estimator
+        cfg = resolve_config(build_parser().parse_args(["qreg", "--config", str(cfg_path)]))
+        predictors = cfg.determinants + cfg.macro_vars
+        design, firms, _ = design_from_panel(Pipeline(cfg).panel, "levb", predictors)
+        _, codes = np.unique(firms, return_inverse=True)
+        by_cluster = [np.flatnonzero(codes == g) for g in range(codes.max() + 1)]
+        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0))
+        draws = []
+        for child in seed.spawn(4):
+            picks = np.random.default_rng(child).integers(0, len(by_cluster), len(by_cluster))
+            idx = np.concatenate([by_cluster[g] for g in picks])
+            draw_groups = np.repeat(np.arange(len(picks)), [len(by_cluster[g]) for g in picks])
+            sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
+            fit = fit_quantile_fixed_effects(
+                sub, draw_groups, 0.5, mode="penalized", penalty=0.5
+            )
+            draws.append(
+                [fit.coefficients[m] for m in predictors]
+                + [np.mean(list(fit.group_effects.values()))]
+            )
+        manual = np.std(np.asarray(draws), axis=0, ddof=1)
+        assert list(reported) == list(predictors) + ["fixed_effects_mean"]
+        assert [reported[m] for m in reported] == pytest.approx(manual, rel=1e-12)
+
+    def test_group_cap_reaches_speed_stage(self, synth_inputs, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        extra = "group_cap = 100\nleverage = book\ntheta = 0.5\n"
+        write_config(cfg, synth_inputs, tmp_path / "capped", bootstrap=0, extra=extra)
+        assert main(["speed", "--config", str(cfg)]) == 1
+        assert "250 groups exceed the dummy-mode cap (100)" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
@@ -15,6 +19,8 @@ from levquant import (
     fit_quantile_oracle,
     pseudo_r2,
 )
+from levquant.effects import fit_quantile_fixed_effects
+from levquant.quantreg import _DenseOps, _GroupedOps, _polish_vertex
 
 
 def intercept_design(y):
@@ -338,3 +344,142 @@ class TestBootstrap:
         out = bootstrap_se(d, 0.5, n_boot=30, seed=2, cluster=cl)
         assert out.std_errors["x"] > 0.0
         assert set(out.p_values) == {"intercept", "x"}
+
+
+def grouped_problem(rng, sizes, kx=2, penalized=False):
+    """A grouped-ops instance laid out as ``fit_quantile_fixed_effects``
+    builds it: dummy mode, or penalized mode with one zero-response
+    penalty row per group appended."""
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    X = rng.normal(size=(codes.size, kx))
+    effects = rng.normal(size=len(sizes))
+    y = X @ rng.normal(size=kx) + effects[codes] + rng.normal(size=codes.size)
+    if penalized:
+        G = len(sizes)
+        X = np.vstack([X, np.zeros((G, kx))])
+        codes = np.concatenate([codes, np.arange(G)])
+        y = np.concatenate([y, np.zeros(G)])
+    return _GroupedOps(X, codes, len(sizes)), y
+
+
+def dense_rows(ops, idx):
+    # the explicit [X | E] rows of the indicator-augmented design
+    rows = np.zeros((idx.size, ops.ncols))
+    rows[:, : ops.kx] = ops.X[idx]
+    rows[np.arange(idx.size), ops.kx + ops.codes[idx]] = 1.0
+    return rows
+
+
+def reference_solve_normal(ops, d, rhs):
+    """Normal-equation solve factoring the matrix afresh on every call, as
+    each Newton step's predictor and corrector once did."""
+    if isinstance(ops, _DenseOps):
+        M = (ops.X * d[:, None]).T @ ops.X
+        cf = scipy.linalg.cho_factor(M, check_finite=False)
+        return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+    X, codes, G, kx = ops.X, ops.codes, ops.n_groups, ops.kx
+    dX = X * d[:, None]
+    Mxx = dX.T @ X
+    Mgg = np.bincount(codes, weights=d, minlength=G)
+    Mxg = np.empty((kx, G))
+    for j in range(kx):
+        Mxg[j] = np.bincount(codes, weights=dX[:, j], minlength=G)
+    ratio = Mxg / Mgg[None, :]
+    cf = scipy.linalg.cho_factor(Mxx - ratio @ Mxg.T, check_finite=False)
+    out_x = scipy.linalg.cho_solve(cf, rhs[:kx] - ratio @ rhs[kx:], check_finite=False)
+    return np.concatenate([out_x, (rhs[kx:] - Mxg.T @ out_x) / Mgg])
+
+
+class TestSolverPieces:
+    @pytest.mark.parametrize(
+        "sizes, penalized",
+        [
+            ([5, 5, 5, 5], False),
+            ([5, 5, 5, 5], True),
+            ([1, 7, 2, 12, 3], False),
+            ([1, 7, 2, 12, 3], True),
+        ],
+        ids=["dummy", "penalized", "unbalanced-dummy", "unbalanced-penalized"],
+    )
+    def test_grouped_vertex_matches_dense_solve(self, sizes, penalized):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            ops, y = grouped_problem(rng, sizes, penalized=penalized)
+            r = y - ops.matvec(rng.normal(size=ops.ncols))
+            pinned, rest = ops.polish_rows(r)
+            idx = np.concatenate([pinned, rest])
+            want = scipy.linalg.solve(dense_rows(ops, idx), y[idx])
+            assert_allclose(ops.vertex(r, y), want, rtol=0, atol=1e-10)
+
+    def test_singular_reduced_system_gives_no_vertex(self):
+        # the extra row repeats the x of its group's pinned row, so the
+        # reduced 1 x 1 system (x_j - x_p) b = y_j - y_p is singular
+        ops = _GroupedOps(np.array([[1.0], [1.0], [3.0]]), np.array([0, 0, 1]), 2)
+        y = np.array([0.0, 1.0, 2.0])
+        assert ops.vertex(np.array([0.0, 0.1, 0.0]), y) is None
+
+    def test_one_factorization_serves_both_solves(self):
+        rng = np.random.default_rng(42)
+        dense = _DenseOps(rng.normal(size=(30, 3)))
+        grouped, _ = grouped_problem(rng, [4, 6, 1, 9], kx=3, penalized=True)
+        for ops in (dense, grouped):
+            n = ops.X.shape[0]
+            d = rng.uniform(0.1, 2.0, size=n)
+            solve = ops.factor(d)
+            for _ in range(2):  # predictor and corrector right-hand sides
+                rhs = rng.normal(size=ops.ncols)
+                assert np.array_equal(solve(rhs), reference_solve_normal(ops, d, rhs))
+
+    def test_grouped_polish_allocates_no_dense_basis(self):
+        # a dense (kx + G)^2 basis matrix would be 3002^2 * 8 bytes = 72 MB
+        rng = np.random.default_rng(43)
+        ops, y = grouped_problem(rng, [3] * 3000)
+        beta = rng.normal(size=ops.ncols) * 1e-3
+        p = np.full(y.size, 0.5)
+        tracemalloc.start()
+        try:
+            _polish_vertex(ops, y, beta, p, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 72e6 / 20
+
+
+def fallback_design(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+    y = X @ np.array([1.0, 0.5, -0.3]) + rng.normal(size=n)
+    return DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=y)
+
+
+class TestExactFallback:
+    @pytest.mark.parametrize("seed", [21, 43])
+    def test_fallback_matches_oracle(self, seed):
+        d = fallback_design(seed)
+        fit = fit_quantile(d, 0.3, max_iter=1)
+        _, obj = fit_quantile_oracle(d, 0.3)
+        assert abs(fit.objective - obj) <= 1e-9
+        assert fit.solver_meta["algorithm"] == "highs"
+
+    @pytest.mark.parametrize("mode", ["dummy", "penalized"])
+    def test_grouped_fallback_matches_interior_point(self, mode):
+        rng = np.random.default_rng(44)
+        n = 60
+        groups = rng.integers(0, 6, n)
+        X = rng.normal(size=(n, 2))
+        y = X @ np.array([0.7, -0.2]) + rng.normal(size=6)[groups] + rng.normal(size=n)
+        d = DesignMatrix(names=("x1", "x2"), X=X, y=y)
+        exact = fit_quantile_fixed_effects(d, groups, 0.4, mode=mode, max_iter=1)
+        ipm = fit_quantile_fixed_effects(d, groups, 0.4, mode=mode)
+        assert exact.solver_meta["algorithm"] == "highs"
+        assert ipm.solver_meta["algorithm"] == "frisch-newton"
+        assert exact.objective == pytest.approx(ipm.objective, rel=1e-9, abs=1e-9)
+
+    def test_non_optimal_highs_status_is_an_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=1, message="Iteration limit reached.")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", stalled)
+        with pytest.raises(ConvergenceError, match="Iteration limit"):
+            fit_quantile(fallback_design(21), 0.3, max_iter=1)

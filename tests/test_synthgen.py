@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from levquant import synthgen
+from levquant.reports import render_recovery
+
 from levquant import (
     ConfigError,
+    DesignError,
     ErrorSpec,
     SynthConfig,
     TargetModelSpec,
@@ -199,6 +203,30 @@ class TestMonteCarlo:
         assert cell.true_delta == 0.5
         assert cell.bias == pytest.approx(cell.mean - 0.5)
         assert cell.rmse >= abs(cell.bias) - 1e-12
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad argument")
+
+        monkeypatch.setattr(synthgen, "estimate_speed", broken)
+        with pytest.raises(TypeError, match="bad argument"):
+            monte_carlo_speed(SynthConfig(n_firms=20, t_max=5, seed=19), 2)
+
+    def test_estimator_failures_counted_with_reasons(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DesignError("no within-group variation for column(s): sizeat")
+
+        monkeypatch.setattr(synthgen, "estimate_speed", degenerate)
+        report = monte_carlo_speed(SynthConfig(n_firms=20, t_max=5, seed=19), 2)
+        assert report.n_failed == 2
+        assert report.failures == [
+            f"replication {i}: DesignError: no within-group variation for column(s): sizeat"
+            for i in range(2)
+        ]
+        assert report.cells[0].n_failed == 2
+        assert render_recovery(report).endswith(
+            "[failed]\n" + "\n".join(report.failures) + "\n"
+        )
 
     def test_needs_one_replication(self):
         with pytest.raises(ConfigError):
