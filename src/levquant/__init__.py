@@ -53,6 +53,9 @@ from .panel import (
     read_macro_csv,
     read_panel_csv,
     read_tax_csv,
+    write_macro_csv,
+    write_panel_csv,
+    write_tax_csv,
     yearly_means,
 )
 from .quantreg import (
@@ -72,9 +75,6 @@ from .synthgen import (
     generate_panel,
     monte_carlo_speed,
     write_ground_truth,
-    write_macro_csv,
-    write_panel_csv,
-    write_tax_csv,
 )
 
 __version__ = "0.1.0"

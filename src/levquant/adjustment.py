@@ -82,18 +82,17 @@ def lag_leverage(panel, kind="book"):
     return panel._with_columns({var + "_lag": lag})
 
 
-def _fit_speed(panel, spec, theta, fit_options):
+def _fit_speed(panel, spec, theta):
     var = _LEVERAGE_VAR[spec.leverage]
     lag_name = var + "_lag"
     predictors = tuple(spec.determinants) + tuple(spec.macro_vars) + (lag_name,)
     design, firms, _ = design_from_panel(panel, var, predictors)
-    kw = dict(fit_options or {})
     if spec.two_step:
-        lam, fit, n_used = _two_step(design, firms, spec, theta, kw)
+        lam, fit, n_used = _two_step(design, firms, spec, theta)
     else:
         fit = fit_quantile_fixed_effects(
             design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty,
-            group_cap=spec.group_cap, **kw
+            group_cap=spec.group_cap,
         )
         lam = fit.coefficients[lag_name]
         n_used = design.n
@@ -109,7 +108,7 @@ def _fit_speed(panel, spec, theta, fit_options):
     )
 
 
-def _two_step(design, firms, spec, theta, kw):
+def _two_step(design, firms, spec, theta):
     # step 1: the target model without the lag; step 2: regress the leverage
     # change on the fitted gap, slope = delta
     lag_name = _LEVERAGE_VAR[spec.leverage] + "_lag"
@@ -120,7 +119,7 @@ def _two_step(design, firms, spec, theta, kw):
     )
     step1 = fit_quantile_fixed_effects(
         target_design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty,
-        group_cap=spec.group_cap, **kw
+        group_cap=spec.group_cap,
     )
     beta = np.asarray([step1.coefficients[m] for m in target_design.names])
     effects = np.asarray([step1.group_effects[str(f)] for f in firms])
@@ -128,14 +127,12 @@ def _two_step(design, firms, spec, theta, kw):
     lev_lag = design.X[:, j_lag]
     gap = target - lev_lag
     dy = design.y - lev_lag
-    step2 = fit_quantile(
-        DesignMatrix(names=("gap",), X=gap[:, None], y=dy), theta, **kw
-    )
+    step2 = fit_quantile(DesignMatrix(names=("gap",), X=gap[:, None], y=dy), theta)
     delta = step2.coefficients["gap"]
     return 1.0 - delta, step2, design.n
 
 
-def estimate_speed(panel, spec, *, fit_options=None):
+def estimate_speed(panel, spec):
     """Per-quantile adjustment speeds for one leverage kind.
 
     The panel is lagged internally if needed.  ``speed = 1 - lag
@@ -145,7 +142,7 @@ def estimate_speed(panel, spec, *, fit_options=None):
     var = _LEVERAGE_VAR[spec.leverage]
     if np.isnan(panel.variable(var + "_lag")).all():
         panel = lag_leverage(panel, spec.leverage)
-    return [_fit_speed(panel, spec, th, fit_options) for th in spec.thetas]
+    return [_fit_speed(panel, spec, th) for th in spec.thetas]
 
 
 @dataclass
@@ -158,13 +155,12 @@ class RegimeSplit:
 
 
 def split_regimes(macro, rule=RegimeRule()):
-    """Partition macro years into growth/recession under ``rule``.
+    """Partition the years of a year -> MacroYear mapping into
+    growth/recession under ``rule``.
 
     An empty regime triggers a warning (per-regime estimation for it is
     skipped downstream).
     """
-    if not isinstance(macro, dict):
-        macro = {m.year: m for m in macro}
     by_year = {y: rule.classify(m.gdp_growth) for y, m in sorted(macro.items())}
     counts = {
         Regime.Growth: sum(r is Regime.Growth for r in by_year.values()),
@@ -182,7 +178,7 @@ class RegimeSpeeds:
     skipped: dict   # Regime -> reason
 
 
-def estimate_speed_by_regime(panel, spec, *, fit_options=None):
+def estimate_speed_by_regime(panel, spec):
     """Adjustment speeds per macroeconomic regime.
 
     Rows are assigned by the regime of year t (the adjustment year); the
@@ -217,7 +213,7 @@ def estimate_speed_by_regime(panel, spec, *, fit_options=None):
         try:
             results[regime] = [
                 replace(res, regime=regime)
-                for res in estimate_speed(sub, spec, fit_options=fit_options)
+                for res in estimate_speed(sub, spec)
             ]
         except (DataValidationError, DesignError) as err:
             # e.g. a one-year regime leaves the macro columns constant

@@ -35,18 +35,13 @@ from .panel import (
     read_macro_csv,
     read_panel_csv,
     read_tax_csv,
-    yearly_means,
-)
-from .quantreg import bootstrap_se
-from .synthgen import (
-    ErrorSpec,
-    SynthConfig,
-    generate_panel,
-    write_ground_truth,
     write_macro_csv,
     write_panel_csv,
     write_tax_csv,
+    yearly_means,
 )
+from .quantreg import bootstrap_se
+from .synthgen import ErrorSpec, SynthConfig, generate_panel, write_ground_truth
 
 ENV_CONFIG = "LEVQUANT_CONFIG"
 
@@ -489,11 +484,11 @@ def build_parser():
     return parser
 
 
-def cmd_simulate(args):
+def simulate_config(args):
     deltas = tuple(float(v) for v in str(args.delta).split(","))
     delta = deltas[0] if len(deltas) == 1 else (deltas[0], deltas[1])
     error = ErrorSpec() if args.sigma is None else ErrorSpec(sigma=args.sigma)
-    config = SynthConfig(
+    return SynthConfig(
         n_firms=args.n_firms,
         t_max=args.t_max,
         attrition=args.attrition,
@@ -502,28 +497,32 @@ def cmd_simulate(args):
         seed=args.seed,
         start_year=args.start_year,
     )
+
+
+def cmd_simulate(config, out):
     panel, truth = generate_panel(config)
-    os.makedirs(args.out, exist_ok=True)
-    write_panel_csv(panel, os.path.join(args.out, "panel.csv"))
-    write_macro_csv(truth.macro, os.path.join(args.out, "macro.csv"))
+    os.makedirs(out, exist_ok=True)
+    write_panel_csv(panel, os.path.join(out, "panel.csv"))
+    write_macro_csv(truth.macro, os.path.join(out, "macro.csv"))
     write_tax_csv(
         {y: config.tax_rate for y in truth.macro},
-        os.path.join(args.out, "tax_rates.csv"),
+        os.path.join(out, "tax_rates.csv"),
     )
-    write_ground_truth(truth, os.path.join(args.out, "ground_truth.txt"))
-    print(f"wrote synthetic panel ({len(panel)} rows) to {args.out}")
+    write_ground_truth(truth, os.path.join(out, "ground_truth.txt"))
+    print(f"wrote synthetic panel ({len(panel)} rows) to {out}")
     return 0
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args)
+    configure = simulate_config if args.command == "simulate" else resolve_config
     try:
-        cfg = resolve_config(args)
+        cfg = configure(args)
     except (ConfigError, OSError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    if args.command == "simulate":
+        return cmd_simulate(cfg, args.out)
     if args.command == "replicate":
         return run_replicate(cfg)
     code, _, _ = run_stages(cfg, (args.command,))

@@ -20,14 +20,17 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 
 from .errors import ConfigError, DataValidationError
 from .quantreg import INTERCEPT, DesignMatrix
+from .reports import _csv_float
 
+# CSV column tables, shared by each schema's reader and writer; the firm-year
+# columns are in FirmYearRecord field order
 PANEL_COLUMNS = (
     "firm_id", "fyear", "at", "debt", "mkt_eq", "act", "lct",
     "ebit", "ip", "txt", "sale", "ppent", "dp",
@@ -63,8 +66,10 @@ class RegimeRule:
         return Regime.Growth
 
 
-@dataclass(frozen=True)
-class FirmYearRecord:
+class FirmYearRecord(NamedTuple):
+    """One raw statement: the (firm_id, fiscal_year, *raw items) row that
+    ``ingest_panel`` reads."""
+
     firm_id: str
     fiscal_year: int
     total_assets: float
@@ -78,10 +83,6 @@ class FirmYearRecord:
     sales: float
     net_ppe: float
     depreciation: float
-
-    @property
-    def usable(self):
-        return self.total_assets > 0.0
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,8 @@ class ValidationReport:
         return len(self.flagged)
 
 
-_RAW_ITEMS = tuple(f.name for f in fields(FirmYearRecord))[2:]
+_RAW_ITEMS = FirmYearRecord._fields[2:]
+_ROW_ITEMS = tuple(f.name for f in fields(ObservationRow))[2:]
 
 
 def _frozen(array):
@@ -189,7 +191,7 @@ class Panel:
             return None
         return (int(self.years.min()), int(self.years.max()))
 
-    def _view(self, cls, codes, years, columns, firm_id=None):
+    def _view(self, cls, names, codes, years, columns, firm_id=None):
         lo, hi = 0, len(codes)
         if firm_id is not None:
             code = np.searchsorted(self.firm_labels, firm_id)
@@ -197,14 +199,15 @@ class Panel:
                 return ()
             lo, hi = np.searchsorted(codes, [code, code + 1])
         values = [self.firm_labels[codes[lo:hi]].tolist(), years[lo:hi].tolist()]
-        values += [_absent_as_none(columns[f.name][lo:hi]) for f in fields(cls)[2:]]
+        values += [_absent_as_none(columns[name][lo:hi]) for name in names]
         return tuple(cls(*v) for v in zip(*values))
 
     @cached_property
     def records(self):
         """The accepted raw statements as FirmYearRecord tuples."""
         return self._view(
-            FirmYearRecord, self._record_firm, self._record_year, self._items
+            FirmYearRecord, _RAW_ITEMS, self._record_firm, self._record_year,
+            self._items,
         )
 
     @cached_property
@@ -213,12 +216,15 @@ class Panel:
         ``derive_variables``."""
         if self._columns is None:
             return None
-        return self._view(ObservationRow, self.firm_codes, self.years, self._columns)
+        return self._view(
+            ObservationRow, _ROW_ITEMS, self.firm_codes, self.years, self._columns
+        )
 
     def rows_for(self, firm_id):
         self._need_rows()
         return self._view(
-            ObservationRow, self.firm_codes, self.years, self._columns, firm_id
+            ObservationRow, _ROW_ITEMS, self.firm_codes, self.years, self._columns,
+            firm_id,
         )
 
     def _need_rows(self):
@@ -274,30 +280,31 @@ class Panel:
 # ---------------------------------------------------------------------------
 
 
-def ingest_panel(records):
-    """Sort, deduplicate, and flag a stream of firm-year records.
+def ingest_panel(rows):
+    """Sort, deduplicate, and flag a stream of raw firm-year statements.
 
-    Duplicate (firm, year) keys are rejected (first occurrence wins);
-    records with non-positive total assets stay in the panel but are
-    flagged unusable and excluded from derived variables.
+    Each row is a ``(firm_id, fiscal_year, *raw items)`` sequence in
+    FirmYearRecord field order, None where a value is absent; a
+    FirmYearRecord is one.  Duplicate (firm, year) keys are rejected (first
+    occurrence wins); records with non-positive total assets stay in the
+    panel but are flagged unusable and excluded from derived variables.
     """
     accepted = {}
     report = ValidationReport()
-    for rec in records:
+    for firm, year, *raw in rows:
         report.n_read += 1
-        key = (rec.firm_id, rec.fiscal_year)
+        key = (firm, year)
         if key in accepted:
             report.rejected.append((key, "duplicate (firm_id, fiscal_year)"))
             continue
-        accepted[key] = rec
-        if not rec.usable:
+        accepted[key] = raw
+        if not raw[0] > 0.0:  # total assets
             report.flagged.append((key, "total_assets <= 0: unusable"))
     report.n_accepted = len(accepted)
     keys = sorted(accepted)
     labels = list(dict.fromkeys(firm for firm, _ in keys))
     code = {firm: i for i, firm in enumerate(labels)}
-    raw = attrgetter(*_RAW_ITEMS)
-    table = np.array([raw(accepted[k]) for k in keys], dtype=float)
+    table = np.array([accepted[k] for k in keys], dtype=float)
     table = table.reshape(len(keys), len(_RAW_ITEMS)).T.copy()
     return Panel(
         np.array(labels, dtype=str),
@@ -350,33 +357,31 @@ def _read_years(path, columns, parse):
     return out
 
 
+def _parse_optional(text):
+    text = text.strip()
+    return _parse_float(text) if text else None
+
+
+# the parser of each firm-year cell that is not a finite float
+_PANEL_PARSERS = {"firm_id": str.strip, "fyear": int, "mkt_eq": _parse_optional}
+
+
 def read_panel_csv(path):
     """Read the firm-year CSV into a Panel, collecting row-level rejections."""
     parse_rejects = []
-    records = []
+    rows = []
     for lineno, row in _read_csv(path, PANEL_COLUMNS):
+        cells = [row[c] for c in PANEL_COLUMNS]
+        if None in cells:  # csv.DictReader pads a short line with None
+            parse_rejects.append((f"line {lineno}", "too few fields"))
+            continue
         try:
-            mkt = row["mkt_eq"].strip()
-            records.append(
-                FirmYearRecord(
-                    firm_id=row["firm_id"].strip(),
-                    fiscal_year=int(row["fyear"]),
-                    total_assets=_parse_float(row["at"]),
-                    book_debt=_parse_float(row["debt"]),
-                    market_equity=_parse_float(mkt) if mkt else None,
-                    current_assets=_parse_float(row["act"]),
-                    current_liabilities=_parse_float(row["lct"]),
-                    ebit=_parse_float(row["ebit"]),
-                    interest_payable=_parse_float(row["ip"]),
-                    income_tax=_parse_float(row["txt"]),
-                    sales=_parse_float(row["sale"]),
-                    net_ppe=_parse_float(row["ppent"]),
-                    depreciation=_parse_float(row["dp"]),
-                )
-            )
-        except (ValueError, TypeError) as err:
+            rows.append(tuple(
+                _PANEL_PARSERS.get(c, _parse_float)(v) for c, v in zip(PANEL_COLUMNS, cells)
+            ))
+        except ValueError as err:
             parse_rejects.append((f"line {lineno}", f"malformed value: {err}"))
-    panel = ingest_panel(records)
+    panel = ingest_panel(rows)
     panel.validation.n_read += len(parse_rejects)
     panel.validation.rejected = parse_rejects + panel.validation.rejected
     return panel
@@ -397,6 +402,35 @@ def read_macro_csv(path, rule=RegimeRule()):
 
 def read_tax_csv(path):
     return _read_years(path, TAX_COLUMNS, lambda row: _parse_float(row["tax_rate"]))
+
+
+def _write_csv(path, columns, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join([",".join(columns), *(",".join(c) for c in lines)]) + "\n")
+
+
+def write_panel_csv(panel, path):
+    """Write a panel's accepted raw statements in the firm-year schema; the
+    file reads back to the same records."""
+    cells = [
+        panel.firm_labels[panel._record_firm].tolist(),
+        map(str, panel._record_year.tolist()),
+    ]
+    cells += [map(_csv_float, panel._items[name].tolist()) for name in _RAW_ITEMS]
+    _write_csv(path, PANEL_COLUMNS, zip(*cells))
+
+
+def write_macro_csv(macro, path):
+    _write_csv(path, MACRO_COLUMNS, (
+        (str(year), _csv_float(macro[year].inflation), _csv_float(macro[year].gdp_growth))
+        for year in sorted(macro)
+    ))
+
+
+def write_tax_csv(rates, path):
+    _write_csv(
+        path, TAX_COLUMNS, ((str(year), _csv_float(rates[year])) for year in sorted(rates))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +456,14 @@ def _winsorize(columns, limits):
 def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
     """Attach all derivable regression variables to a panel's usable rows.
 
-    ``macro`` is a year -> MacroYear mapping (or MacroYear iterable) that
-    must cover every usable year.  ``tax_rate_by_year`` is a year -> rate
-    mapping, or a single constant rate (accepted with a warning, since
-    statutory rates move over long samples).  Lag-dependent variables
+    ``macro`` is a year -> MacroYear mapping that must cover every usable
+    year.  ``tax_rate_by_year`` is a year -> rate mapping, or a single
+    constant rate (accepted with a warning, since statutory rates move over
+    long samples).  Lag-dependent variables
     (growth, investment) require the immediately preceding fiscal year for
     the same firm; a gap breaks the chain.  Idempotent: re-running on its
     own output reproduces it.
     """
-    if not isinstance(macro, dict):
-        macro = {m.year: m for m in macro}
     if isinstance(tax_rate_by_year, (int, float)):
         warnings.warn(
             "using one constant tax rate for all years; supply a per-year "

@@ -16,14 +16,7 @@ import scipy.linalg
 
 from .adjustment import TargetModelSpec, estimate_speed, estimate_speed_by_regime
 from .errors import ConfigError, ConvergenceError, DataValidationError, DesignError
-from .panel import (
-    FirmYearRecord,
-    MacroYear,
-    Regime,
-    RegimeRule,
-    derive_variables,
-    ingest_panel,
-)
+from .panel import MacroYear, Regime, RegimeRule, derive_variables, ingest_panel
 
 _BURN_IN = 10
 
@@ -218,23 +211,10 @@ def generate_panel(config):
                 mkt_eq = debt * (1.0 - levm) / levm
             else:
                 mkt_eq = None  # market leverage not representable that year
-            records.append(
-                FirmYearRecord(
-                    firm_id=firm,
-                    fiscal_year=year,
-                    total_assets=total_assets,
-                    book_debt=debt,
-                    market_equity=mkt_eq,
-                    current_assets=act,
-                    current_liabilities=lct,
-                    ebit=ebit,
-                    interest_payable=ip,
-                    income_tax=txt,
-                    sales=sales,
-                    net_ppe=ppent,
-                    depreciation=dp,
-                )
-            )
+            records.append((
+                firm, year, total_assets, debt, mkt_eq, act, lct, ebit, ip, txt,
+                sales, ppent, dp,
+            ))
 
     emitted_macro = {y: m for y, m in macro.items() if y >= emit_from}
     panel = ingest_panel(records)
@@ -286,7 +266,8 @@ class RecoveryCell:
 class RecoveryReport:
     cells: list
     replications: int
-    failures: list = field(default_factory=list)  # one reason per failed replication
+    # one reason per failed replication and per regime a replication skipped
+    failures: list = field(default_factory=list)
 
     @property
     def n_failed(self):
@@ -300,14 +281,14 @@ def monte_carlo_speed(
     thetas=(0.5,),
     leverage="book",
     determinants=None,
-    fit_options=None,
 ):
     """Bias / SD / RMSE of the estimated speed across simulated panels.
 
     Per-replication seeds derive from the master seed, so the report is
     deterministic (and independent of any parallel execution order).
     Estimator failures (data, design, convergence and linear-algebra
-    errors) are excluded and counted, each with its reason; any other
+    errors) are excluded and counted, each with its reason, as is every
+    regime that a replication's per-regime estimation skipped; any other
     exception is a programming error and propagates.
     """
     if replications < 1:
@@ -336,12 +317,14 @@ def monte_carlo_speed(
         try:
             panel, _ = generate_panel(rep_config)
             if per_regime:
-                out = estimate_speed_by_regime(panel, spec, fit_options=fit_options)
+                out = estimate_speed_by_regime(panel, spec)
                 for regime, results in out.results.items():
                     for res in results:
                         draws[(res.theta, regime)].append(res.speed)
+                for regime, reason in out.skipped.items():
+                    failures.append(f"replication {i}: {regime.value} skipped: {reason}")
             else:
-                for res in estimate_speed(panel, spec, fit_options=fit_options):
+                for res in estimate_speed(panel, spec):
                     draws[(res.theta, None)].append(res.speed)
         except (
             DataValidationError, DesignError, ConvergenceError,
@@ -361,58 +344,6 @@ def monte_carlo_speed(
             )
         )
     return RecoveryReport(cells=cells, replications=replications, failures=failures)
-
-
-# ---------------------------------------------------------------------------
-# writers (exact round-trip with the ingestion schema)
-# ---------------------------------------------------------------------------
-
-
-def _fmt(value):
-    return "" if value is None else repr(float(value))
-
-
-def write_panel_csv(panel, path):
-    lines = ["firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"]
-    for r in panel.records:
-        lines.append(
-            ",".join(
-                [
-                    r.firm_id,
-                    str(r.fiscal_year),
-                    _fmt(r.total_assets),
-                    _fmt(r.book_debt),
-                    _fmt(r.market_equity),
-                    _fmt(r.current_assets),
-                    _fmt(r.current_liabilities),
-                    _fmt(r.ebit),
-                    _fmt(r.interest_payable),
-                    _fmt(r.income_tax),
-                    _fmt(r.sales),
-                    _fmt(r.net_ppe),
-                    _fmt(r.depreciation),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_macro_csv(macro, path):
-    lines = ["year,cpi_inflation,gdp_growth"]
-    for year in sorted(macro):
-        m = macro[year]
-        lines.append(f"{year},{_fmt(m.inflation)},{_fmt(m.gdp_growth)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_tax_csv(rates, path):
-    lines = ["year,tax_rate"]
-    for year in sorted(rates):
-        lines.append(f"{year},{_fmt(rates[year])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def write_ground_truth(truth, path):

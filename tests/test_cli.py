@@ -299,3 +299,12 @@ class TestSimulate:
         ])
         assert code == 0
         assert "delta = (0.7, 0.3)" in (out / "ground_truth.txt").read_text()
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "1.5"], ["--delta", "abc"], ["--attrition", "1"],
+    ])
+    def test_config_error_is_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "synth3"
+        assert main(["simulate", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()

@@ -352,6 +352,16 @@ class TestCsvIO:
         assert len(panel.records) == 1
         assert panel.validation.n_rejected == 1
 
+    def test_truncated_line_rejected_with_its_line_number(self, tmp_path):
+        path = tmp_path / "truncated.csv"
+        header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"
+        good = "F1,2000,200,50,150,80,40,100,10,21,100,100,15"
+        path.write_text(f"{header}\n{good}\nB,2001,200,50\n{good.replace('2000', '2001')}\n")
+        panel = read_panel_csv(path)
+        assert [r.fiscal_year for r in panel.records] == [2000, 2001]
+        assert panel.validation.n_read == 3
+        assert panel.validation.rejected == [("line 3", "too few fields")]
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("firm_id,fyear,at\nF1,2000,10\n")

@@ -20,7 +20,8 @@ from levquant import (
     pseudo_r2,
 )
 from levquant.effects import fit_quantile_fixed_effects
-from levquant.quantreg import _DenseOps, _GroupedOps, _polish_vertex
+from levquant import quantreg
+from levquant.quantreg import _chol_factor, _DenseOps, _GroupedOps, _polish_vertex
 
 
 def intercept_design(y):
@@ -483,3 +484,27 @@ class TestExactFallback:
         monkeypatch.setattr(scipy.optimize, "linprog", stalled)
         with pytest.raises(ConvergenceError, match="Iteration limit"):
             fit_quantile(fallback_design(21), 0.3, max_iter=1)
+
+    def test_interior_point_linalg_error_falls_back_to_highs(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("normal-equation matrix is singular")
+
+        d = fallback_design(21)
+        monkeypatch.setattr(quantreg, "_interior_point", singular)
+        fit = fit_quantile(d, 0.3)
+        _, obj = fit_quantile_oracle(d, 0.3)
+        assert fit.solver_meta["algorithm"] == "highs"
+        assert abs(fit.objective - obj) <= 1e-9
+
+
+class TestCholeskyJitter:
+    def test_singular_psd_matrix_gets_a_jittered_solve(self):
+        v = np.array([1.0, 2.0, -1.0])
+        M = np.outer(v, v)
+        x = _chol_factor(M)(v)
+        assert np.isfinite(x).all()
+        assert_allclose(M @ x, v, rtol=1e-6)
+
+    def test_negative_definite_matrix_raises(self):
+        with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
+            _chol_factor(-np.eye(3))

@@ -228,6 +228,25 @@ class TestMonteCarlo:
             "[failed]\n" + "\n".join(report.failures) + "\n"
         )
 
+    def test_skipped_regimes_counted_with_reasons(self):
+        # one constant macro year repeated: no recession years, and the growth
+        # subset has constant macro columns
+        cfg = SynthConfig(n_firms=40, t_max=6, delta=(0.7, 0.3),
+                          macro_path=((2.0, 1.5),) * 6, seed=3)
+        with pytest.warns(UserWarning, match="skipped"):
+            report = monte_carlo_speed(cfg, 2)
+        assert [c.estimates.size for c in report.cells] == [0, 0]
+        assert report.failures == [
+            f"replication {i}: {reason}"
+            for i in range(2)
+            for reason in (
+                "growth skipped: degenerate subset: zero-variance column(s): "
+                "inflation, gdp_rate",
+                "recession skipped: 0 usable rows < required 60 (6 coefficients)",
+            )
+        ]
+        assert "failed: 4" in render_recovery(report)
+
     def test_needs_one_replication(self):
         with pytest.raises(ConfigError):
             monte_carlo_speed(SynthConfig(seed=17), 0)
