@@ -18,7 +18,9 @@ import numpy as np
 
 from .effects import DEFAULT_GROUP_CAP, fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
-from .panel import MACRO_VARIABLES, Regime, RegimeRule, _shift_year, design_from_panel
+from .panel import (
+    MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year, design_from_panel,
+)
 from .quantreg import DesignMatrix, QuantileFit, fit_quantile
 
 DEFAULT_THETAS = (0.15, 0.35, 0.5, 0.75, 0.95)
@@ -27,6 +29,8 @@ DEFAULT_DETERMINANTS = (
 )
 
 _LEVERAGE_VAR = {"book": "levb", "market": "levm"}
+# a regime is estimated only with this many usable rows per coefficient
+_MIN_ROWS_PER_COEF = 10
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class TargetModelSpec:
     penalty: float = 1.0
     group_cap: int = DEFAULT_GROUP_CAP
     two_step: bool = False
-    min_rows_per_coef: int = 10
 
     def __post_init__(self):
         if self.leverage not in _LEVERAGE_VAR:
@@ -50,9 +53,33 @@ class TargetModelSpec:
                               f"{self.leverage!r}")
         if not self.determinants:
             raise ConfigError("determinants must be non-empty")
+        unknown = [v for v in self.predictors if v not in REGRESSORS]
+        if unknown:
+            raise ConfigError(f"unknown variable(s) {', '.join(unknown)}; "
+                              f"choose from {', '.join(REGRESSORS)}")
+        if len(set(self.predictors)) < len(self.predictors):
+            raise ConfigError("determinants and macro_vars must name each variable once")
         for th in self.thetas:
             if not (0.0 < th < 1.0):
                 raise ConfigError(f"quantile {th} outside (0, 1)")
+        if self.fe_mode not in ("dummy", "penalized"):
+            raise ConfigError(f"fe_mode must be dummy|penalized, got {self.fe_mode!r}")
+        if self.fe_mode == "penalized" and not self.penalty > 0.0:
+            raise ConfigError(f"penalty must be positive in penalized mode, got {self.penalty}")
+        if self.group_cap < 1:
+            raise ConfigError(f"group_cap must be at least 1, got {self.group_cap}")
+
+    @property
+    def response(self):  # the leverage variable the model explains
+        return _LEVERAGE_VAR[self.leverage]
+
+    @property
+    def predictors(self):  # the target-model regressors
+        return tuple(self.determinants) + tuple(self.macro_vars)
+
+    @property
+    def lag(self):  # the previous-year leverage column that lag_leverage adds
+        return self.response + "_lag"
 
 
 @dataclass
@@ -82,11 +109,7 @@ def lag_leverage(panel, kind="book"):
     return panel._with_columns({var + "_lag": lag})
 
 
-def _fit_speed(panel, spec, theta):
-    var = _LEVERAGE_VAR[spec.leverage]
-    lag_name = var + "_lag"
-    predictors = tuple(spec.determinants) + tuple(spec.macro_vars) + (lag_name,)
-    design, firms, _ = design_from_panel(panel, var, predictors)
+def _fit_speed(design, firms, spec, theta):
     if spec.two_step:
         lam, fit, n_used = _two_step(design, firms, spec, theta)
     else:
@@ -94,7 +117,7 @@ def _fit_speed(panel, spec, theta):
             design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty,
             group_cap=spec.group_cap,
         )
-        lam = fit.coefficients[lag_name]
+        lam = fit.coefficients[spec.lag]
         n_used = design.n
     return AdjustmentResult(
         theta=theta,
@@ -111,8 +134,7 @@ def _fit_speed(panel, spec, theta):
 def _two_step(design, firms, spec, theta):
     # step 1: the target model without the lag; step 2: regress the leverage
     # change on the fitted gap, slope = delta
-    lag_name = _LEVERAGE_VAR[spec.leverage] + "_lag"
-    j_lag = design.names.index(lag_name)
+    j_lag = design.names.index(spec.lag)
     keep = [j for j in range(design.k) if j != j_lag]
     target_design = DesignMatrix(
         names=[design.names[j] for j in keep], X=design.X[:, keep], y=design.y
@@ -139,10 +161,12 @@ def estimate_speed(panel, spec):
     coefficient`` holds exactly by construction; a lag coefficient outside
     [0, 1] is reported with ``out_of_range`` set rather than clipped.
     """
-    var = _LEVERAGE_VAR[spec.leverage]
-    if np.isnan(panel.variable(var + "_lag")).all():
+    if np.isnan(panel.variable(spec.lag)).all():
         panel = lag_leverage(panel, spec.leverage)
-    return [_fit_speed(panel, spec, th) for th in spec.thetas]
+    design, firms, _ = design_from_panel(
+        panel, spec.response, spec.predictors + (spec.lag,)
+    )
+    return [_fit_speed(design, firms, spec, th) for th in spec.thetas]
 
 
 @dataclass
@@ -183,9 +207,8 @@ def estimate_speed_by_regime(panel, spec):
 
     Rows are assigned by the regime of year t (the adjustment year); the
     lag is taken on the full panel first, so a regime-boundary row keeps
-    its previous-year leverage.  Regimes with fewer than
-    ``min_rows_per_coef * n_coefficients`` usable rows are skipped with a
-    diagnostic.
+    its previous-year leverage.  Regimes with fewer than 10 usable rows
+    per coefficient are skipped with a diagnostic.
     """
     if spec.regime_split is None:
         raise ConfigError("spec.regime_split is required for per-regime speeds")
@@ -193,10 +216,10 @@ def estimate_speed_by_regime(panel, spec):
         raise DataValidationError("macro series not joined")
     panel = lag_leverage(panel, spec.leverage)
     split = split_regimes(panel.macro, spec.regime_split)
-    var = _LEVERAGE_VAR[spec.leverage]
-    complete = ~np.isnan(panel.variable(var)) & ~np.isnan(panel.variable(var + "_lag"))
-    k = len(spec.determinants) + len(spec.macro_vars) + 1
-    needed = spec.min_rows_per_coef * k
+    complete = ~np.isnan(panel.variable(spec.response))
+    complete &= ~np.isnan(panel.variable(spec.lag))
+    k = len(spec.predictors) + 1
+    needed = _MIN_ROWS_PER_COEF * k
     results, skipped = {}, {}
     for regime in (Regime.Growth, Regime.Recession):
         mask = np.isin(panel.years, split.years_in(regime))

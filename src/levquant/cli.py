@@ -12,7 +12,7 @@ import hashlib
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,45 +48,6 @@ ENV_CONFIG = "LEVQUANT_CONFIG"
 STAGES = ("ingest", "describe", "correlate", "hausman", "qreg", "speed")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    input: str | None = None
-    macro: str | None = None
-    tax_table: str | None = None
-    tax_rate: float = 0.21
-    theta: tuple = DEFAULT_THETAS
-    leverage: str = "both"
-    determinants: tuple = DEFAULT_DETERMINANTS
-    macro_vars: tuple = MACRO_VARIABLES
-    bootstrap: int = 200
-    seed: int = 12345
-    regime_threshold: float = 0.0
-    winsorize: tuple | None = None
-    out: str = "levquant_out"
-    format: str = "both"
-    significance: float = 0.05
-    fe_mode: str = "dummy"
-    penalty: float = 1.0
-    group_cap: int = DEFAULT_GROUP_CAP
-    two_step: bool = False
-
-    @property
-    def kinds(self):
-        if self.leverage == "both":
-            return ("book", "market")
-        if self.leverage in ("book", "market"):
-            return (self.leverage,)
-        raise ConfigError(f"leverage must be book|market|both, got {self.leverage!r}")
-
-    @property
-    def formats(self):
-        if self.format == "both":
-            return ("text", "delimited")
-        if self.format in ("text", "delimited"):
-            return (self.format,)
-        raise ConfigError(f"format must be text|delimited|both, got {self.format!r}")
-
-
 def _parse_theta(text):
     vals = tuple(float(v) for v in str(text).split(",") if v.strip())
     if not vals:
@@ -102,35 +63,102 @@ def _parse_winsorize(text):
     text = str(text).strip().lower()
     if text in ("", "off", "none", "false"):
         return None
-    lo, hi = (float(v) for v in text.split(","))
-    return (lo, hi)
+    limits = tuple(float(v) for v in text.split(","))
+    if len(limits) != 2:
+        raise ConfigError(f"winsorize takes 'lo,hi' or 'off', got {text!r}")
+    return limits
 
 
 def _parse_bool(text):
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+    text = str(text).strip().lower()
+    if text not in ("true", "false"):
+        raise ConfigError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
-_PARSERS = {
-    "input": str,
-    "macro": str,
-    "tax_table": str,
-    "tax_rate": float,
-    "theta": _parse_theta,
-    "leverage": str,
-    "determinants": _parse_names,
-    "macro_vars": _parse_names,
-    "bootstrap": int,
-    "seed": int,
-    "regime_threshold": float,
-    "winsorize": _parse_winsorize,
-    "out": str,
-    "format": str,
-    "significance": float,
-    "fe_mode": str,
-    "penalty": float,
-    "group_cap": int,
-    "two_step": _parse_bool,
-}
+def _key(default, parse, help):  # parse: a config-file or flag text -> value
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The options of one run.  Construction rejects every value that a
+    stage would reject, so a bad value fails before anything is written."""
+
+    input: str | None = _key(None, str, "firm-year panel CSV")
+    macro: str | None = _key(None, str, "macro series CSV")
+    tax_table: str | None = _key(None, str, "per-year tax rate CSV")
+    tax_rate: float = _key(0.21, float, "constant tax rate when no tax table is given")
+    theta: tuple = _key(DEFAULT_THETAS, _parse_theta, "comma-separated quantiles")
+    leverage: str = _key("both", str, "book, market or both")
+    determinants: tuple = _key(DEFAULT_DETERMINANTS, _parse_names, "comma-separated determinants")
+    macro_vars: tuple = _key(MACRO_VARIABLES, _parse_names, "comma-separated macro regressors")
+    bootstrap: int = _key(200, int, "bootstrap replications: 0 (off) or at least 2")
+    seed: int = _key(12345, int, "master seed")
+    regime_threshold: float = _key(0.0, float, "recession iff gdp growth below this")
+    winsorize: tuple | None = _key(None, _parse_winsorize, "e.g. 0.01,0.99 (default off)")
+    out: str = _key("levquant_out", str, "output directory")
+    format: str = _key("both", str, "text, delimited or both")
+    significance: float = _key(0.05, float, "Hausman test level")
+    fe_mode: str = _key("dummy", str, "quantile fixed-effects estimator: dummy or penalized")
+    penalty: float = _key(1.0, float, "L1 penalty on the firm effects in penalized mode")
+    group_cap: int = _key(DEFAULT_GROUP_CAP, int, "most firms a dummy-mode fit accepts")
+    two_step: bool = _key(False, _parse_bool, "two-step target/adjustment comparison mode")
+
+    def __post_init__(self):
+        checks = (
+            (self.leverage in ("book", "market", "both"),
+             f"leverage must be book|market|both, got {self.leverage!r}"),
+            (self.format in ("text", "delimited", "both"),
+             f"format must be text|delimited|both, got {self.format!r}"),
+            (self.bootstrap == 0 or self.bootstrap >= 2,
+             f"bootstrap must be 0 (off) or at least 2, got {self.bootstrap}"),
+            (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
+            (0.0 < self.significance < 1.0,
+             f"significance must lie in (0, 1), got {self.significance}"),
+            (self.tax_rate > 0.0, f"tax_rate must be positive, got {self.tax_rate}"),
+            (self.winsorize is None or 0.0 <= self.winsorize[0] < self.winsorize[1] <= 1.0,
+             f"winsorize limits must satisfy 0 <= lo < hi <= 1, got {self.winsorize}"),
+            (isinstance(self.two_step, bool),
+             f"two_step must be true or false, got {self.two_step!r}"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
+        self.spec(self.kinds[0])  # the model options, checked by TargetModelSpec
+
+    @property
+    def kinds(self):
+        return ("book", "market") if self.leverage == "both" else (self.leverage,)
+
+    @property
+    def formats(self):
+        return ("text", "delimited") if self.format == "both" else (self.format,)
+
+    def spec(self, kind):
+        """The target model that every estimation stage fits for one
+        leverage kind."""
+        return TargetModelSpec(
+            leverage=kind,
+            determinants=tuple(self.determinants),
+            macro_vars=tuple(self.macro_vars),
+            thetas=tuple(self.theta),
+            regime_split=RegimeRule(threshold=self.regime_threshold),
+            fe_mode=self.fe_mode,
+            penalty=self.penalty,
+            group_cap=self.group_cap,
+            two_step=self.two_step,
+        )
+
+
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+
+
+def _parse(key, text, where=""):
+    try:
+        return _PARSERS[key](text)
+    except ValueError as err:
+        raise ConfigError(f"{where}{key}: {err}") from None
 
 
 def read_config_file(path):
@@ -146,7 +174,7 @@ def read_config_file(path):
             key = key.strip()
             if key not in _PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _PARSERS[key](value.strip())
+            values[key] = _parse(key, value.strip(), f"{path}:{lineno}: ")
     return values
 
 
@@ -159,7 +187,7 @@ def resolve_config(args):
     for key in _PARSERS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = _PARSERS[key](flag) if isinstance(flag, str) else flag
+            values[key] = _parse(key, flag)
     return RunConfig(**values)
 
 
@@ -173,10 +201,6 @@ def config_text(cfg):
             value = "none"
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def config_hash(cfg):
-    return hashlib.sha256(config_text(cfg).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +222,7 @@ class Pipeline:
             if not cfg.input or not cfg.macro:
                 raise ConfigError("input and macro paths are required")
             panel = read_panel_csv(cfg.input)
-            macro = read_macro_csv(
-                cfg.macro, rule=RegimeRule(threshold=cfg.regime_threshold)
-            )
+            macro = read_macro_csv(cfg.macro)
             tax = read_tax_csv(cfg.tax_table) if cfg.tax_table else cfg.tax_rate
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -213,10 +235,6 @@ class Pipeline:
         return np.random.SeedSequence(
             entropy=self.cfg.seed, spawn_key=(kind_index, theta_index)
         )
-
-
-def _lev_var(kind):
-    return "levb" if kind == "book" else "levm"
 
 
 def stage_ingest(ctx):
@@ -240,18 +258,16 @@ def stage_correlate(ctx):
 
 
 def stage_hausman(ctx):
-    cfg = ctx.cfg
     out = []
-    predictors = tuple(cfg.determinants) + tuple(cfg.macro_vars)
-    for kind in cfg.kinds:
-        var = _lev_var(kind)
-        design, firms, _ = design_from_panel(ctx.panel, var, predictors)
+    for kind in ctx.cfg.kinds:
+        spec = ctx.cfg.spec(kind)
+        design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
         fe = fit_fixed_effects(design, firms)
         design_i, firms_i, _ = design_from_panel(
-            ctx.panel, var, predictors, intercept=True
+            ctx.panel, spec.response, spec.predictors, intercept=True
         )
         re = fit_random_effects(design_i, firms_i)
-        result = hausman_test(fe, re, significance=cfg.significance)
+        result = hausman_test(fe, re, significance=ctx.cfg.significance)
         equation = f"{kind}_leverage"
         out.append(
             (f"hausman_{kind}.txt", reports.render_hausman(result, equation), "text")
@@ -265,43 +281,32 @@ def stage_hausman(ctx):
 def stage_qreg(ctx):
     cfg = ctx.cfg
     out = []
-    predictors = tuple(cfg.determinants) + tuple(cfg.macro_vars)
     for kind in cfg.kinds:
-        var = _lev_var(kind)
-        design, firms, _ = design_from_panel(ctx.panel, var, predictors)
+        spec = cfg.spec(kind)
+        design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
+        fe_options = dict(mode=spec.fe_mode, penalty=spec.penalty, group_cap=spec.group_cap)
         fits, se, pval = {}, {}, {}
-        for i, theta in enumerate(cfg.theta):
-            fits[theta] = fit_quantile_fixed_effects(
-                design, firms, theta,
-                mode=cfg.fe_mode, penalty=cfg.penalty, group_cap=cfg.group_cap,
-            )
-            if cfg.bootstrap >= 2:
+        for i, theta in enumerate(spec.thetas):
+            fits[theta] = fit_quantile_fixed_effects(design, firms, theta, **fe_options)
+            if cfg.bootstrap:
                 boot = bootstrap_se(
                     design, theta, cfg.bootstrap,
                     seed=ctx._boot_seed(kind, i),
-                    cluster=firms, refit_group_effects=True,
-                    mode=cfg.fe_mode, penalty=cfg.penalty, group_cap=cfg.group_cap,
+                    cluster=firms, refit_group_effects=True, **fe_options,
                 )
                 fits[theta].std_errors = boot.std_errors
                 se[theta] = boot.std_errors
                 pval[theta] = boot.p_values
         title = f"{kind.upper()} LEVERAGE"
-        out.append(
-            (
-                f"quantile_{kind}.txt",
-                reports.render_quantile_table(
-                    title, cfg.theta, fits, predictors, se=se, pval=pval
-                ),
-                "text",
-            )
-        )
-        out.append(
-            (
-                f"quantile_{kind}.csv",
-                reports.quantile_table_csv(cfg.theta, fits, predictors, se=se, pval=pval),
-                "delimited",
-            )
-        )
+        table = (spec.thetas, fits, spec.predictors)
+        out.append((
+            f"quantile_{kind}.txt",
+            reports.render_quantile_table(title, *table, se=se, pval=pval), "text",
+        ))
+        out.append((
+            f"quantile_{kind}.csv",
+            reports.quantile_table_csv(*table, se=se, pval=pval), "delimited",
+        ))
     return out
 
 
@@ -311,17 +316,7 @@ def stage_speed(ctx):
     by_regime = {}
     notes = []
     for kind in cfg.kinds:
-        spec = TargetModelSpec(
-            leverage=kind,
-            determinants=tuple(cfg.determinants),
-            macro_vars=tuple(cfg.macro_vars),
-            thetas=tuple(cfg.theta),
-            regime_split=RegimeRule(threshold=cfg.regime_threshold),
-            fe_mode=cfg.fe_mode,
-            penalty=cfg.penalty,
-            group_cap=cfg.group_cap,
-            two_step=cfg.two_step,
-        )
+        spec = cfg.spec(kind)
         panel = lag_leverage(ctx.panel, kind)
         overall[kind] = estimate_speed(panel, spec)
         with warnings.catch_warnings():
@@ -409,7 +404,7 @@ def run_stages(cfg, stage_names):
 def _manifest(cfg, files, statuses, complete):
     lines = ["levquant replicate manifest"]
     lines.append(f"status = {'complete' if complete else 'incomplete'}")
-    lines.append(f"config_sha256 = {config_hash(cfg)}")
+    lines.append(f"config_sha256 = {hashlib.sha256(config_text(cfg).encode()).hexdigest()}")
     lines.append(f"master_seed = {cfg.seed}")
     lines.append("[stages]")
     for name in STAGES:
@@ -436,23 +431,13 @@ def run_replicate(cfg):
 
 def _add_common(parser):
     parser.add_argument("--config", help="configuration file path")
-    parser.add_argument("--input", help="firm-year panel CSV")
-    parser.add_argument("--macro", help="macro series CSV")
-    parser.add_argument("--tax-table", dest="tax_table", help="per-year tax rate CSV")
-    parser.add_argument("--tax-rate", dest="tax_rate", type=float)
-    parser.add_argument("--theta", help="comma-separated quantiles")
-    parser.add_argument("--leverage", choices=("book", "market", "both"))
-    parser.add_argument("--determinants", help="comma-separated variable names")
-    parser.add_argument("--bootstrap", type=int, help="bootstrap replications")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument(
-        "--regime-threshold", dest="regime_threshold", type=float,
-        help="recession iff gdp growth below this",
-    )
-    parser.add_argument("--winsorize", help="e.g. 0.01,0.99 (default off)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=("text", "delimited", "both"))
-    parser.add_argument("--two-step", dest="two_step", action="store_const", const=True)
+    for f in fields(RunConfig):
+        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
+        if f.metadata["parse"] is _parse_bool:  # a bare switch
+            parser.add_argument(flag, dest=f.name, action="store_const", const="true",
+                                help=help_text)
+        else:
+            parser.add_argument(flag, dest=f.name, help=help_text)
 
 
 def build_parser():
@@ -486,7 +471,9 @@ def build_parser():
 
 def simulate_config(args):
     deltas = tuple(float(v) for v in str(args.delta).split(","))
-    delta = deltas[0] if len(deltas) == 1 else (deltas[0], deltas[1])
+    if len(deltas) > 2:
+        raise ConfigError(f"--delta takes a speed or a growth,recession pair, got {args.delta!r}")
+    delta = deltas[0] if len(deltas) == 1 else deltas
     error = ErrorSpec() if args.sigma is None else ErrorSpec(sigma=args.sigma)
     return SynthConfig(
         n_firms=args.n_firms,

@@ -14,7 +14,6 @@ from .quantreg import (
     DEFAULT_GROUP_CAP,
     INTERCEPT,
     DesignMatrix,
-    QuantileFit,
     _check_rank_dense,
     _GroupedOps,
     _solve_pinball,
@@ -278,7 +277,6 @@ def fit_quantile_fixed_effects(
     mode="dummy",
     penalty=1.0,
     group_cap=DEFAULT_GROUP_CAP,
-    tol=1e-9,
     max_iter=500,
     fallback=True,
 ):
@@ -339,21 +337,11 @@ def fit_quantile_fixed_effects(
         q = np.concatenate([np.full(n, 1.0 - theta), np.full(G, penalty)])
         data_rows = n
 
-    (beta, r, objective, pr2, counts), meta = _solve_pinball(
-        ops, y, theta, p, q, tol, max_iter, fallback, data_rows=data_rows
+    fit, effects = _solve_pinball(
+        ops, y, theta, p, q, design.names, max_iter, fallback, data_rows=data_rows
     )
-    meta["mode"] = mode
+    fit.group_effects = {str(l): float(v) for l, v in zip(labels, effects)}
+    fit.solver_meta["mode"] = mode
     if mode == "penalized":
-        meta["penalty"] = penalty
-    return QuantileFit(
-        theta=theta,
-        coefficients=dict(zip(design.names, (float(v) for v in beta[:kx]))),
-        objective=objective,
-        pseudo_r2=pr2,
-        n_neg=counts[0],
-        n_pos=counts[1],
-        n_zero=counts[2],
-        solver_meta=meta,
-        group_effects={str(l): float(v) for l, v in zip(labels, beta[kx:])},
-        residuals=r,
-    )
+        fit.solver_meta["penalty"] = penalty
+    return fit

@@ -44,6 +44,10 @@ VARIABLES = (
     "profta", "sizeat", "liqta", "mbratio",
 )
 MACRO_VARIABLES = ("inflation", "gdp_rate")
+# the MacroYear field behind each macro variable name (gdp_growth is an alias)
+_MACRO_FIELDS = {"inflation": "inflation", "gdp_rate": "gdp_growth", "gdp_growth": "gdp_growth"}
+# the names a regression can take as predictors: derived and macro variables
+REGRESSORS = VARIABLES + tuple(_MACRO_FIELDS)
 
 
 class Regime(enum.Enum):
@@ -237,12 +241,11 @@ class Panel:
         """Read-only column of a derived (or macro, resolved by year)
         variable as a float array with NaN for absent values."""
         self._need_rows()
-        if name in MACRO_VARIABLES or name in ("inflation", "gdp_growth"):
+        if name in _MACRO_FIELDS:
             if self.macro is None:
                 raise DataValidationError("macro series not joined")
-            attr = "inflation" if name == "inflation" else "gdp_growth"
             years, inverse = np.unique(self.years, return_inverse=True)
-            per_year = [getattr(self.macro[y], attr) for y in years.tolist()]
+            per_year = [getattr(self.macro[y], _MACRO_FIELDS[name]) for y in years.tolist()]
             return np.asarray(per_year, dtype=float)[inverse]
         try:
             return self._columns[name]
@@ -323,8 +326,9 @@ def _parse_float(text):
 
 
 def _read_csv(path, columns):
-    """Yield (line number, row dict) for each data row of a CSV file whose
-    header must name every one of ``columns``."""
+    """Yield (line number, row dict, problem) for each data row of a CSV
+    file whose header must name every one of ``columns``.  ``problem`` is
+    None, or says how the line's field count disagrees with the header."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -335,7 +339,12 @@ def _read_csv(path, columns):
             )
         lineno = 1
         for lineno, row in enumerate(reader, start=2):
-            yield lineno, row
+            problem = None
+            if None in row:  # csv.DictReader files extra fields under None
+                problem = "too many fields"
+            elif any(row[c] is None for c in columns):  # and pads a short line
+                problem = "too few fields"
+            yield lineno, row, problem
     if lineno == 1:
         raise DataValidationError(f"{path}: no data rows")
 
@@ -343,11 +352,13 @@ def _read_csv(path, columns):
 def _read_years(path, columns, parse):
     """year -> parse(row) for each data row of a CSV file keyed by year."""
     out = {}
-    for lineno, row in _read_csv(path, columns):
+    for lineno, row, problem in _read_csv(path, columns):
+        if problem:
+            raise DataValidationError(f"{path}: line {lineno}: {problem}")
         try:
             year = int(row["year"])
             value = parse(row)
-        except (ValueError, TypeError) as err:
+        except ValueError as err:
             raise DataValidationError(
                 f"{path}: line {lineno}: malformed value: {err}"
             ) from None
@@ -370,14 +381,13 @@ def read_panel_csv(path):
     """Read the firm-year CSV into a Panel, collecting row-level rejections."""
     parse_rejects = []
     rows = []
-    for lineno, row in _read_csv(path, PANEL_COLUMNS):
-        cells = [row[c] for c in PANEL_COLUMNS]
-        if None in cells:  # csv.DictReader pads a short line with None
-            parse_rejects.append((f"line {lineno}", "too few fields"))
+    for lineno, row, problem in _read_csv(path, PANEL_COLUMNS):
+        if problem:
+            parse_rejects.append((f"line {lineno}", problem))
             continue
         try:
             rows.append(tuple(
-                _PANEL_PARSERS.get(c, _parse_float)(v) for c, v in zip(PANEL_COLUMNS, cells)
+                _PANEL_PARSERS.get(c, _parse_float)(row[c]) for c in PANEL_COLUMNS
             ))
         except ValueError as err:
             parse_rejects.append((f"line {lineno}", f"malformed value: {err}"))

@@ -30,6 +30,7 @@ from .errors import (
 
 INTERCEPT = "intercept"
 DEFAULT_GROUP_CAP = 5000  # most firms a dummy-mode fixed-effects fit accepts
+_GAP_TOL = 1e-9  # the interior point stops at duality gap < _GAP_TOL * (1 + |objective|)
 
 
 def _validate_theta(theta):
@@ -304,7 +305,7 @@ def _check_rank_dense(X, names):
 # ---------------------------------------------------------------------------
 
 
-def _interior_point(ops, y, p, q, tol, max_iter):
+def _interior_point(ops, y, p, q, max_iter):
     """Mehrotra predictor-corrector on the dual box LP.
 
     Solves min sum_i p_i*(r_i)+ + q_i*(r_i)- over coefficients, via its dual
@@ -327,7 +328,7 @@ def _interior_point(ops, y, p, q, tol, max_iter):
     gap = float(a @ z + s @ w)
     for it in range(max_iter):
         obj = float(c @ a)
-        if gap < tol * (1.0 + abs(obj)):
+        if gap < _GAP_TOL * (1.0 + abs(obj)):
             return nu, it, gap, True
         r_p = b - ops.rmatvec(a)
         r_d = c - ops.matvec(nu) - z + w
@@ -421,14 +422,6 @@ def _highs(ops, y, p, q):
     return res.x[:k]
 
 
-def _classify_residuals(r, y):
-    ztol = 1e-8 * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
-    zero = np.abs(r) <= ztol
-    n_neg = int(np.sum(r < -ztol))
-    n_pos = int(np.sum(r > ztol))
-    return n_neg, n_pos, int(np.sum(zero))
-
-
 def _unconditional_objective(y, theta):
     # intercept-only minimizer is any sample theta-quantile; the objective
     # value is identical across the minimizing set
@@ -436,22 +429,12 @@ def _unconditional_objective(y, theta):
     return check_loss(y - qv, theta)
 
 
-def _finish_fit(ops, y, beta, theta, p, q, meta, data_rows=None):
-    beta, r, _, polished = _polish_vertex(ops, y, beta, p, q)
-    meta["polished"] = polished
-    if data_rows is None:
-        r_data, y_data = r, y
-    else:
-        r_data, y_data = r[:data_rows], y[:data_rows]
-    objective = check_loss(r_data, theta)
-    pr2 = _koenker_machado(objective, y_data, theta)
-    n_neg, n_pos, n_zero = _classify_residuals(r_data, y_data)
-    return beta, r_data, objective, pr2, (n_neg, n_pos, n_zero)
-
-
-def _solve_pinball(ops, y, theta, p, q, tol, max_iter, fallback, data_rows=None):
+def _solve_pinball(ops, y, theta, p, q, names, max_iter, fallback, data_rows=None):
+    """The fit minimizing the weighted pinball loss, its coefficients named
+    by ``names``, and the solution entries beyond them (group effects).  The
+    fit's statistics count only the first ``data_rows`` rows (default all)."""
     try:
-        nu, iterations, gap, converged = _interior_point(ops, y, p, q, tol, max_iter)
+        nu, iterations, gap, converged = _interior_point(ops, y, p, q, max_iter)
     except scipy.linalg.LinAlgError:
         nu, iterations, gap, converged = None, 0, math.inf, False
     if converged:
@@ -467,23 +450,37 @@ def _solve_pinball(ops, y, theta, p, q, tol, max_iter, fallback, data_rows=None)
             best_coefficients=best,
             diagnostics={"iterations": iterations, "duality_gap": gap},
         )
-    meta = {
-        "algorithm": algorithm,
-        "iterations": iterations,
-        "converged": True,
-        "duality_gap": gap,
-    }
-    return _finish_fit(ops, y, beta, theta, p, q, meta, data_rows), meta
+    beta, r, _, polished = _polish_vertex(ops, y, beta, p, q)
+    r, y = r[:data_rows], y[:data_rows]
+    objective = check_loss(r, theta)
+    ztol = 1e-8 * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
+    fit = QuantileFit(
+        theta=theta,
+        coefficients=dict(zip(names, (float(v) for v in beta))),
+        objective=objective,
+        pseudo_r2=_koenker_machado(objective, y, theta),
+        n_neg=int(np.sum(r < -ztol)),
+        n_pos=int(np.sum(r > ztol)),
+        n_zero=int(np.sum(np.abs(r) <= ztol)),
+        solver_meta={
+            "algorithm": algorithm,
+            "iterations": iterations,
+            "converged": True,
+            "duality_gap": gap,
+            "polished": polished,
+        },
+        residuals=r,
+    )
+    return fit, beta[len(names):]
 
 
-def fit_quantile(design, theta, *, tol=1e-9, max_iter=500, fallback=True):
+def fit_quantile(design, theta, *, max_iter=500, fallback=True):
     """Fit a linear conditional-quantile model by check-loss minimization.
 
     Parameters
     ----------
     design : DesignMatrix
     theta : float in (0, 1)
-    tol : relative duality-gap convergence tolerance.
     max_iter : interior point iteration cap.
     fallback : solve the LP exactly with HiGHS if the interior point fails.
 
@@ -494,23 +491,11 @@ def fit_quantile(design, theta, *, tol=1e-9, max_iter=500, fallback=True):
     theta = _validate_theta(theta)
     _check_rank_dense(design.X, design.names)
     n = design.n
-    ops = _DenseOps(design.X)
-    p = np.full(n, theta)
-    q = np.full(n, 1.0 - theta)
-    (beta, r, objective, pr2, counts), meta = _solve_pinball(
-        ops, design.y, theta, p, q, tol, max_iter, fallback
+    fit, _ = _solve_pinball(
+        _DenseOps(design.X), design.y, theta, np.full(n, theta), np.full(n, 1.0 - theta),
+        design.names, max_iter, fallback,
     )
-    return QuantileFit(
-        theta=theta,
-        coefficients=dict(zip(design.names, (float(v) for v in beta))),
-        objective=objective,
-        pseudo_r2=pr2,
-        n_neg=counts[0],
-        n_pos=counts[1],
-        n_zero=counts[2],
-        solver_meta=meta,
-        residuals=r,
-    )
+    return fit
 
 
 def pseudo_r2(fit, design, theta):
@@ -610,8 +595,6 @@ def bootstrap_se(
     mode="dummy",
     penalty=1.0,
     group_cap=DEFAULT_GROUP_CAP,
-    tol=1e-9,
-    max_iter=500,
 ):
     """Pairs-bootstrap standard errors for a quantile fit.
 
@@ -669,10 +652,7 @@ def bootstrap_se(
                     np.arange(len(picks)), [len(by_cluster[g]) for g in picks]
                 )
             try:
-                rows[b] = _refit(
-                    design, idx, draw_groups, names, theta, refit_fe_kw,
-                    tol, max_iter,
-                )
+                rows[b] = _refit(design, idx, draw_groups, names, theta, refit_fe_kw)
                 break
             except (DesignError, ConvergenceError, scipy.linalg.LinAlgError):
                 degenerate += 1
@@ -695,7 +675,7 @@ def bootstrap_se(
     )
 
 
-def _refit(design, idx, draw_groups, names, theta, refit_fe_kw, tol, max_iter):
+def _refit(design, idx, draw_groups, names, theta, refit_fe_kw):
     if refit_fe_kw is not None:
         from .effects import fit_quantile_fixed_effects
 
@@ -705,12 +685,10 @@ def _refit(design, idx, draw_groups, names, theta, refit_fe_kw, tol, max_iter):
             X=design.X[idx][:, keep],
             y=design.y[idx],
         )
-        fit = fit_quantile_fixed_effects(
-            sub, draw_groups, theta, tol=tol, max_iter=max_iter, **refit_fe_kw
-        )
+        fit = fit_quantile_fixed_effects(sub, draw_groups, theta, **refit_fe_kw)
         vals = [fit.coefficients[m] for m in names[:-1]]
         vals.append(float(np.mean(list(fit.group_effects.values()))))
         return np.asarray(vals)
     sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-    fit = fit_quantile(sub, theta, tol=tol, max_iter=max_iter)
+    fit = fit_quantile(sub, theta)
     return np.asarray([fit.coefficients[m] for m in names])

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from levquant import (
     DesignMatrix, SynthConfig, generate_panel, write_macro_csv, write_panel_csv, write_tax_csv,
 )
-from levquant.cli import Pipeline, main, read_config_file, resolve_config, build_parser
+from levquant.cli import (
+    Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
+)
 from levquant.effects import fit_quantile_fixed_effects
 from levquant.panel import design_from_panel
 
@@ -121,6 +124,37 @@ class TestReplicate:
         names = set(os.listdir(out))
         assert "speed.txt" not in names and "quantile_book.txt" not in names
         assert "status = incomplete" in (out / "manifest.txt").read_text()
+
+
+    def test_ingest_reports_rejected_and_flagged_rows(self, synth_inputs, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(
+            "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp\n"
+            "A,2000,200,50,150,80,40,100,10,21,100,100,15\n"
+            "A,2001,210,55,150,80,40,100,10,21,110,105,15\n"
+            "A,2001,999,55,150,80,40,100,10,21,110,105,15\n"
+            "B,2000,x,55,150,80,40,100,10,21,110,105,15\n"
+            "B,2001,0,55,150,80,40,100,10,21,110,105,15\n"
+        )
+        out = tmp_path / "ingest"
+        assert main([
+            "ingest", "--input", str(panel), "--macro", str(synth_inputs / "macro.csv"),
+            "--tax-table", str(synth_inputs / "tax.csv"), "--out", str(out),
+        ]) == 0
+        assert (out / "validation_report.txt").read_text() == (
+            "Panel validation report\n"
+            "rows read:     5\n"
+            "rows accepted: 3\n"
+            "rows rejected: 2\n"
+            "rows flagged:  1\n"
+            "\n"
+            "[rejected]\n"
+            "line 5: malformed value: could not convert string to float: 'x'\n"
+            "('A', 2001): duplicate (firm_id, fiscal_year)\n"
+            "\n"
+            "[flagged]\n"
+            "('B', 2001): total_assets <= 0: unusable\n"
+        )
 
 
 class TestTableShapes:
@@ -258,6 +292,85 @@ class TestConfig:
         code = main(["describe", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
 
+    @pytest.mark.parametrize("line", [
+        "leverage = foo",
+        "format = pdf",
+        "theta = 0.5,1.2",
+        "theta = 0",
+        "determinants = profta,nosuch",
+        "determinants = profta,levb_lag",
+        "macro_vars = gdp",
+        "macro_vars = inflation,profta",
+        "fe_mode = Dummy",
+        "fe_mode = penalized\npenalty = 0",
+        "group_cap = 0",
+        "bootstrap = 1",
+        "bootstrap = -3",
+        "seed = -1",
+        "significance = 1.5",
+        "tax_rate = 0",
+        "winsorize = 0.9,0.1",
+        "winsorize = 0.05",
+        "two_step = yes please",
+        "two_step = yes",
+    ])
+    def test_bad_value_is_exit_2_before_any_output(
+        self, synth_inputs, tmp_path, capsys, line
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.cfg"
+        write_config(cfg, synth_inputs, out, extra=line + "\n")
+        assert main(["replicate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--macro-vars", "gdp"],
+        ["--significance", "0"],
+        ["--fe-mode", "penalized", "--penalty", "-1"],
+        ["--group-cap", "0"],
+        ["--leverage", "foo"],
+        ["--bootstrap", "1"],
+    ])
+    def test_bad_flag_value_is_exit_2_before_any_output(
+        self, synth_inputs, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.cfg"
+        write_config(cfg, synth_inputs, out)
+        assert main(["replicate", "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    def test_every_key_has_a_flag(self, tmp_path):
+        text = {
+            "input": "p.csv", "macro": "m.csv", "tax_table": "t.csv", "tax_rate": "0.3",
+            "theta": "0.25,0.75", "leverage": "book", "determinants": "profta,liqta",
+            "macro_vars": "gdp_growth", "bootstrap": "3", "seed": "9",
+            "regime_threshold": "1.5", "winsorize": "0.01,0.99", "out": "o",
+            "format": "text", "significance": "0.1", "fe_mode": "penalized",
+            "penalty": "0.5", "group_cap": "400", "two_step": "true",
+        }
+        assert set(text) == {f.name for f in fields(RunConfig)}
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        from_file = resolve_config(build_parser().parse_args(["qreg", "--config", str(cfg)]))
+        argv = ["qreg", "--two-step"]
+        for key, value in text.items():
+            if key != "two_step":
+                argv += ["--" + key.replace("_", "-"), value]
+        from_flags = resolve_config(build_parser().parse_args(argv))
+        assert from_flags == from_file
+        assert config_text(from_file) == "".join(
+            f"{k} = {'True' if k == 'two_step' else v}\n" for k, v in sorted(text.items())
+        )
+
+    @pytest.mark.parametrize("text,value", [("true", True), ("FALSE", False), (" True ", True)])
+    def test_two_step_takes_true_or_false(self, tmp_path, text, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"two_step = {text}\n")
+        assert read_config_file(cfg) == {"two_step": value}
+
 
 class TestFormatGate:
     def test_text_only(self, synth_inputs, tmp_path):
@@ -302,6 +415,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flags", [
         ["--delta", "1.5"], ["--delta", "abc"], ["--attrition", "1"],
+        ["--delta", "0.6,0.3,0.1"],
     ])
     def test_config_error_is_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "synth3"

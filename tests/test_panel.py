@@ -362,6 +362,17 @@ class TestCsvIO:
         assert panel.validation.n_read == 3
         assert panel.validation.rejected == [("line 3", "too few fields")]
 
+    def test_overlong_line_rejected_with_its_line_number(self, tmp_path):
+        # e.g. a thousands separator in a number shifts every later value
+        path = tmp_path / "overlong.csv"
+        header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"
+        good = "F1,2000,200,50,150,80,40,100,10,21,100,100,15"
+        path.write_text(f"{header}\nF1,2000,200,50,150,80,40,100,10,21,100,100,15,999,7\n{good}\n")
+        panel = read_panel_csv(path)
+        assert [r.fiscal_year for r in panel.records] == [2000]
+        assert panel.validation.n_read == 2
+        assert panel.validation.rejected == [("line 2", "too many fields")]
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("firm_id,fyear,at\nF1,2000,10\n")
@@ -427,6 +438,19 @@ class TestCsvValidation:
         path.write_text("year,tax_rate\n20x1,0.21\n")
         with pytest.raises(DataValidationError, match=r"tax\.csv: line 2: malformed"):
             read_tax_csv(path)
+
+    @pytest.mark.parametrize("name,text", [
+        ("macro.csv", "year,cpi_inflation,gdp_growth\n2000,2.1,2.1\n2001,1,8,1.0\n"),
+        ("tax.csv", "year,tax_rate\n2000,0.21\n2001,0,25\n"),
+    ])
+    def test_overlong_line_names_path_and_line(self, tmp_path, name, text):
+        from levquant import read_tax_csv
+
+        path = tmp_path / name
+        path.write_text(text)
+        reader = read_macro_csv if name == "macro.csv" else read_tax_csv
+        with pytest.raises(DataValidationError, match=rf"{name}: line 3: too many fields"):
+            reader(path)
 
     def test_duplicate_tax_year_rejected(self, tmp_path):
         from levquant import read_tax_csv
