@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effects import DEFAULT_GROUP_CAP, fit_quantile_fixed_effects
+from .effects import fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
 from .panel import (
     MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year, design_from_panel,
@@ -41,10 +41,9 @@ class TargetModelSpec:
     determinants: tuple = DEFAULT_DETERMINANTS
     macro_vars: tuple = MACRO_VARIABLES
     thetas: tuple = DEFAULT_THETAS
-    regime_split: RegimeRule | None = None
+    regime_split: RegimeRule = RegimeRule()
     fe_mode: str = "dummy"
     penalty: float = 1.0
-    group_cap: int = DEFAULT_GROUP_CAP
     two_step: bool = False
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class TargetModelSpec:
             raise ConfigError(f"fe_mode must be dummy|penalized, got {self.fe_mode!r}")
         if self.fe_mode == "penalized" and not self.penalty > 0.0:
             raise ConfigError(f"penalty must be positive in penalized mode, got {self.penalty}")
-        if self.group_cap < 1:
-            raise ConfigError(f"group_cap must be at least 1, got {self.group_cap}")
 
     @property
     def response(self):  # the leverage variable the model explains
@@ -114,8 +111,7 @@ def _fit_speed(design, firms, spec, theta):
         lam, fit, n_used = _two_step(design, firms, spec, theta)
     else:
         fit = fit_quantile_fixed_effects(
-            design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty,
-            group_cap=spec.group_cap,
+            design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty
         )
         lam = fit.coefficients[spec.lag]
         n_used = design.n
@@ -140,8 +136,7 @@ def _two_step(design, firms, spec, theta):
         names=[design.names[j] for j in keep], X=design.X[:, keep], y=design.y
     )
     step1 = fit_quantile_fixed_effects(
-        target_design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty,
-        group_cap=spec.group_cap,
+        target_design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty
     )
     beta = np.asarray([step1.coefficients[m] for m in target_design.names])
     effects = np.asarray([step1.group_effects[str(f)] for f in firms])
@@ -210,8 +205,6 @@ def estimate_speed_by_regime(panel, spec):
     its previous-year leverage.  Regimes with fewer than 10 usable rows
     per coefficient are skipped with a diagnostic.
     """
-    if spec.regime_split is None:
-        raise ConfigError("spec.regime_split is required for per-regime speeds")
     if panel.macro is None:
         raise DataValidationError("macro series not joined")
     panel = lag_leverage(panel, spec.leverage)

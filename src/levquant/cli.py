@@ -22,8 +22,7 @@ from .adjustment import (
     estimate_speed, estimate_speed_by_regime, lag_leverage,
 )
 from .effects import (
-    DEFAULT_GROUP_CAP, fit_fixed_effects, fit_quantile_fixed_effects,
-    fit_random_effects, hausman_test,
+    fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects, hausman_test,
 )
 from .errors import ConfigError
 from .panel import (
@@ -102,7 +101,6 @@ class RunConfig:
     significance: float = _key(0.05, float, "Hausman test level")
     fe_mode: str = _key("dummy", str, "quantile fixed-effects estimator: dummy or penalized")
     penalty: float = _key(1.0, float, "L1 penalty on the firm effects in penalized mode")
-    group_cap: int = _key(DEFAULT_GROUP_CAP, int, "most firms a dummy-mode fit accepts")
     two_step: bool = _key(False, _parse_bool, "two-step target/adjustment comparison mode")
 
     def __post_init__(self):
@@ -146,7 +144,6 @@ class RunConfig:
             regime_split=RegimeRule(threshold=self.regime_threshold),
             fe_mode=self.fe_mode,
             penalty=self.penalty,
-            group_cap=self.group_cap,
             two_step=self.two_step,
         )
 
@@ -191,6 +188,15 @@ def resolve_config(args):
     return RunConfig(**values)
 
 
+def stage_config(args):
+    """The run config of a pipeline command: every stage reads the input
+    panel, so its paths are required here rather than by ``RunConfig``."""
+    cfg = resolve_config(args)
+    if not cfg.input or not cfg.macro:
+        raise ConfigError("input and macro paths are required")
+    return cfg
+
+
 def config_text(cfg):
     lines = []
     for f in sorted(fields(cfg), key=lambda f: f.name):
@@ -219,8 +225,6 @@ class Pipeline:
     def panel(self):
         if self._panel is None:
             cfg = self.cfg
-            if not cfg.input or not cfg.macro:
-                raise ConfigError("input and macro paths are required")
             panel = read_panel_csv(cfg.input)
             macro = read_macro_csv(cfg.macro)
             tax = read_tax_csv(cfg.tax_table) if cfg.tax_table else cfg.tax_rate
@@ -284,7 +288,7 @@ def stage_qreg(ctx):
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
         design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
-        fe_options = dict(mode=spec.fe_mode, penalty=spec.penalty, group_cap=spec.group_cap)
+        fe_options = dict(mode=spec.fe_mode, penalty=spec.penalty)
         fits, se, pval = {}, {}, {}
         for i, theta in enumerate(spec.thetas):
             fits[theta] = fit_quantile_fixed_effects(design, firms, theta, **fe_options)
@@ -342,8 +346,6 @@ def stage_speed(ctx):
             regime_rows.setdefault(kind, []).extend(results)
     if notes:
         regime_text.append("\n".join(notes) + "\n")
-    if not regime_text:
-        regime_text.append("no regime had enough usable rows\n")
     return [
         ("speed.txt", text, "text"),
         ("speed.csv", reports.speed_table_csv(overall), "delimited"),
@@ -502,7 +504,7 @@ def cmd_simulate(config, out):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    configure = simulate_config if args.command == "simulate" else resolve_config
+    configure = simulate_config if args.command == "simulate" else stage_config
     try:
         cfg = configure(args)
     except (ConfigError, OSError, ValueError) as err:

@@ -11,7 +11,6 @@ from scipy.stats import chi2
 
 from .errors import ConfigError, DataValidationError, DesignError
 from .quantreg import (
-    DEFAULT_GROUP_CAP,
     INTERCEPT,
     DesignMatrix,
     _check_rank_dense,
@@ -269,17 +268,7 @@ def hausman_test(fe, re, significance=0.05):
     return HausmanResult(stat, df, p, choice, deficient)
 
 
-def fit_quantile_fixed_effects(
-    design,
-    groups,
-    theta,
-    *,
-    mode="dummy",
-    penalty=1.0,
-    group_cap=DEFAULT_GROUP_CAP,
-    max_iter=500,
-    fallback=True,
-):
+def fit_quantile_fixed_effects(design, groups, theta, *, mode="dummy", penalty=1.0):
     """Quantile regression with firm fixed effects.
 
     ``dummy`` mode augments the design with one indicator column per group
@@ -300,11 +289,6 @@ def fit_quantile_fixed_effects(
     labels, codes = _group_codes(groups, design.n)
     G = labels.size
     n, kx = design.n, design.k
-    if mode == "dummy" and G > group_cap:
-        raise DataValidationError(
-            f"{G} groups exceed the dummy-mode cap ({group_cap}); "
-            "use mode='penalized'"
-        )
     if mode not in ("dummy", "penalized"):
         raise ConfigError(f"unknown fixed-effects mode {mode!r}")
     Xw = within_transform(design.X, groups)
@@ -337,9 +321,7 @@ def fit_quantile_fixed_effects(
         q = np.concatenate([np.full(n, 1.0 - theta), np.full(G, penalty)])
         data_rows = n
 
-    fit, effects = _solve_pinball(
-        ops, y, theta, p, q, design.names, max_iter, fallback, data_rows=data_rows
-    )
+    fit, effects = _solve_pinball(ops, y, theta, p, q, design.names, data_rows=data_rows)
     fit.group_effects = {str(l): float(v) for l, v in zip(labels, effects)}
     fit.solver_meta["mode"] = mode
     if mode == "penalized":

@@ -21,11 +21,10 @@ class DesignError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Solver failed to converge; carries the best iterate and diagnostics."""
+    """Solver failed to converge; carries the solver's diagnostics."""
 
-    def __init__(self, message, best_coefficients=None, diagnostics=None):
+    def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.best_coefficients = best_coefficients
         self.diagnostics = dict(diagnostics or {})
 
 

@@ -57,17 +57,12 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class RegimeRule:
-    """Year is a recession iff gdp growth falls below (or above, when
-    ``recession_below`` is off) the threshold."""
+    """Year is a recession iff gdp growth falls below the threshold."""
 
     threshold: float = 0.0
-    recession_below: bool = True
 
     def classify(self, gdp_growth):
-        below = gdp_growth < self.threshold
-        if below if self.recession_below else not below:
-            return Regime.Recession
-        return Regime.Growth
+        return Regime.Recession if gdp_growth < self.threshold else Regime.Growth
 
 
 class FirmYearRecord(NamedTuple):
@@ -94,7 +89,6 @@ class MacroYear:
     year: int
     inflation: float
     gdp_growth: float
-    regime: Regime
 
 
 @dataclass(frozen=True)
@@ -397,15 +391,14 @@ def read_panel_csv(path):
     return panel
 
 
-def read_macro_csv(path, rule=RegimeRule()):
-    """Read the macro series; regimes are derived from ``rule``."""
+def read_macro_csv(path):
+    """Read the macro series as a year -> MacroYear mapping."""
     series = _read_years(
         path, MACRO_COLUMNS,
         lambda row: (_parse_float(row["cpi_inflation"]), _parse_float(row["gdp_growth"])),
     )
     return {
-        year: MacroYear(year=year, inflation=infl, gdp_growth=gdp,
-                        regime=rule.classify(gdp))
+        year: MacroYear(year=year, inflation=infl, gdp_growth=gdp)
         for year, (infl, gdp) in sorted(series.items())
     }
 

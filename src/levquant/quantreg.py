@@ -29,8 +29,8 @@ from .errors import (
 )
 
 INTERCEPT = "intercept"
-DEFAULT_GROUP_CAP = 5000  # most firms a dummy-mode fixed-effects fit accepts
 _GAP_TOL = 1e-9  # the interior point stops at duality gap < _GAP_TOL * (1 + |objective|)
+_MAX_ITER = 500  # interior point iterations before the HiGHS fallback takes over
 
 
 def _validate_theta(theta):
@@ -248,8 +248,6 @@ class _GroupedOps:
         # extra row j minus the pinned row of its group leaves
         # (x_j - x_p)'b = y_j - y_p, a kx x kx system
         pinned, rest = self.polish_rows(r)
-        if pinned.size != self.n_groups:  # an empty group has no effect row
-            return None
         base = pinned[self.codes[rest]]
         b = _solve_square(self.X[rest] - self.X[base], y[rest] - y[base])
         if b is None:
@@ -305,7 +303,7 @@ def _check_rank_dense(X, names):
 # ---------------------------------------------------------------------------
 
 
-def _interior_point(ops, y, p, q, max_iter):
+def _interior_point(ops, y, p, q):
     """Mehrotra predictor-corrector on the dual box LP.
 
     Solves min sum_i p_i*(r_i)+ + q_i*(r_i)- over coefficients, via its dual
@@ -326,7 +324,7 @@ def _interior_point(ops, y, p, q, max_iter):
     w = z - rho  # keeps the dual residual exactly zero at the start
 
     gap = float(a @ z + s @ w)
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         obj = float(c @ a)
         if gap < _GAP_TOL * (1.0 + abs(obj)):
             return nu, it, gap, True
@@ -371,7 +369,7 @@ def _interior_point(ops, y, p, q, max_iter):
         z += ad * dz
         w += ad * dw
         gap = float(a @ z + s @ w)
-    return nu, max_iter, gap, False
+    return nu, _MAX_ITER, gap, False
 
 
 def _steplen(v, dv):
@@ -429,27 +427,20 @@ def _unconditional_objective(y, theta):
     return check_loss(y - qv, theta)
 
 
-def _solve_pinball(ops, y, theta, p, q, names, max_iter, fallback, data_rows=None):
+def _solve_pinball(ops, y, theta, p, q, names, data_rows=None):
     """The fit minimizing the weighted pinball loss, its coefficients named
     by ``names``, and the solution entries beyond them (group effects).  The
-    fit's statistics count only the first ``data_rows`` rows (default all)."""
+    fit's statistics count only the first ``data_rows`` rows (default all).
+    When the interior point fails, HiGHS solves the LP exactly."""
     try:
-        nu, iterations, gap, converged = _interior_point(ops, y, p, q, max_iter)
+        nu, iterations, gap, converged = _interior_point(ops, y, p, q)
     except scipy.linalg.LinAlgError:
         nu, iterations, gap, converged = None, 0, math.inf, False
     if converged:
         algorithm, beta = "frisch-newton", -nu
-    elif fallback:
+    else:
         # iterations and gap stay those of the failed interior point
         algorithm, beta = "highs", _highs(ops, y, p, q)
-    else:
-        best = None if nu is None else dict(zip(range(ops.ncols), -nu))
-        raise ConvergenceError(
-            f"interior point did not converge in {max_iter} iterations "
-            f"(duality gap {gap:.3e})",
-            best_coefficients=best,
-            diagnostics={"iterations": iterations, "duality_gap": gap},
-        )
     beta, r, _, polished = _polish_vertex(ops, y, beta, p, q)
     r, y = r[:data_rows], y[:data_rows]
     objective = check_loss(r, theta)
@@ -474,15 +465,13 @@ def _solve_pinball(ops, y, theta, p, q, names, max_iter, fallback, data_rows=Non
     return fit, beta[len(names):]
 
 
-def fit_quantile(design, theta, *, max_iter=500, fallback=True):
+def fit_quantile(design, theta):
     """Fit a linear conditional-quantile model by check-loss minimization.
 
     Parameters
     ----------
     design : DesignMatrix
     theta : float in (0, 1)
-    max_iter : interior point iteration cap.
-    fallback : solve the LP exactly with HiGHS if the interior point fails.
 
     Returns
     -------
@@ -493,7 +482,7 @@ def fit_quantile(design, theta, *, max_iter=500, fallback=True):
     n = design.n
     fit, _ = _solve_pinball(
         _DenseOps(design.X), design.y, theta, np.full(n, theta), np.full(n, 1.0 - theta),
-        design.names, max_iter, fallback,
+        design.names,
     )
     return fit
 
@@ -594,7 +583,6 @@ def bootstrap_se(
     refit_group_effects=False,
     mode="dummy",
     penalty=1.0,
-    group_cap=DEFAULT_GROUP_CAP,
 ):
     """Pairs-bootstrap standard errors for a quantile fit.
 
@@ -603,10 +591,10 @@ def bootstrap_se(
     ``refit_group_effects`` the cluster labels double as fixed-effect
     groups: every drawn cluster copy gets a fresh effect and only the slope
     coefficients (plus the mean effect, under ``"fixed_effects_mean"``) are
-    collected; ``mode``, ``penalty`` and ``group_cap`` select the
-    fixed-effects estimator refit, as in ``fit_quantile_fixed_effects``.
-    Replicate seeds derive deterministically from ``seed``, so
-    results are bit-identical across runs and parallelism schedules.
+    collected; ``mode`` and ``penalty`` select the fixed-effects estimator
+    refit, as in ``fit_quantile_fixed_effects``.  Replicate seeds derive
+    deterministically from ``seed``, so results are bit-identical across
+    runs and parallelism schedules.
 
     Degenerate (rank-deficient) resamples are redrawn and counted; more
     than 50% degenerate draws is an error.
@@ -631,11 +619,7 @@ def bootstrap_se(
     if refit_group_effects:
         names = [m for m in names if m != INTERCEPT] + ["fixed_effects_mean"]
     rows = np.empty((n_boot, len(names)))
-    refit_fe_kw = (
-        dict(mode=mode, penalty=penalty, group_cap=group_cap)
-        if refit_group_effects
-        else None
-    )
+    refit_fe_kw = dict(mode=mode, penalty=penalty) if refit_group_effects else None
     attempts = 0
     degenerate = 0
     for b in range(n_boot):

@@ -119,12 +119,7 @@ def _macro_series(config, rng):
     out = {}
     for i, (infl, gdp) in enumerate(path):
         year = first + i
-        out[year] = MacroYear(
-            year=year,
-            inflation=float(infl),
-            gdp_growth=float(gdp),
-            regime=config.regime_rule.classify(gdp),
-        )
+        out[year] = MacroYear(year=year, inflation=float(infl), gdp_growth=float(gdp))
     return out
 
 
@@ -148,6 +143,7 @@ def generate_panel(config):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     macro = _macro_series(config, rng)
     years = sorted(macro)
+    regimes = {y: config.regime_rule.classify(m.gdp_growth) for y, m in macro.items()}
     emit_from = config.start_year
 
     records = []
@@ -199,7 +195,7 @@ def generate_panel(config):
                 + sum(config.beta[name] * x[name] for name in config.beta)
                 + sum(config.gamma[name] * m[name] for name in config.gamma)
             )
-            delta = config.delta_for(my.regime)
+            delta = config.delta_for(regimes[year])
             z = (profta - 0.08) / 0.05
             levb = levb + delta * (drive - levb) + _shock(rng, config.error, z)
             levm = levm + delta * (drive - levm) + _shock(rng, config.error, z)
@@ -224,7 +220,7 @@ def generate_panel(config):
     truth = GroundTruth(
         config=config,
         firm_effects=firm_effects,
-        regimes={y: m.regime for y, m in emitted_macro.items()},
+        regimes={y: regimes[y] for y in emitted_macro},
         macro=emitted_macro,
     )
     return panel, truth
@@ -300,7 +296,7 @@ def monte_carlo_speed(
         leverage=leverage,
         determinants=tuple(determinants),
         thetas=tuple(thetas),
-        regime_split=config.regime_rule if per_regime else None,
+        regime_split=config.regime_rule,
     )
     children = np.random.SeedSequence(config.seed).spawn(replications)
     keys = []
@@ -333,12 +329,11 @@ def monte_carlo_speed(
             failures.append(f"replication {i}: {type(err).__name__}: {err}")
     cells = []
     for (th, regime), values in draws.items():
-        true_delta = config.delta_for(regime) if per_regime else config.delta
         cells.append(
             RecoveryCell(
                 theta=th,
                 regime=regime,
-                true_delta=true_delta,
+                true_delta=config.delta_for(regime),
                 estimates=np.asarray(values, dtype=float),
                 n_failed=replications - len(values),
             )

@@ -254,7 +254,7 @@ def test_criterion_7_variable_formulas():
         net_ppe=120.0, depreciation=15.0,
     )
     macro = {
-        y: MacroYear(year=y, inflation=3.0, gdp_growth=2.0, regime=Regime.Growth)
+        y: MacroYear(year=y, inflation=3.0, gdp_growth=2.0)
         for y in (2000, 2001)
     }
     panel = derive_variables(
@@ -296,7 +296,7 @@ def test_criterion_8_descriptive_oracles():
     macro = {
         y: MacroYear(
             year=y, inflation=float(rng.uniform(0, 6)),
-            gdp_growth=float(rng.normal(2, 2)), regime=Regime.Growth,
+            gdp_growth=float(rng.normal(2, 2)),
         )
         for y in sorted(set(years))
     }

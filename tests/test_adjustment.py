@@ -6,15 +6,16 @@ import pytest
 
 from levquant import (
     ConfigError,
-    DataValidationError,
     MacroYear,
     Regime,
     RegimeRule,
     SynthConfig,
     TargetModelSpec,
+    derive_variables,
     estimate_speed,
     estimate_speed_by_regime,
     generate_panel,
+    ingest_panel,
     lag_leverage,
     split_regimes,
 )
@@ -107,11 +108,6 @@ class TestEstimateSpeed:
         assert res.leverage == "market"
         assert abs(res.speed - 0.5) <= 0.07
 
-    def test_group_cap_is_enforced(self):
-        panel, _ = synth_panel()
-        with pytest.raises(DataValidationError, match=r"dummy-mode cap \(10\)"):
-            estimate_speed(panel, replace(SPEC, group_cap=10))
-
     def test_all_requested_thetas_reported(self):
         panel, _ = synth_panel(n_firms=80, t_max=10, seed=7)
         spec = TargetModelSpec(
@@ -125,10 +121,7 @@ class TestEstimateSpeed:
 def macro_series(gdps, inflations=None, start=2000):
     inflations = inflations or [3.0 + 0.1 * i for i in range(len(gdps))]
     return {
-        start + i: MacroYear(
-            year=start + i, inflation=inflations[i], gdp_growth=g,
-            regime=RegimeRule().classify(g),
-        )
+        start + i: MacroYear(year=start + i, inflation=inflations[i], gdp_growth=g)
         for i, g in enumerate(gdps)
     }
 
@@ -162,10 +155,17 @@ def regime_macro_path(rng, n_years, block=4):
 
 
 class TestSpeedByRegime:
-    def test_requires_regime_rule(self):
+    def test_default_regime_rule_is_the_sign_rule(self):
         panel, _ = synth_panel()
-        with pytest.raises(ConfigError):
-            estimate_speed_by_regime(panel, SPEC)
+        assert SPEC.regime_split == RegimeRule(threshold=0.0)
+        explicit = replace(SPEC, regime_split=RegimeRule(threshold=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            default, sign = (estimate_speed_by_regime(panel, s) for s in (SPEC, explicit))
+        assert default.skipped == sign.skipped
+        assert {r: [x.speed for x in res] for r, res in default.results.items()} == {
+            r: [x.speed for x in res] for r, res in sign.results.items()
+        }
 
     def test_single_regime_panel_matches_unsplit(self):
         panel, _ = synth_panel(n_firms=50, t_max=8, seed=3)  # default macro may recess
@@ -209,21 +209,23 @@ class TestSpeedByRegime:
         assert growth.regime is Regime.Growth
 
     def test_swapping_labels_swaps_results(self):
+        # negating gdp growth swaps the regime of every year; with gdp growth
+        # left out of the regressors, each regime's design is unchanged
         rng = np.random.default_rng(13)
         cfg = SynthConfig(
             n_firms=120, t_max=12, macro_path=regime_macro_path(rng, 12), seed=22,
         )
-        panel, _ = generate_panel(cfg)
-        base_spec = TargetModelSpec(
-            leverage="book", determinants=SPEC.determinants, thetas=(0.5,),
-            regime_split=RegimeRule(recession_below=True),
+        panel, truth = generate_panel(cfg)
+        negated = {y: replace(m, gdp_growth=-m.gdp_growth) for y, m in truth.macro.items()}
+        flipped = derive_variables(
+            ingest_panel(panel.records), negated, {y: cfg.tax_rate for y in negated}
         )
-        flip_spec = TargetModelSpec(
-            leverage="book", determinants=SPEC.determinants, thetas=(0.5,),
-            regime_split=RegimeRule(recession_below=False),
+        spec = TargetModelSpec(
+            leverage="book", determinants=SPEC.determinants, macro_vars=("inflation",),
+            thetas=(0.5,),
         )
-        base = estimate_speed_by_regime(panel, base_spec)
-        flip = estimate_speed_by_regime(panel, flip_spec)
+        base = estimate_speed_by_regime(panel, spec)
+        flip = estimate_speed_by_regime(flipped, spec)
         assert base.results[Regime.Growth][0].speed == flip.results[Regime.Recession][0].speed
         assert base.results[Regime.Recession][0].speed == flip.results[Regime.Growth][0].speed
 

@@ -1,13 +1,14 @@
 import hashlib
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from levquant import (
-    DesignMatrix, SynthConfig, generate_panel, write_macro_csv, write_panel_csv, write_tax_csv,
+    DesignMatrix, SynthConfig, estimate_speed, generate_panel, write_macro_csv, write_panel_csv,
+    write_tax_csv,
 )
 from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
@@ -239,12 +240,20 @@ class TestConfiguredEstimator:
         assert list(reported) == list(predictors) + ["fixed_effects_mean"]
         assert [reported[m] for m in reported] == pytest.approx(manual, rel=1e-12)
 
-    def test_group_cap_reaches_speed_stage(self, synth_inputs, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        extra = "group_cap = 100\nleverage = book\ntheta = 0.5\n"
-        write_config(cfg, synth_inputs, tmp_path / "capped", bootstrap=0, extra=extra)
-        assert main(["speed", "--config", str(cfg)]) == 1
-        assert "250 groups exceed the dummy-mode cap (100)" in capsys.readouterr().err
+    def test_fe_mode_reaches_speed_stage(self, synth_inputs, tmp_path):
+        out = tmp_path / "penalized"
+        cfg_path = tmp_path / "c.cfg"
+        extra = "fe_mode = penalized\npenalty = 0.5\nleverage = book\ntheta = 0.5\n"
+        write_config(cfg_path, synth_inputs, out, bootstrap=0, extra=extra)
+        assert main(["speed", "--config", str(cfg_path)]) == 0
+        reported = (out / "speed.csv").read_text().splitlines()[1].split(",")[3]
+
+        cfg = resolve_config(build_parser().parse_args(["speed", "--config", str(cfg_path)]))
+        spec = cfg.spec("book")
+        panel = Pipeline(cfg).panel
+        penalized = estimate_speed(panel, spec)[0].speed
+        dummy = estimate_speed(panel, replace(spec, fe_mode="dummy"))[0].speed
+        assert float(reported) == penalized != dummy
 
 
 class TestConfig:
@@ -292,6 +301,20 @@ class TestConfig:
         code = main(["describe", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["replicate", "speed"])
+    def test_missing_inputs_are_exit_2_before_any_output(
+        self, synth_inputs, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        for argv in (
+            [command, "--out", str(out)],
+            [command, "--input", str(synth_inputs / "panel.csv"), "--out", str(out)],
+            [command, "--macro", str(synth_inputs / "macro.csv"), "--out", str(out)],
+        ):
+            assert main(argv) == 2
+            assert "input and macro paths are required" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "leverage = foo",
         "format = pdf",
@@ -303,7 +326,7 @@ class TestConfig:
         "macro_vars = inflation,profta",
         "fe_mode = Dummy",
         "fe_mode = penalized\npenalty = 0",
-        "group_cap = 0",
+        "group_cap = 5000",  # not a key
         "bootstrap = 1",
         "bootstrap = -3",
         "seed = -1",
@@ -328,7 +351,7 @@ class TestConfig:
         ["--macro-vars", "gdp"],
         ["--significance", "0"],
         ["--fe-mode", "penalized", "--penalty", "-1"],
-        ["--group-cap", "0"],
+        ["--winsorize", "0.9,0.1"],
         ["--leverage", "foo"],
         ["--bootstrap", "1"],
     ])
@@ -349,7 +372,7 @@ class TestConfig:
             "macro_vars": "gdp_growth", "bootstrap": "3", "seed": "9",
             "regime_threshold": "1.5", "winsorize": "0.01,0.99", "out": "o",
             "format": "text", "significance": "0.1", "fe_mode": "penalized",
-            "penalty": "0.5", "group_cap": "400", "two_step": "true",
+            "penalty": "0.5", "two_step": "true",
         }
         assert set(text) == {f.name for f in fields(RunConfig)}
         cfg = tmp_path / "c.cfg"

@@ -5,7 +5,6 @@ import pytest
 from levquant import (
     FirmYearRecord,
     MacroYear,
-    Regime,
     derive_variables,
     ingest_panel,
     lag_leverage,
@@ -73,7 +72,7 @@ def reference(records):
 def lagged_panel(records):
     years = sorted({r.fiscal_year for r in records})
     macro = {
-        y: MacroYear(year=y, inflation=2.0, gdp_growth=1.0, regime=Regime.Growth)
+        y: MacroYear(year=y, inflation=2.0, gdp_growth=1.0)
         for y in years
     }
     panel = derive_variables(ingest_panel(records), macro, {y: 0.21 for y in years})

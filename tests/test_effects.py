@@ -416,14 +416,18 @@ class TestQuantileFixedEffects:
         dense = fit_quantile(aug, 0.35)
         assert fit.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-10)
 
-    def test_group_cap_advises_penalized(self):
+    def test_many_groups_fit_in_dummy_mode(self):
+        # the grouped solver has no firm limit: 6,000 effects fit in dummy mode
         rng = np.random.default_rng(19)
-        n = 40
-        groups = np.arange(n) // 2
-        x = rng.normal(size=n)
-        d = DesignMatrix(names=("x",), X=x[:, None], y=rng.normal(size=n))
-        with pytest.raises(DataValidationError, match="penalized"):
-            fit_quantile_fixed_effects(d, groups, 0.5, group_cap=5)
+        G, T = 6000, 4
+        groups = np.repeat(np.arange(G), T)
+        X = rng.normal(size=(G * T, 3))
+        y = X @ np.array([0.5, -0.2, 0.1]) + rng.normal(size=G)[groups] + rng.normal(size=G * T)
+        d = DesignMatrix(names=("x1", "x2", "x3"), X=X, y=y)
+        fit = fit_quantile_fixed_effects(d, groups, 0.5)
+        assert len(fit.group_effects) == G
+        assert fit.solver_meta["algorithm"] == "frisch-newton"
+        assert fit.subgradient_ok
 
     def test_rejects_intercept_column(self):
         d = DesignMatrix(

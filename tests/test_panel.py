@@ -10,8 +10,6 @@ from levquant import (
     FirmYearRecord,
     MacroYear,
     Panel,
-    Regime,
-    RegimeRule,
     correlation_matrix,
     derive_variables,
     design_from_panel,
@@ -35,7 +33,7 @@ def record(firm="F1", year=2000, at=200.0, debt=50.0, mkt_eq=150.0, act=80.0,
 
 def macro_for(years, inflation=3.0, gdp=2.0):
     return {
-        y: MacroYear(year=y, inflation=inflation, gdp_growth=gdp, regime=Regime.Growth)
+        y: MacroYear(year=y, inflation=inflation, gdp_growth=gdp)
         for y in years
     }
 
@@ -385,15 +383,15 @@ class TestCsvIO:
         with pytest.raises(DataValidationError, match="no data rows"):
             read_panel_csv(path)
 
-    def test_macro_regimes_from_rule(self, tmp_path):
+    def test_macro_values_read(self, tmp_path):
         path = tmp_path / "macro.csv"
         path.write_text(
-            "year,cpi_inflation,gdp_growth\n2000,2.1,2.1\n2001,1.8,-0.3\n2002,2.5,1.0\n"
+            "year,cpi_inflation,gdp_growth\n2001,1.8,-0.3\n2000,2.1,2.1\n"
         )
-        macro = read_macro_csv(path, rule=RegimeRule(threshold=0.0))
-        assert [macro[y].regime for y in (2000, 2001, 2002)] == [
-            Regime.Growth, Regime.Recession, Regime.Growth,
-        ]
+        assert read_macro_csv(path) == {
+            2000: MacroYear(year=2000, inflation=2.1, gdp_growth=2.1),
+            2001: MacroYear(year=2001, inflation=1.8, gdp_growth=-0.3),
+        }
 
 
 class TestDesignFromPanel:
@@ -404,8 +402,7 @@ class TestDesignFromPanel:
             record(year=2002, ebit=70.0, sale=105.0, mkt_eq=third_mkt_eq),
         ]
         macro = {
-            y: MacroYear(year=y, inflation=float(i), gdp_growth=2.0,
-                         regime=Regime.Growth)
+            y: MacroYear(year=y, inflation=float(i), gdp_growth=2.0)
             for i, y in enumerate([2000, 2001, 2002], start=1)
         }
         return derive_variables(ingest_panel(recs), macro, {y: 0.21 for y in macro})

@@ -147,13 +147,6 @@ class TestFitQuantile:
             fit_quantile(d, 0.5)
         assert err.value.columns
 
-    def test_nonconvergence_carries_diagnostics(self):
-        rng = np.random.default_rng(7)
-        d = random_design(rng, n=40, k=3)
-        with pytest.raises(ConvergenceError) as err:
-            fit_quantile(d, 0.5, max_iter=1, fallback=False)
-        assert "duality_gap" in err.value.diagnostics
-
     def test_quantile_monotone_intercept_only(self):
         rng = np.random.default_rng(8)
         d = intercept_design(rng.normal(size=41))
@@ -454,36 +447,44 @@ def fallback_design(seed):
     return DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=y)
 
 
+@pytest.fixture
+def one_iteration(monkeypatch):
+    # the interior point stops after one step, so every fit falls back to HiGHS
+    monkeypatch.setattr(quantreg, "_MAX_ITER", 1)
+
+
 class TestExactFallback:
     @pytest.mark.parametrize("seed", [21, 43])
-    def test_fallback_matches_oracle(self, seed):
+    def test_fallback_matches_oracle(self, seed, one_iteration):
         d = fallback_design(seed)
-        fit = fit_quantile(d, 0.3, max_iter=1)
+        fit = fit_quantile(d, 0.3)
         _, obj = fit_quantile_oracle(d, 0.3)
         assert abs(fit.objective - obj) <= 1e-9
         assert fit.solver_meta["algorithm"] == "highs"
 
     @pytest.mark.parametrize("mode", ["dummy", "penalized"])
-    def test_grouped_fallback_matches_interior_point(self, mode):
+    def test_grouped_fallback_matches_interior_point(self, mode, monkeypatch):
         rng = np.random.default_rng(44)
         n = 60
         groups = rng.integers(0, 6, n)
         X = rng.normal(size=(n, 2))
         y = X @ np.array([0.7, -0.2]) + rng.normal(size=6)[groups] + rng.normal(size=n)
         d = DesignMatrix(names=("x1", "x2"), X=X, y=y)
-        exact = fit_quantile_fixed_effects(d, groups, 0.4, mode=mode, max_iter=1)
         ipm = fit_quantile_fixed_effects(d, groups, 0.4, mode=mode)
+        monkeypatch.setattr(quantreg, "_MAX_ITER", 1)
+        exact = fit_quantile_fixed_effects(d, groups, 0.4, mode=mode)
         assert exact.solver_meta["algorithm"] == "highs"
         assert ipm.solver_meta["algorithm"] == "frisch-newton"
         assert exact.objective == pytest.approx(ipm.objective, rel=1e-9, abs=1e-9)
 
-    def test_non_optimal_highs_status_is_an_error(self, monkeypatch):
+    def test_non_optimal_highs_status_is_an_error(self, monkeypatch, one_iteration):
         def stalled(*args, **kwargs):
             return scipy.optimize.OptimizeResult(status=1, message="Iteration limit reached.")
 
         monkeypatch.setattr(scipy.optimize, "linprog", stalled)
-        with pytest.raises(ConvergenceError, match="Iteration limit"):
-            fit_quantile(fallback_design(21), 0.3, max_iter=1)
+        with pytest.raises(ConvergenceError, match="Iteration limit") as err:
+            fit_quantile(fallback_design(21), 0.3)
+        assert err.value.diagnostics["highs_status"] == 1
 
     def test_interior_point_linalg_error_falls_back_to_highs(self, monkeypatch):
         def singular(*args, **kwargs):

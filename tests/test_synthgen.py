@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -162,6 +163,31 @@ class TestRoundTrip:
             assert m.gdp_growth == truth.macro[y].gdp_growth
         rates = read_tax_csv(tmp_path / "tax.csv")
         assert all(v == cfg.tax_rate for v in rates.values())
+
+    def test_unrepresentable_market_leverage_leaves_market_equity_empty(self, tmp_path):
+        # shocks this large push market leverage outside (0, 1) in some years
+        # while book debt stays positive
+        cfg = SynthConfig(n_firms=20, t_max=6, error=ErrorSpec(sigma=0.2), seed=13)
+        panel, _ = generate_panel(cfg)
+        missing = {
+            (r.firm_id, r.fiscal_year) for r in panel.records
+            if r.market_equity is None and r.book_debt > 0.0
+        }
+        assert missing
+        rows = [i for i, r in enumerate(panel.rows) if (r.firm_id, r.fiscal_year) in missing]
+        assert len(rows) == len(missing)
+        assert np.isnan(panel.variable("levm")[rows]).all()
+        assert (panel.variable("levb")[rows] > 0.0).all()
+
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        with open(path) as fh:
+            cells = {
+                (row["firm_id"], int(row["fyear"])): row["mkt_eq"] for row in csv.DictReader(fh)
+            }
+        assert {cells[key] for key in missing} == {""}
+        back = {(r.firm_id, r.fiscal_year): r for r in read_panel_csv(path).records}
+        assert all(back[key].market_equity is None for key in missing)
 
     def test_ground_truth_written(self, tmp_path):
         from levquant import write_ground_truth
