@@ -440,7 +440,11 @@ def _solve_pinball(ops, y, theta, p, q, names, data_rows=None):
         algorithm, beta = "frisch-newton", -nu
     else:
         # iterations and gap stay those of the failed interior point
-        algorithm, beta = "highs", _highs(ops, y, p, q)
+        try:
+            algorithm, beta = "highs", _highs(ops, y, p, q)
+        except ConvergenceError as err:
+            err.diagnostics.update(iterations=iterations, duality_gap=gap)
+            raise
     beta, r, _, polished = _polish_vertex(ops, y, beta, p, q)
     r, y = r[:data_rows], y[:data_rows]
     objective = check_loss(r, theta)

@@ -147,6 +147,20 @@ class TestFitQuantile:
             fit_quantile(d, 0.5)
         assert err.value.columns
 
+    def test_nonconvergence_carries_diagnostics(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=1, message="Iteration limit reached.")
+
+        rng = np.random.default_rng(7)
+        d = random_design(rng, n=40, k=3)
+        monkeypatch.setattr(quantreg, "_MAX_ITER", 1)
+        monkeypatch.setattr(scipy.optimize, "linprog", stalled)
+        with pytest.raises(ConvergenceError) as err:
+            fit_quantile(d, 0.5)
+        assert err.value.diagnostics["iterations"] == 1
+        assert err.value.diagnostics["duality_gap"] > 0
+        assert err.value.diagnostics["highs_status"] == 1
+
     def test_quantile_monotone_intercept_only(self):
         rng = np.random.default_rng(8)
         d = intercept_design(rng.normal(size=41))
