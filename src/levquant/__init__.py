@@ -15,7 +15,6 @@ from .adjustment import (
     estimate_speed,
     estimate_speed_by_regime,
     lag_leverage,
-    split_regimes,
 )
 from .effects import (
     EffectsFit,

@@ -11,7 +11,6 @@ fixed effects, where the lag coefficient is 1 - delta.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from .effects import fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
 from .panel import (
-    MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year, design_from_panel,
+    MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year, complete_rows,
+    design_from_panel,
 )
 from .quantreg import DesignMatrix, QuantileFit, fit_quantile
 
@@ -29,7 +29,7 @@ DEFAULT_DETERMINANTS = (
 )
 
 _LEVERAGE_VAR = {"book": "levb", "market": "levm"}
-# a regime is estimated only with this many usable rows per coefficient
+# a regime is estimated only with this many complete design rows per coefficient
 _MIN_ROWS_PER_COEF = 10
 
 
@@ -108,20 +108,19 @@ def lag_leverage(panel, kind="book"):
 
 def _fit_speed(design, firms, spec, theta):
     if spec.two_step:
-        lam, fit, n_used = _two_step(design, firms, spec, theta)
+        lam, fit = _two_step(design, firms, spec, theta)
     else:
         fit = fit_quantile_fixed_effects(
             design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty
         )
         lam = fit.coefficients[spec.lag]
-        n_used = design.n
     return AdjustmentResult(
         theta=theta,
         leverage=spec.leverage,
         lag_coefficient=lam,
         speed=1.0 - lam,
         pseudo_r2=fit.pseudo_r2,
-        n_used=n_used,
+        n_used=design.n,
         out_of_range=not (0.0 <= lam <= 1.0),
         fit=fit,
     )
@@ -146,7 +145,7 @@ def _two_step(design, firms, spec, theta):
     dy = design.y - lev_lag
     step2 = fit_quantile(DesignMatrix(names=("gap",), X=gap[:, None], y=dy), theta)
     delta = step2.coefficients["gap"]
-    return 1.0 - delta, step2, design.n
+    return 1.0 - delta, step2
 
 
 def estimate_speed(panel, spec):
@@ -165,33 +164,6 @@ def estimate_speed(panel, spec):
 
 
 @dataclass
-class RegimeSplit:
-    by_year: dict
-    counts: dict
-
-    def years_in(self, regime):
-        return tuple(y for y, r in self.by_year.items() if r is regime)
-
-
-def split_regimes(macro, rule=RegimeRule()):
-    """Partition the years of a year -> MacroYear mapping into
-    growth/recession under ``rule``.
-
-    An empty regime triggers a warning (per-regime estimation for it is
-    skipped downstream).
-    """
-    by_year = {y: rule.classify(m.gdp_growth) for y, m in sorted(macro.items())}
-    counts = {
-        Regime.Growth: sum(r is Regime.Growth for r in by_year.values()),
-        Regime.Recession: sum(r is Regime.Recession for r in by_year.values()),
-    }
-    for regime, count in counts.items():
-        if count == 0:
-            warnings.warn(f"regime {regime.value} contains no years", stacklevel=2)
-    return RegimeSplit(by_year=by_year, counts=counts)
-
-
-@dataclass
 class RegimeSpeeds:
     results: dict   # Regime -> list of AdjustmentResult
     skipped: dict   # Regime -> reason
@@ -200,41 +172,32 @@ class RegimeSpeeds:
 def estimate_speed_by_regime(panel, spec):
     """Adjustment speeds per macroeconomic regime.
 
-    Rows are assigned by the regime of year t (the adjustment year); the
-    lag is taken on the full panel first, so a regime-boundary row keeps
-    its previous-year leverage.  Regimes with fewer than 10 usable rows
-    per coefficient are skipped with a diagnostic.
+    Each row belongs to the regime of its year t (the adjustment year) under
+    ``spec.regime_split``; the lag is taken on the full panel first, so a
+    regime-boundary row keeps its previous-year leverage.  A regime with
+    fewer than 10 complete design rows (response, lag and every predictor
+    present) per coefficient, or whose rows leave the design degenerate, is
+    skipped and its reason reported in ``RegimeSpeeds.skipped``.
     """
-    if panel.macro is None:
-        raise DataValidationError("macro series not joined")
     panel = lag_leverage(panel, spec.leverage)
-    split = split_regimes(panel.macro, spec.regime_split)
-    complete = ~np.isnan(panel.variable(spec.response))
-    complete &= ~np.isnan(panel.variable(spec.lag))
-    k = len(spec.predictors) + 1
-    needed = _MIN_ROWS_PER_COEF * k
+    recession = spec.regime_split.is_recession(panel.variable("gdp_growth"))
+    regressors = spec.predictors + (spec.lag,)
+    complete = complete_rows(panel, spec.response, regressors)
+    needed = _MIN_ROWS_PER_COEF * len(regressors)
     results, skipped = {}, {}
-    for regime in (Regime.Growth, Regime.Recession):
-        mask = np.isin(panel.years, split.years_in(regime))
+    for regime, mask in ((Regime.Growth, ~recession), (Regime.Recession, recession)):
         usable = int(np.count_nonzero(mask & complete))
         if usable < needed:
             skipped[regime] = (
-                f"{usable} usable rows < required {needed} ({k} coefficients)"
-            )
-            warnings.warn(
-                f"regime {regime.value} skipped: {skipped[regime]}", stacklevel=2
+                f"{usable} usable rows < required {needed} ({len(regressors)} coefficients)"
             )
             continue
-        sub = panel.subset(mask)
         try:
             results[regime] = [
                 replace(res, regime=regime)
-                for res in estimate_speed(sub, spec)
+                for res in estimate_speed(panel.subset(mask), spec)
             ]
         except (DataValidationError, DesignError) as err:
             # e.g. a one-year regime leaves the macro columns constant
             skipped[regime] = f"degenerate subset: {err}"
-            warnings.warn(
-                f"regime {regime.value} skipped: {skipped[regime]}", stacklevel=2
-            )
     return RegimeSpeeds(results=results, skipped=skipped)

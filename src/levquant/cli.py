@@ -18,14 +18,15 @@ import numpy as np
 
 from . import reports
 from .adjustment import (
-    DEFAULT_DETERMINANTS, DEFAULT_THETAS, TargetModelSpec,
-    estimate_speed, estimate_speed_by_regime, lag_leverage,
+    DEFAULT_DETERMINANTS, DEFAULT_THETAS, TargetModelSpec, estimate_speed,
+    estimate_speed_by_regime,
 )
 from .effects import (
     fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects, hausman_test,
 )
 from .errors import ConfigError
 from .panel import (
+    DEFAULT_TAX_RATE,
     MACRO_VARIABLES,
     RegimeRule,
     correlation_matrix,
@@ -75,6 +76,9 @@ def _parse_bool(text):
     return text == "true"
 
 
+_SPEC = TargetModelSpec()  # the default target model
+
+
 def _key(default, parse, help):  # parse: a config-file or flag text -> value
     return field(default=default, metadata={"parse": parse, "help": help})
 
@@ -87,21 +91,21 @@ class RunConfig:
     input: str | None = _key(None, str, "firm-year panel CSV")
     macro: str | None = _key(None, str, "macro series CSV")
     tax_table: str | None = _key(None, str, "per-year tax rate CSV")
-    tax_rate: float = _key(0.21, float, "constant tax rate when no tax table is given")
+    tax_rate: float = _key(DEFAULT_TAX_RATE, float, "constant tax rate when no tax table is given")
     theta: tuple = _key(DEFAULT_THETAS, _parse_theta, "comma-separated quantiles")
     leverage: str = _key("both", str, "book, market or both")
     determinants: tuple = _key(DEFAULT_DETERMINANTS, _parse_names, "comma-separated determinants")
     macro_vars: tuple = _key(MACRO_VARIABLES, _parse_names, "comma-separated macro regressors")
     bootstrap: int = _key(200, int, "bootstrap replications: 0 (off) or at least 2")
     seed: int = _key(12345, int, "master seed")
-    regime_threshold: float = _key(0.0, float, "recession iff gdp growth below this")
+    regime_threshold: float = _key(RegimeRule.threshold, float, "recession iff gdp growth below this")
     winsorize: tuple | None = _key(None, _parse_winsorize, "e.g. 0.01,0.99 (default off)")
     out: str = _key("levquant_out", str, "output directory")
     format: str = _key("both", str, "text, delimited or both")
     significance: float = _key(0.05, float, "Hausman test level")
-    fe_mode: str = _key("dummy", str, "quantile fixed-effects estimator: dummy or penalized")
-    penalty: float = _key(1.0, float, "L1 penalty on the firm effects in penalized mode")
-    two_step: bool = _key(False, _parse_bool, "two-step target/adjustment comparison mode")
+    fe_mode: str = _key(_SPEC.fe_mode, str, "quantile fixed-effects estimator: dummy or penalized")
+    penalty: float = _key(_SPEC.penalty, float, "L1 penalty on the firm effects in penalized mode")
+    two_step: bool = _key(_SPEC.two_step, _parse_bool, "two-step target/adjustment comparison mode")
 
     def __post_init__(self):
         checks = (
@@ -321,11 +325,8 @@ def stage_speed(ctx):
     notes = []
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
-        panel = lag_leverage(ctx.panel, kind)
-        overall[kind] = estimate_speed(panel, spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            regimes = estimate_speed_by_regime(panel, spec)
+        overall[kind] = estimate_speed(ctx.panel, spec)
+        regimes = estimate_speed_by_regime(ctx.panel, spec)
         for regime, results in regimes.results.items():
             by_regime.setdefault(regime, {})[kind] = results
         for regime, reason in regimes.skipped.items():

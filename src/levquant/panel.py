@@ -44,6 +44,8 @@ VARIABLES = (
     "profta", "sizeat", "liqta", "mbratio",
 )
 MACRO_VARIABLES = ("inflation", "gdp_rate")
+# the constant tax rate of a run or a synthetic panel without a per-year table
+DEFAULT_TAX_RATE = 0.21
 # the MacroYear field behind each macro variable name (gdp_growth is an alias)
 _MACRO_FIELDS = {"inflation": "inflation", "gdp_rate": "gdp_growth", "gdp_growth": "gdp_growth"}
 # the names a regression can take as predictors: derived and macro variables
@@ -61,8 +63,11 @@ class RegimeRule:
 
     threshold: float = 0.0
 
+    def is_recession(self, gdp_growth):  # a scalar or an array of gdp growth
+        return np.asarray(gdp_growth) < self.threshold
+
     def classify(self, gdp_growth):
-        return Regime.Recession if gdp_growth < self.threshold else Regime.Growth
+        return Regime.Recession if self.is_recession(gdp_growth) else Regime.Growth
 
 
 class FirmYearRecord(NamedTuple):
@@ -128,6 +133,18 @@ _RAW_ITEMS = FirmYearRecord._fields[2:]
 _ROW_ITEMS = tuple(f.name for f in fields(ObservationRow))[2:]
 
 
+# the conditions a usable record meets, on the raw item columns; an unusable
+# record is flagged with the reason of the first condition it fails
+_USABLE_IF = (
+    (lambda items: items["total_assets"] > 0.0, "total_assets <= 0: unusable"),
+    (lambda items: ~(items["book_debt"] < 0.0), "book_debt < 0: unusable"),
+)
+
+
+def _is_usable(items):
+    return np.logical_and.reduce([meets(items) for meets, _ in _USABLE_IF])
+
+
 def _frozen(array):
     array.flags.writeable = False
     return array
@@ -151,11 +168,12 @@ class Panel:
     """Firm-year panel as read-only numpy columns sorted by (firm, year).
 
     Records are the accepted raw statements, one float column per raw item.
-    ``derive_variables`` adds rows: the usable records (total assets > 0)
-    with one float column per derived variable and leverage lag, NaN where
-    absent, plus the joined ``macro`` series.  ``firm_codes`` (indexing the
-    sorted ``firm_labels``) and ``years`` describe the rows, or the records
-    before derivation.  ``records`` and ``rows`` are tuple views.
+    ``derive_variables`` adds rows: the usable records (positive total
+    assets, book debt not negative) with one float column per derived
+    variable and leverage lag, NaN where absent, plus the joined ``macro``
+    series.  ``firm_codes`` (indexing the sorted ``firm_labels``) and
+    ``years`` describe the rows, or the records before derivation.
+    ``records`` and ``rows`` are tuple views.
     """
 
     def __init__(self, firm_labels, firm_codes, years, items, *, columns=None,
@@ -172,9 +190,13 @@ class Panel:
         if columns is None:
             self.firm_codes, self.years = self._record_firm, self._record_year
         else:
-            usable = self._items["total_assets"] > 0.0
+            usable = self._usable
             self.firm_codes = _frozen(self._record_firm[usable])
             self.years = _frozen(self._record_year[usable])
+
+    @cached_property
+    def _usable(self):  # the records that become rows
+        return _frozen(_is_usable(self._items))
 
     def __len__(self):
         return len(self.years)
@@ -263,7 +285,7 @@ class Panel:
         true (records of the surviving firm-years are kept alongside)."""
         self._need_rows()
         keep = np.asarray(keep_mask, dtype=bool)
-        recs = np.flatnonzero(self._items["total_assets"] > 0.0)[keep]
+        recs = np.flatnonzero(self._usable)[keep]
         return Panel(
             self.firm_labels, self._record_firm[recs], self._record_year[recs],
             {k: v[recs] for k, v in self._items.items()},
@@ -283,8 +305,9 @@ def ingest_panel(rows):
     Each row is a ``(firm_id, fiscal_year, *raw items)`` sequence in
     FirmYearRecord field order, None where a value is absent; a
     FirmYearRecord is one.  Duplicate (firm, year) keys are rejected (first
-    occurrence wins); records with non-positive total assets stay in the
-    panel but are flagged unusable and excluded from derived variables.
+    occurrence wins); unusable records (non-positive total assets or
+    negative book debt) stay in the panel but are flagged, in input order,
+    and excluded from derived variables.
     """
     accepted = {}
     report = ValidationReport()
@@ -295,19 +318,22 @@ def ingest_panel(rows):
             report.rejected.append((key, "duplicate (firm_id, fiscal_year)"))
             continue
         accepted[key] = raw
-        if not raw[0] > 0.0:  # total assets
-            report.flagged.append((key, "total_assets <= 0: unusable"))
     report.n_accepted = len(accepted)
     keys = sorted(accepted)
     labels = list(dict.fromkeys(firm for firm, _ in keys))
     code = {firm: i for i, firm in enumerate(labels)}
     table = np.array([accepted[k] for k in keys], dtype=float)
     table = table.reshape(len(keys), len(_RAW_ITEMS)).T.copy()
+    items = dict(zip(_RAW_ITEMS, table))
+    fails = [~meets(items) for meets, _ in _USABLE_IF]
+    reasons = np.select(fails, [reason for _, reason in _USABLE_IF], "")
+    why = {keys[i]: str(reasons[i]) for i in np.flatnonzero(reasons != "").tolist()}
+    report.flagged = [(key, why[key]) for key in accepted if key in why]
     return Panel(
         np.array(labels, dtype=str),
         np.array([code[firm] for firm, _ in keys], dtype=np.intp),
         np.array([year for _, year in keys], dtype=np.int64),
-        dict(zip(_RAW_ITEMS, table)),
+        items,
         validation=report,
     )
 
@@ -477,7 +503,7 @@ def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
         tax_rate_by_year = dict.fromkeys(macro, float(tax_rate_by_year))
 
     raw = panel._items
-    usable = raw["total_assets"] > 0.0
+    usable = panel._usable
     years = panel._record_year[usable]
     # checked year by year in row order, so the first bad row names the error
     rate_by_year = {}
@@ -631,17 +657,24 @@ def correlation_matrix(panel, variables=None, min_pairs=3):
 # ---------------------------------------------------------------------------
 
 
+def _present(*columns):  # the rows where every column has a value
+    return np.logical_and.reduce([~np.isnan(c) for c in columns])
+
+
+def complete_rows(panel, response, predictors):
+    """Mask of the rows with the response and every predictor present: the
+    rows that ``design_from_panel`` keeps."""
+    return _present(*(panel.variable(v) for v in (response, *predictors)))
+
+
 def design_from_panel(panel, response, predictors, *, intercept=False):
     """Listwise-complete design for a panel regression.
 
     Returns the DesignMatrix, the firm label per row, and the fiscal year
     per row.  Rows missing the response or any predictor are dropped.
     """
-    yv = panel.variable(response)
-    cols = [panel.variable(v) for v in predictors]
-    keep = ~np.isnan(yv)
-    for c in cols:
-        keep &= ~np.isnan(c)
+    yv, *cols = (panel.variable(v) for v in (response, *predictors))
+    keep = _present(yv, *cols)
     if not keep.any():
         raise DataValidationError(
             f"no complete rows for {response} ~ {' + '.join(predictors)}"

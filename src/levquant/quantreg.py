@@ -609,12 +609,18 @@ def bootstrap_se(
     if refit_group_effects and cluster is None:
         raise ValueError("refit_group_effects requires cluster labels")
     n = design.n
-    if cluster is not None:
+    if cluster is None:
+        codes = np.arange(n)  # the row bootstrap: one unit per row
+    else:
         cluster = np.asarray(cluster)
         if cluster.shape[0] != n:
             raise ValueError("cluster labels must cover all design rows")
         _, codes = np.unique(cluster, return_inverse=True)
-        by_cluster = [np.flatnonzero(codes == g) for g in range(codes.max() + 1)]
+    # the rows of unit g are members[first[g]:first[g] + size[g]], ascending
+    members = np.argsort(codes, kind="stable")
+    size = np.bincount(codes)
+    first = np.cumsum(size) - size
+    n_units = len(size)
 
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
@@ -630,15 +636,12 @@ def bootstrap_se(
         rng = np.random.default_rng(children[b])
         for _try in range(50):
             attempts += 1
-            if cluster is None:
-                idx = rng.integers(0, n, size=n)
-                draw_groups = None
-            else:
-                picks = rng.integers(0, len(by_cluster), size=len(by_cluster))
-                idx = np.concatenate([by_cluster[g] for g in picks])
-                draw_groups = np.repeat(
-                    np.arange(len(picks)), [len(by_cluster[g]) for g in picks]
-                )
+            picks = rng.integers(0, n_units, size=n_units)
+            sizes = size[picks]
+            draw_groups = np.repeat(np.arange(n_units), sizes)  # each row's drawn copy
+            # copy c fills draws [end_c - sizes_c, end_c) from its unit's members
+            shift = first[picks] - (np.cumsum(sizes) - sizes)
+            idx = members[np.arange(len(draw_groups)) + shift[draw_groups]]
             try:
                 rows[b] = _refit(design, idx, draw_groups, names, theta, refit_fe_kw)
                 break

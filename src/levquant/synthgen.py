@@ -16,7 +16,9 @@ import scipy.linalg
 
 from .adjustment import TargetModelSpec, estimate_speed, estimate_speed_by_regime
 from .errors import ConfigError, ConvergenceError, DataValidationError, DesignError
-from .panel import MacroYear, Regime, RegimeRule, derive_variables, ingest_panel
+from .panel import (
+    DEFAULT_TAX_RATE, MacroYear, Regime, RegimeRule, derive_variables, ingest_panel,
+)
 
 _BURN_IN = 10
 
@@ -58,7 +60,7 @@ class SynthConfig:
     error: ErrorSpec = ErrorSpec()
     macro_path: tuple | None = None        # ((inflation, gdp_growth), ...) per year
     regime_rule: RegimeRule = RegimeRule()
-    tax_rate: float = 0.21
+    tax_rate: float = DEFAULT_TAX_RATE
     start_year: int = 2000
     seed: int = 0
 
@@ -292,6 +294,7 @@ def monte_carlo_speed(
     if determinants is None:
         determinants = tuple(config.beta)
     per_regime = isinstance(config.delta, tuple)
+    regimes = (Regime.Growth, Regime.Recession) if per_regime else (None,)
     spec = TargetModelSpec(
         leverage=leverage,
         determinants=tuple(determinants),
@@ -299,13 +302,7 @@ def monte_carlo_speed(
         regime_split=config.regime_rule,
     )
     children = np.random.SeedSequence(config.seed).spawn(replications)
-    keys = []
-    if per_regime:
-        for regime in (Regime.Growth, Regime.Recession):
-            keys += [(th, regime) for th in thetas]
-    else:
-        keys = [(th, None) for th in thetas]
-    draws = {key: [] for key in keys}
+    draws = {(th, regime): [] for regime in regimes for th in thetas}
     failures = []
     for i, child in enumerate(children):
         rep_seed = int(child.generate_state(1, dtype=np.uint64)[0])
@@ -314,30 +311,29 @@ def monte_carlo_speed(
             panel, _ = generate_panel(rep_config)
             if per_regime:
                 out = estimate_speed_by_regime(panel, spec)
-                for regime, results in out.results.items():
-                    for res in results:
-                        draws[(res.theta, regime)].append(res.speed)
-                for regime, reason in out.skipped.items():
-                    failures.append(f"replication {i}: {regime.value} skipped: {reason}")
+                results, skipped = out.results, out.skipped
             else:
-                for res in estimate_speed(panel, spec):
-                    draws[(res.theta, None)].append(res.speed)
+                results, skipped = {None: estimate_speed(panel, spec)}, {}
+            for regime, regime_results in results.items():
+                for res in regime_results:
+                    draws[(res.theta, regime)].append(res.speed)
+            for regime, reason in skipped.items():
+                failures.append(f"replication {i}: {regime.value} skipped: {reason}")
         except (
             DataValidationError, DesignError, ConvergenceError,
             scipy.linalg.LinAlgError,
         ) as err:
             failures.append(f"replication {i}: {type(err).__name__}: {err}")
-    cells = []
-    for (th, regime), values in draws.items():
-        cells.append(
-            RecoveryCell(
-                theta=th,
-                regime=regime,
-                true_delta=config.delta_for(regime),
-                estimates=np.asarray(values, dtype=float),
-                n_failed=replications - len(values),
-            )
+    cells = [
+        RecoveryCell(
+            theta=th,
+            regime=regime,
+            true_delta=config.delta_for(regime),
+            estimates=np.asarray(values, dtype=float),
+            n_failed=replications - len(values),
         )
+        for (th, regime), values in draws.items()
+    ]
     return RecoveryReport(cells=cells, replications=replications, failures=failures)
 
 

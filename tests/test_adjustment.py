@@ -6,7 +6,6 @@ import pytest
 
 from levquant import (
     ConfigError,
-    MacroYear,
     Regime,
     RegimeRule,
     SynthConfig,
@@ -17,9 +16,7 @@ from levquant import (
     generate_panel,
     ingest_panel,
     lag_leverage,
-    split_regimes,
 )
-from levquant.adjustment import RegimeSpeeds
 
 SPEC = TargetModelSpec(
     leverage="book", determinants=("profta", "liqta", "sizeat"), thetas=(0.5,)
@@ -118,30 +115,22 @@ class TestEstimateSpeed:
         assert [r.theta for r in results] == [0.25, 0.5, 0.75]
 
 
-def macro_series(gdps, inflations=None, start=2000):
-    inflations = inflations or [3.0 + 0.1 * i for i in range(len(gdps))]
-    return {
-        start + i: MacroYear(year=start + i, inflation=inflations[i], gdp_growth=g)
-        for i, g in enumerate(gdps)
-    }
+class TestRegimeRule:
+    GDP = [2.1, -0.3, 1.0, 2.0]
 
-
-class TestSplitRegimes:
     def test_sign_rule(self):
-        split = split_regimes(macro_series([2.1, -0.3, 1.0]), RegimeRule())
-        assert list(split.by_year.values()) == [
-            Regime.Growth, Regime.Recession, Regime.Growth,
+        rule = RegimeRule()
+        assert rule.is_recession(np.array(self.GDP)).tolist() == [False, True, False, False]
+        assert [rule.classify(g) for g in self.GDP] == [
+            Regime.Growth, Regime.Recession, Regime.Growth, Regime.Growth,
         ]
 
-    def test_all_positive_warns_empty_recession(self):
-        with pytest.warns(UserWarning, match="recession"):
-            split = split_regimes(macro_series([1.0, 2.0, 3.0]), RegimeRule())
-        assert split.counts[Regime.Recession] == 0
-
     def test_shifted_threshold(self):
-        split = split_regimes(macro_series([2.1, -0.3, 1.0]), RegimeRule(threshold=2.0))
-        assert list(split.by_year.values()) == [
-            Regime.Growth, Regime.Recession, Regime.Recession,
+        # a year exactly at the threshold is growth
+        rule = RegimeRule(threshold=2.0)
+        assert rule.is_recession(np.array(self.GDP)).tolist() == [False, True, True, False]
+        assert [rule.classify(g) for g in self.GDP] == [
+            Regime.Growth, Regime.Recession, Regime.Recession, Regime.Growth,
         ]
 
 
@@ -159,9 +148,7 @@ class TestSpeedByRegime:
         panel, _ = synth_panel()
         assert SPEC.regime_split == RegimeRule(threshold=0.0)
         explicit = replace(SPEC, regime_split=RegimeRule(threshold=0.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            default, sign = (estimate_speed_by_regime(panel, s) for s in (SPEC, explicit))
+        default, sign = (estimate_speed_by_regime(panel, s) for s in (SPEC, explicit))
         assert default.skipped == sign.skipped
         assert {r: [x.speed for x in res] for r, res in default.results.items()} == {
             r: [x.speed for x in res] for r, res in sign.results.items()
@@ -181,9 +168,7 @@ class TestSpeedByRegime:
             leverage="book", determinants=SPEC.determinants, thetas=(0.5,),
             regime_split=RegimeRule(),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            by_regime = estimate_speed_by_regime(panel, spec)
+        by_regime = estimate_speed_by_regime(panel, spec)
         plain = estimate_speed(panel, spec)
         got = by_regime.results[Regime.Growth][0]
         assert got.speed == plain[0].speed  # bit-for-bit
@@ -238,11 +223,61 @@ class TestSpeedByRegime:
             leverage="book", determinants=SPEC.determinants, thetas=(0.5,),
             regime_split=RegimeRule(),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = estimate_speed_by_regime(panel, spec)
+        out = estimate_speed_by_regime(panel, spec)
         assert Regime.Recession in out.skipped
         assert Regime.Growth in out.results
+
+    @pytest.mark.parametrize("threshold", [0.0, 2.5])
+    def test_rows_follow_the_threshold(self, threshold):
+        # each regime is fitted on exactly the complete lagged rows whose
+        # year falls on its side of the threshold
+        cfg = SynthConfig(
+            n_firms=80, t_max=12, macro_path=regime_macro_path(np.random.default_rng(15), 12),
+            seed=25,
+        )
+        panel, truth = generate_panel(cfg)
+        spec = replace(SPEC, regime_split=RegimeRule(threshold=threshold))
+        out = estimate_speed_by_regime(panel, spec)
+        lagged = lag_leverage(panel, "book")
+        expected = {}
+        for row in lagged.rows:
+            if row.levb_lag is not None:
+                gdp = truth.macro[row.fiscal_year].gdp_growth
+                regime = Regime.Recession if gdp < threshold else Regime.Growth
+                expected[regime] = expected.get(regime, 0) + 1
+        assert not out.skipped
+        assert {r: res[0].n_used for r, res in out.results.items()} == expected
+        assert all(res[0].regime is r for r, res in out.results.items())
+
+    def test_gate_counts_the_rows_the_fit_uses(self):
+        # market equity is dropped for the odd-numbered firms in the recession
+        # years, so their mbratio is absent: 60 of the recession rows with a
+        # lag are complete, below 10 per coefficient
+        cfg = SynthConfig(
+            n_firms=30, t_max=12, macro_path=regime_macro_path(np.random.default_rng(12), 12),
+            seed=5,
+        )
+        panel, truth = generate_panel(cfg)
+        assert [y for y, r in truth.regimes.items() if r is Regime.Recession] == [
+            2004, 2005, 2006, 2007,
+        ]
+        records = [
+            r._replace(market_equity=None)
+            if int(r.firm_id[1:]) % 2 and truth.regimes[r.fiscal_year] is Regime.Recession
+            else r
+            for r in panel.records
+        ]
+        panel = derive_variables(
+            ingest_panel(records), truth.macro, {y: cfg.tax_rate for y in truth.macro}
+        )
+        spec = replace(SPEC, determinants=("profta", "liqta", "sizeat", "mbratio"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = estimate_speed_by_regime(panel, spec)
+        assert out.skipped == {
+            Regime.Recession: "60 usable rows < required 70 (7 coefficients)"
+        }
+        assert out.results[Regime.Growth][0].n_used >= 70
 
     def test_firm_order_invariance(self):
         from levquant import derive_variables, ingest_panel

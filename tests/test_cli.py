@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from levquant import (
-    DesignMatrix, SynthConfig, estimate_speed, generate_panel, write_macro_csv, write_panel_csv,
-    write_tax_csv,
+    DesignMatrix, SynthConfig, TargetModelSpec, estimate_speed, generate_panel, write_macro_csv,
+    write_panel_csv, write_tax_csv,
 )
 from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
@@ -255,8 +255,29 @@ class TestConfiguredEstimator:
         dummy = estimate_speed(panel, replace(spec, fe_mode="dummy"))[0].speed
         assert float(reported) == penalized != dummy
 
+    def test_regime_threshold_reaches_speed_stage(self, synth_inputs, tmp_path):
+        # every year grows by less than 100%, so all rows are recession rows
+        # and the recession speed is the unsplit speed
+        out = tmp_path / "threshold"
+        cfg_path = tmp_path / "c.cfg"
+        extra = "regime_threshold = 100\nleverage = book\ntheta = 0.5\n"
+        write_config(cfg_path, synth_inputs, out, bootstrap=0, extra=extra)
+        assert main(["speed", "--config", str(cfg_path)]) == 0
+        overall = (out / "speed.csv").read_text().splitlines()[1].split(",")
+        by_regime = (out / "speed_by_regime.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in by_regime] == [
+            ["book", "recession", "0.5", overall[3]]
+        ]
+        assert "book / growth: skipped (0 usable rows < required" in (
+            out / "speed_by_regime.txt"
+        ).read_text()
+
 
 class TestConfig:
+    def test_run_defaults_are_the_model_defaults(self):
+        assert RunConfig().spec("book") == TargetModelSpec()
+        assert RunConfig().tax_rate == SynthConfig().tax_rate
+
     def test_file_parsing_and_comments(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 5  # master seed\n\ntheta = 0.25,0.75\nwinsorize = off\n")

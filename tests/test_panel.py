@@ -7,12 +7,15 @@ from numpy.testing import assert_allclose
 from levquant import (
     ConfigError,
     DataValidationError,
+    ErrorSpec,
     FirmYearRecord,
     MacroYear,
     Panel,
+    SynthConfig,
     correlation_matrix,
     derive_variables,
     design_from_panel,
+    generate_panel,
     ingest_panel,
     read_macro_csv,
     read_panel_csv,
@@ -66,6 +69,35 @@ class TestIngest:
         derived = derive_variables(panel, macro_for([2000, 2001]), {2000: 0.21, 2001: 0.21})
         assert len(derived.rows) == 1
         assert derived.rows[0].fiscal_year == 2000
+
+    def test_one_flag_per_unusable_record_in_input_order(self):
+        recs = [
+            record(year=2002, debt=-1.0),
+            record(year=2000, at=0.0, debt=-5.0),  # fails both: named by its assets
+            record(year=2001),
+            record(year=2003, debt=0.0),  # no debt is usable
+        ]
+        panel = ingest_panel(recs)
+        assert panel.validation.flagged == [
+            (("F1", 2002), "book_debt < 0: unusable"),
+            (("F1", 2000), "total_assets <= 0: unusable"),
+        ]
+        years = [2000, 2001, 2002, 2003]
+        derived = derive_variables(panel, macro_for(years), dict.fromkeys(years, 0.21))
+        assert derived.years.tolist() == [2001, 2003]
+        kept = derived.subset([False, True])
+        assert [(r.fiscal_year, r.book_debt) for r in kept.records] == [(2003, 0.0)]
+        assert kept.rows[0].levb == 0.0
+
+    def test_negative_book_debt_never_reaches_the_rows(self):
+        # shocks this large drive book leverage below zero in some years
+        cfg = SynthConfig(n_firms=20, t_max=6, error=ErrorSpec(sigma=0.2), seed=13)
+        panel, _ = generate_panel(cfg)
+        negative = [(r.firm_id, r.fiscal_year) for r in panel.records if r.book_debt < 0.0]
+        assert len(negative) == 13
+        assert panel.validation.flagged == [(k, "book_debt < 0: unusable") for k in negative]
+        assert not (panel.variable("levb") < 0.0).any()
+        assert len(panel.rows) == len(panel.records) - 13
 
 
 class TestDeriveVariables:

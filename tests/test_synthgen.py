@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,7 +260,8 @@ class TestMonteCarlo:
         # subset has constant macro columns
         cfg = SynthConfig(n_firms=40, t_max=6, delta=(0.7, 0.3),
                           macro_path=((2.0, 1.5),) * 6, seed=3)
-        with pytest.warns(UserWarning, match="skipped"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # skips are reported, not warned
             report = monte_carlo_speed(cfg, 2)
         assert [c.estimates.size for c in report.cells] == [0, 0]
         assert report.failures == [
