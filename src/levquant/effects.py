@@ -280,6 +280,15 @@ def fit_quantile_fixed_effects(design, groups, theta, *, mode="dummy", penalty=1
 
     An intercept column is rejected: the group effects absorb it.
     """
+    return _fit_qfe(design, groups, theta, mode, penalty, np.ones(design.n))
+
+
+def _fit_qfe(design, groups, theta, mode, penalty, weights):
+    """``fit_quantile_fixed_effects`` with row i's check loss scaled by
+    ``weights[i]``.  The rows of a group share one weight, which also
+    scales the group's penalty row: a group entered once with weight m has
+    the optimum of m copies of it, each with its own effect.  The fit's
+    objective, pseudo-R^2 and sign counts stay unweighted."""
     theta = _validate_theta(theta)
     if INTERCEPT in design.names:
         raise DesignError(
@@ -304,11 +313,11 @@ def fit_quantile_fixed_effects(design, groups, theta, *, mode="dummy", penalty=1
             f"need at least {kx + G} rows for {kx} slopes and {G} effects"
         )
 
+    p = weights * theta
+    q = weights * (1.0 - theta)
     if mode == "dummy":
         ops = _GroupedOps(design.X, codes, G)
         y = design.y
-        p = np.full(n, theta)
-        q = np.full(n, 1.0 - theta)
         data_rows = None
     else:
         if penalty <= 0.0:
@@ -317,8 +326,10 @@ def fit_quantile_fixed_effects(design, groups, theta, *, mode="dummy", penalty=1
         codes_ext = np.concatenate([codes, np.arange(G)])
         ops = _GroupedOps(X_ext, codes_ext, G)
         y = np.concatenate([design.y, np.zeros(G)])
-        p = np.concatenate([np.full(n, theta), np.full(G, penalty)])
-        q = np.concatenate([np.full(n, 1.0 - theta), np.full(G, penalty)])
+        group_weights = np.empty(G)
+        group_weights[codes] = weights
+        p = np.concatenate([p, penalty * group_weights])
+        q = np.concatenate([q, penalty * group_weights])
         data_rows = n
 
     fit, effects = _solve_pinball(ops, y, theta, p, q, design.names, data_rows=data_rows)

@@ -192,25 +192,27 @@ class _GroupedOps:
         self.n_groups = n_groups
         self.kx = X.shape[1]
         self.ncols = self.kx + n_groups
+        # G x n group indicator; each of its rows keeps the group's rows in
+        # ascending order, so a product with it sums them as bincount does
+        n = codes.size
+        self.indicator = scipy.sparse.csr_matrix(
+            (np.ones(n), (codes, np.arange(n))), shape=(n_groups, n)
+        )
 
     def matvec(self, nu):
         return self.X @ nu[: self.kx] + nu[self.kx :][self.codes]
 
     def rmatvec(self, v):
-        head = self.X.T @ v
-        tail = np.bincount(self.codes, weights=v, minlength=self.n_groups)
-        return np.concatenate([head, tail])
+        return np.concatenate([self.X.T @ v, self.indicator @ v])
 
     def factor(self, d):
         # block elimination of the diagonal group block: only the kx x kx
         # Schur complement is Cholesky-factored
-        X, codes, G, kx = self.X, self.codes, self.n_groups, self.kx
+        X, kx = self.X, self.kx
         dX = X * d[:, None]
         Mxx = dX.T @ X
-        Mgg = np.bincount(codes, weights=d, minlength=G)
-        Mxg = np.empty((kx, G))
-        for j in range(kx):
-            Mxg[j] = np.bincount(codes, weights=dX[:, j], minlength=G)
+        Mgg = self.indicator @ d
+        Mxg = np.ascontiguousarray((self.indicator @ dX).T)
         ratio = Mxg / Mgg[None, :]
         solve_x = _chol_factor(Mxx - ratio @ Mxg.T)
 
@@ -223,11 +225,7 @@ class _GroupedOps:
         return solve
 
     def sparse(self):
-        n = self.codes.size
-        indicators = scipy.sparse.csr_matrix(
-            (np.ones(n), (np.arange(n), self.codes)), shape=(n, self.n_groups)
-        )
-        return scipy.sparse.hstack([self.X, indicators], format="csr")
+        return scipy.sparse.hstack([self.X, self.indicator.T], format="csr")
 
     def polish_rows(self, r):
         # a basic solution needs one interpolated row per group plus kx
@@ -373,10 +371,10 @@ def _interior_point(ops, y, p, q):
 
 
 def _steplen(v, dv):
-    neg = dv < 0.0
-    if not neg.any():
-        return 1.0
-    return min(1.0, 0.9995 * float(np.min(-v[neg] / dv[neg])))
+    # the largest step in (0, 1] keeping v + step * dv positive, 0.9995 of
+    # the way to the boundary; ratios where dv >= 0 stay inf
+    ratio = np.divide(v, -dv, out=np.full(v.size, np.inf), where=dv < 0.0)
+    return min(1.0, 0.9995 * float(np.min(ratio, initial=np.inf)))
 
 
 def _polish_vertex(ops, y, beta, p, q):
@@ -481,11 +479,15 @@ def fit_quantile(design, theta):
     -------
     QuantileFit with coefficients named after the design columns.
     """
-    theta = _validate_theta(theta)
+    return _fit_quantile(design, _validate_theta(theta), np.ones(design.n))
+
+
+def _fit_quantile(design, theta, weights):
+    """``fit_quantile`` with row i's check loss scaled by ``weights[i]``.
+    The fit's objective, pseudo-R^2 and sign counts stay unweighted."""
     _check_rank_dense(design.X, design.names)
-    n = design.n
     fit, _ = _solve_pinball(
-        _DenseOps(design.X), design.y, theta, np.full(n, theta), np.full(n, 1.0 - theta),
+        _DenseOps(design.X), design.y, theta, weights * theta, weights * (1.0 - theta),
         design.names,
     )
     return fit
@@ -563,17 +565,22 @@ def fit_quantile_oracle(design, theta, *, cap=200, max_bases=5_000_000):
 
 @dataclass
 class BootstrapResult:
+    """``p_values`` test the full-sample estimate against zero with the
+    bootstrap standard error; ``n_polished`` counts the replicates whose
+    refit was polished to a vertex."""
+
     std_errors: dict
     replicates: np.ndarray = field(repr=False)
     n_boot: int
     n_redrawn: int
-    p_values: dict = field(default=None)
+    n_polished: int
+    p_values: dict
 
 
-def _normal_p_values(names, means, ses):
+def _normal_p_values(names, estimates, ses):
     out = {}
-    for name, m, se in zip(names, means, ses):
-        out[name] = float(2.0 * norm.sf(abs(m) / se)) if se > 0 else 0.0
+    for name, est, se in zip(names, estimates, ses):
+        out[name] = float(2.0 * norm.sf(abs(est) / se)) if se > 0 else 0.0
     return out
 
 
@@ -591,14 +598,22 @@ def bootstrap_se(
     """Pairs-bootstrap standard errors for a quantile fit.
 
     The resampling unit is the cluster when ``cluster`` labels are given
-    (all rows of a drawn cluster enter together), otherwise the row.  With
-    ``refit_group_effects`` the cluster labels double as fixed-effect
-    groups: every drawn cluster copy gets a fresh effect and only the slope
-    coefficients (plus the mean effect, under ``"fixed_effects_mean"``) are
-    collected; ``mode`` and ``penalty`` select the fixed-effects estimator
-    refit, as in ``fit_quantile_fixed_effects``.  Replicate seeds derive
+    (all rows of a drawn cluster enter together), otherwise the row.  A
+    replicate draws as many units as there are, with replacement, and
+    refits once on the rows of the distinct units drawn, each row's check
+    loss weighted by its unit's multiplicity m: the same optimum as
+    refitting m copies of the unit.  With ``refit_group_effects`` the
+    cluster labels double as fixed-effect groups: every drawn firm gets one
+    effect (its penalty row, under ``"penalized"``, also weighted by m),
+    and only the slope coefficients plus the multiplicity-weighted mean
+    effect (``"fixed_effects_mean"``) are collected; ``mode`` and
+    ``penalty`` select the fixed-effects estimator refit, as in
+    ``fit_quantile_fixed_effects``.  Replicate seeds derive
     deterministically from ``seed``, so results are bit-identical across
     runs and parallelism schedules.
+
+    P-values are two-sided normal tests of the full-sample estimate (the
+    same estimator on every unit once) with the bootstrap standard error.
 
     Degenerate (rank-deficient) resamples are redrawn and counted; more
     than 50% degenerate draws is an error.
@@ -616,11 +631,7 @@ def bootstrap_se(
         if cluster.shape[0] != n:
             raise ValueError("cluster labels must cover all design rows")
         _, codes = np.unique(cluster, return_inverse=True)
-    # the rows of unit g are members[first[g]:first[g] + size[g]], ascending
-    members = np.argsort(codes, kind="stable")
-    size = np.bincount(codes)
-    first = np.cumsum(size) - size
-    n_units = len(size)
+    n_units = int(codes.max()) + 1
 
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
@@ -632,18 +643,16 @@ def bootstrap_se(
     refit_fe_kw = dict(mode=mode, penalty=penalty) if refit_group_effects else None
     attempts = 0
     degenerate = 0
+    polished = 0
     for b in range(n_boot):
         rng = np.random.default_rng(children[b])
         for _try in range(50):
             attempts += 1
             picks = rng.integers(0, n_units, size=n_units)
-            sizes = size[picks]
-            draw_groups = np.repeat(np.arange(n_units), sizes)  # each row's drawn copy
-            # copy c fills draws [end_c - sizes_c, end_c) from its unit's members
-            shift = first[picks] - (np.cumsum(sizes) - sizes)
-            idx = members[np.arange(len(draw_groups)) + shift[draw_groups]]
+            mult = np.bincount(picks, minlength=n_units)
             try:
-                rows[b] = _refit(design, idx, draw_groups, names, theta, refit_fe_kw)
+                rows[b], was_polished = _refit(design, codes, mult, names, theta, refit_fe_kw)
+                polished += was_polished
                 break
             except (DesignError, ConvergenceError, scipy.linalg.LinAlgError):
                 degenerate += 1
@@ -656,30 +665,41 @@ def bootstrap_se(
             f"{degenerate} of {attempts} resamples were degenerate"
         )
     ses = np.std(rows, axis=0, ddof=1)
-    means = np.mean(rows, axis=0)
+    estimates, _ = _refit(
+        design, codes, np.ones(n_units, dtype=np.intp), names, theta, refit_fe_kw
+    )
     return BootstrapResult(
         std_errors=dict(zip(names, (float(v) for v in ses))),
         replicates=rows,
         n_boot=n_boot,
         n_redrawn=degenerate,
-        p_values=_normal_p_values(names, means, ses),
+        n_polished=polished,
+        p_values=_normal_p_values(names, estimates, ses),
     )
 
 
-def _refit(design, idx, draw_groups, names, theta, refit_fe_kw):
+def _refit(design, codes, mult, names, theta, refit_fe_kw):
+    """The estimates named by ``names`` from one refit on the rows of the
+    units with ``mult > 0``, each row weighted by its unit's multiplicity,
+    and whether that refit was polished to a vertex."""
+    idx = np.flatnonzero(mult[codes])
+    weights = mult[codes[idx]].astype(float)
     if refit_fe_kw is not None:
-        from .effects import fit_quantile_fixed_effects
+        from .effects import _fit_qfe
 
         keep = [j for j, m in enumerate(design.names) if m != INTERCEPT]
         sub = DesignMatrix(
             names=[design.names[j] for j in keep],
-            X=design.X[idx][:, keep],
+            X=design.X[np.ix_(idx, keep)],
             y=design.y[idx],
         )
-        fit = fit_quantile_fixed_effects(sub, draw_groups, theta, **refit_fe_kw)
+        fit = _fit_qfe(sub, codes[idx], theta, weights=weights, **refit_fe_kw)
         vals = [fit.coefficients[m] for m in names[:-1]]
-        vals.append(float(np.mean(list(fit.group_effects.values()))))
-        return np.asarray(vals)
-    sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-    fit = fit_quantile(sub, theta)
-    return np.asarray([fit.coefficients[m] for m in names])
+        # group effects come in ascending unit order, as mult[mult > 0] does
+        effects = np.fromiter(fit.group_effects.values(), dtype=float)
+        vals.append(float(np.average(effects, weights=mult[mult > 0])))
+    else:
+        sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
+        fit = _fit_quantile(sub, theta, weights)
+        vals = [fit.coefficients[m] for m in names]
+    return np.asarray(vals), fit.solver_meta["polished"]

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from levquant import (
     DesignMatrix, SynthConfig, TargetModelSpec, estimate_speed, generate_panel, write_macro_csv,
@@ -13,7 +14,7 @@ from levquant import (
 from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
 )
-from levquant.effects import fit_quantile_fixed_effects
+from levquant.effects import _fit_qfe
 from levquant.panel import design_from_panel
 
 THETAS = ("0.15", "0.35", "0.5", "0.75", "0.95")
@@ -84,6 +85,16 @@ class TestReplicate:
             kind, regime, theta, speed, *_ = line.split(",")
             if theta == "0.5":
                 assert 0.45 <= float(speed) <= 0.55, (kind, speed)
+
+    def test_p_values_test_the_printed_coefficient(self, bundle):
+        _, out = bundle
+        lines = (out / "quantile_book.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines if not line.startswith("r_squared,")]
+        assert rows[-1][0] == "fixed_effects_mean"
+        for name, theta, coef, se, p in rows:
+            c, s = float(coef), float(se)
+            expected = 2.0 * norm.sf(abs(c) / s) if s > 0 else 0.0
+            assert float(p) == pytest.approx(expected, rel=1e-12, abs=0.0), (name, theta)
 
     def test_rerun_is_byte_identical(self, bundle, synth_inputs, tmp_path):
         cfg_path, out = bundle
@@ -216,25 +227,27 @@ class TestConfiguredEstimator:
             if se:
                 reported[name] = float(se)
 
-        # the same cluster draws, each refit by the penalized estimator
+        # the same cluster draws, each refit once by the penalized estimator
+        # on the drawn firms, weighted by how often each firm was drawn
         cfg = resolve_config(build_parser().parse_args(["qreg", "--config", str(cfg_path)]))
         predictors = cfg.determinants + cfg.macro_vars
         design, firms, _ = design_from_panel(Pipeline(cfg).panel, "levb", predictors)
         _, codes = np.unique(firms, return_inverse=True)
-        by_cluster = [np.flatnonzero(codes == g) for g in range(codes.max() + 1)]
+        n_firms = codes.max() + 1
         seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0))
         draws = []
         for child in seed.spawn(4):
-            picks = np.random.default_rng(child).integers(0, len(by_cluster), len(by_cluster))
-            idx = np.concatenate([by_cluster[g] for g in picks])
-            draw_groups = np.repeat(np.arange(len(picks)), [len(by_cluster[g]) for g in picks])
+            picks = np.random.default_rng(child).integers(0, n_firms, n_firms)
+            mult = np.bincount(picks, minlength=n_firms)
+            idx = np.flatnonzero(mult[codes])
             sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-            fit = fit_quantile_fixed_effects(
-                sub, draw_groups, 0.5, mode="penalized", penalty=0.5
+            fit = _fit_qfe(
+                sub, codes[idx], 0.5, "penalized", 0.5, mult[codes[idx]].astype(float)
             )
+            effects = [fit.group_effects[str(g)] for g in np.flatnonzero(mult)]
             draws.append(
                 [fit.coefficients[m] for m in predictors]
-                + [np.mean(list(fit.group_effects.values()))]
+                + [np.average(effects, weights=mult[mult > 0])]
             )
         manual = np.std(np.asarray(draws), axis=0, ddof=1)
         assert list(reported) == list(predictors) + ["fixed_effects_mean"]

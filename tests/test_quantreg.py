@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.optimize
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
+from scipy.stats import norm
 
 from levquant import (
     ConvergenceError,
@@ -19,9 +20,9 @@ from levquant import (
     fit_quantile_oracle,
     pseudo_r2,
 )
-from levquant.effects import fit_quantile_fixed_effects
+from levquant.effects import _fit_qfe, fit_quantile_fixed_effects
 from levquant import quantreg
-from levquant.quantreg import _chol_factor, _DenseOps, _GroupedOps, _polish_vertex
+from levquant.quantreg import _chol_factor, _DenseOps, _GroupedOps, _polish_vertex, _steplen
 
 
 def intercept_design(y):
@@ -354,6 +355,80 @@ class TestBootstrap:
         assert set(out.p_values) == {"intercept", "x"}
 
 
+def grouped_panel(seed, n_firms=30, years=6):
+    rng = np.random.default_rng(seed)
+    firms = np.repeat(np.arange(n_firms), years)
+    X = rng.normal(size=(firms.size, 2))
+    y = X @ np.array([0.8, -0.4]) + rng.normal(size=n_firms)[firms] + rng.normal(size=firms.size)
+    return DesignMatrix(names=("x1", "x2"), X=X, y=y), firms
+
+
+def duplicated_draw(codes, picks):
+    """The rows of a cluster draw with every drawn copy of a unit repeated,
+    and each row's copy index."""
+    members = [np.flatnonzero(codes == g) for g in range(codes.max() + 1)]
+    idx = np.concatenate([members[g] for g in picks])
+    copy = np.repeat(np.arange(picks.size), [members[g].size for g in picks])
+    return idx, copy
+
+
+class TestWeightedRefit:
+    """A replicate refits once on the distinct units drawn, weighted by
+    multiplicity; that LP has the optimum of the duplicated-row refit."""
+
+    @pytest.mark.parametrize("mode", ["dummy", "penalized", "row", "cluster"])
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.9])
+    def test_objective_matches_duplicated_rows(self, mode, theta):
+        design, firms = grouped_panel(51)
+        if mode in ("row", "cluster"):
+            X = np.column_stack([np.ones(design.n), design.X])
+            design = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y)
+        codes = np.arange(design.n) if mode == "row" else firms
+        n_units = codes.max() + 1
+        for draw in range(4):
+            picks = np.random.default_rng(draw).integers(0, n_units, n_units)
+            idx, copy = duplicated_draw(codes, picks)
+            dup = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
+            mult = np.bincount(picks, minlength=n_units)
+            keep = np.flatnonzero(mult[codes])
+            w = mult[codes[keep]].astype(float)
+            sub = DesignMatrix(names=design.names, X=design.X[keep], y=design.y[keep])
+            if mode in ("dummy", "penalized"):
+                ref = fit_quantile_fixed_effects(dup, copy, theta, mode=mode)
+                fit = _fit_qfe(sub, codes[keep], theta, mode, 1.0, w)
+            else:
+                ref = fit_quantile(dup, theta)
+                fit = quantreg._fit_quantile(sub, theta, w)
+            ref_obj = ref.objective
+            obj = quantreg._weighted_pinball(fit.residuals, w * theta, w * (1.0 - theta))
+            if mode == "penalized":
+                ref_obj += sum(abs(a) for a in ref.group_effects.values())
+                effects = np.fromiter(fit.group_effects.values(), dtype=float)
+                obj += float(np.abs(effects) @ mult[mult > 0])
+            assert obj <= ref_obj * (1.0 + 1e-12)
+            assert obj >= ref_obj * (1.0 - 1e-8)
+
+    @pytest.mark.parametrize("mode", ["dummy", "penalized"])
+    def test_cluster_bootstrap_polishes_every_replicate(self, mode):
+        design, firms = grouped_panel(52)
+        out = bootstrap_se(
+            design, 0.5, n_boot=8, seed=3, cluster=firms, refit_group_effects=True, mode=mode
+        )
+        assert out.n_redrawn == 0
+        assert out.n_polished == out.n_boot == 8
+
+    def test_p_values_test_the_full_sample_estimate(self):
+        design, firms = grouped_panel(53)
+        out = bootstrap_se(design, 0.5, n_boot=6, seed=4, cluster=firms, refit_group_effects=True)
+        fit = fit_quantile_fixed_effects(design, firms, 0.5)
+        estimates = dict(fit.coefficients)
+        estimates["fixed_effects_mean"] = np.mean(list(fit.group_effects.values()))
+        assert set(out.p_values) == set(estimates)
+        for name, est in estimates.items():
+            want = 2.0 * norm.sf(abs(est) / out.std_errors[name])
+            assert out.p_values[name] == pytest.approx(want, rel=1e-12)
+
+
 def grouped_problem(rng, sizes, kx=2, penalized=False):
     """A grouped-ops instance laid out as ``fit_quantile_fixed_effects``
     builds it: dummy mode, or penalized mode with one zero-response
@@ -437,6 +512,27 @@ class TestSolverPieces:
             for _ in range(2):  # predictor and corrector right-hand sides
                 rhs = rng.normal(size=ops.ncols)
                 assert np.array_equal(solve(rhs), reference_solve_normal(ops, d, rhs))
+
+    def test_steplen_matches_boolean_mask_formula(self):
+        def reference(v, dv):
+            neg = dv < 0.0
+            if not neg.any():
+                return 1.0
+            return min(1.0, 0.9995 * float(np.min(-v[neg] / dv[neg])))
+
+        rng = np.random.default_rng(44)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            v = rng.exponential(size=n) * 10.0 ** rng.integers(-6, 3)
+            for dv in (
+                np.zeros(n),
+                rng.exponential(size=n),
+                rng.normal(size=n) * 10.0 ** rng.integers(-3, 6),
+                np.where(rng.random(n) < 0.5, 0.0, -rng.exponential(size=n)),
+            ):
+                want = reference(v, dv)
+                got = _steplen(v, dv)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_grouped_polish_allocates_no_dense_basis(self):
         # a dense (kx + G)^2 basis matrix would be 3002^2 * 8 bytes = 72 MB
