@@ -40,7 +40,7 @@ from .panel import (
     write_tax_csv,
     yearly_means,
 )
-from .quantreg import bootstrap_se
+from .quantreg import bootstrap_p_values, bootstrap_se
 from .synthgen import ErrorSpec, SynthConfig, generate_panel, write_ground_truth
 
 ENV_CONFIG = "LEVQUANT_CONFIG"
@@ -304,7 +304,7 @@ def stage_qreg(ctx):
                 )
                 fits[theta].std_errors = boot.std_errors
                 se[theta] = boot.std_errors
-                pval[theta] = boot.p_values
+                pval[theta] = bootstrap_p_values(fits[theta], boot.std_errors)
         title = f"{kind.upper()} LEVERAGE"
         table = (spec.thetas, fits, spec.predictors)
         out.append((

@@ -268,7 +268,9 @@ def hausman_test(fe, re, significance=0.05):
     return HausmanResult(stat, df, p, choice, deficient)
 
 
-def fit_quantile_fixed_effects(design, groups, theta, *, mode="dummy", penalty=1.0):
+def fit_quantile_fixed_effects(
+    design, groups, theta, *, mode="dummy", penalty=1.0, _weights=None
+):
     """Quantile regression with firm fixed effects.
 
     ``dummy`` mode augments the design with one indicator column per group
@@ -279,16 +281,13 @@ def fit_quantile_fixed_effects(design, groups, theta, *, mode="dummy", penalty=1
     treatment: the penalty rows enter the same LP with symmetric weights.
 
     An intercept column is rejected: the group effects absorb it.
+
+    ``_weights`` is private to ``bootstrap_se``: it scales row i's check
+    loss by ``_weights[i]``.  The rows of a group share one weight, which
+    also scales the group's penalty row, so a group entered once with
+    weight m has the optimum of m copies of it, each with its own effect.
+    The fit's objective, pseudo-R^2 and sign counts stay unweighted.
     """
-    return _fit_qfe(design, groups, theta, mode, penalty, np.ones(design.n))
-
-
-def _fit_qfe(design, groups, theta, mode, penalty, weights):
-    """``fit_quantile_fixed_effects`` with row i's check loss scaled by
-    ``weights[i]``.  The rows of a group share one weight, which also
-    scales the group's penalty row: a group entered once with weight m has
-    the optimum of m copies of it, each with its own effect.  The fit's
-    objective, pseudo-R^2 and sign counts stay unweighted."""
     theta = _validate_theta(theta)
     if INTERCEPT in design.names:
         raise DesignError(
@@ -313,6 +312,7 @@ def _fit_qfe(design, groups, theta, mode, penalty, weights):
             f"need at least {kx + G} rows for {kx} slopes and {G} effects"
         )
 
+    weights = np.ones(n) if _weights is None else _weights
     p = weights * theta
     q = weights * (1.0 - theta)
     if mode == "dummy":

@@ -467,7 +467,7 @@ def _solve_pinball(ops, y, theta, p, q, names, data_rows=None):
     return fit, beta[len(names):]
 
 
-def fit_quantile(design, theta):
+def fit_quantile(design, theta, *, _weights=None):
     """Fit a linear conditional-quantile model by check-loss minimization.
 
     Parameters
@@ -478,13 +478,13 @@ def fit_quantile(design, theta):
     Returns
     -------
     QuantileFit with coefficients named after the design columns.
+
+    ``_weights`` is private to ``bootstrap_se``: it scales row i's check
+    loss by ``_weights[i]``; the fit's objective, pseudo-R^2 and sign
+    counts stay unweighted.
     """
-    return _fit_quantile(design, _validate_theta(theta), np.ones(design.n))
-
-
-def _fit_quantile(design, theta, weights):
-    """``fit_quantile`` with row i's check loss scaled by ``weights[i]``.
-    The fit's objective, pseudo-R^2 and sign counts stay unweighted."""
+    theta = _validate_theta(theta)
+    weights = np.ones(design.n) if _weights is None else _weights
     _check_rank_dense(design.X, design.names)
     fit, _ = _solve_pinball(
         _DenseOps(design.X), design.y, theta, weights * theta, weights * (1.0 - theta),
@@ -565,21 +565,27 @@ def fit_quantile_oracle(design, theta, *, cap=200, max_bases=5_000_000):
 
 @dataclass
 class BootstrapResult:
-    """``p_values`` test the full-sample estimate against zero with the
-    bootstrap standard error; ``n_polished`` counts the replicates whose
-    refit was polished to a vertex."""
+    """``n_polished`` counts the replicates whose refit was polished to a
+    vertex."""
 
     std_errors: dict
     replicates: np.ndarray = field(repr=False)
     n_boot: int
     n_redrawn: int
     n_polished: int
-    p_values: dict
 
 
-def _normal_p_values(names, estimates, ses):
+def bootstrap_p_values(fit, std_errors):
+    """Two-sided normal p-values of ``fit``'s estimates against zero with
+    the bootstrap ``std_errors``: the coefficients printed beside them, and
+    for ``fixed_effects_mean`` the mean of the fit's group effects.  A zero
+    standard error gives 0.0."""
     out = {}
-    for name, est, se in zip(names, estimates, ses):
+    for name, se in std_errors.items():
+        if name == "fixed_effects_mean":
+            est = float(np.mean(list(fit.group_effects.values())))
+        else:
+            est = fit.coefficients[name]
         out[name] = float(2.0 * norm.sf(abs(est) / se)) if se > 0 else 0.0
     return out
 
@@ -611,9 +617,6 @@ def bootstrap_se(
     ``fit_quantile_fixed_effects``.  Replicate seeds derive
     deterministically from ``seed``, so results are bit-identical across
     runs and parallelism schedules.
-
-    P-values are two-sided normal tests of the full-sample estimate (the
-    same estimator on every unit once) with the bootstrap standard error.
 
     Degenerate (rank-deficient) resamples are redrawn and counted; more
     than 50% degenerate draws is an error.
@@ -665,16 +668,12 @@ def bootstrap_se(
             f"{degenerate} of {attempts} resamples were degenerate"
         )
     ses = np.std(rows, axis=0, ddof=1)
-    estimates, _ = _refit(
-        design, codes, np.ones(n_units, dtype=np.intp), names, theta, refit_fe_kw
-    )
     return BootstrapResult(
         std_errors=dict(zip(names, (float(v) for v in ses))),
         replicates=rows,
         n_boot=n_boot,
         n_redrawn=degenerate,
         n_polished=polished,
-        p_values=_normal_p_values(names, estimates, ses),
     )
 
 
@@ -685,7 +684,7 @@ def _refit(design, codes, mult, names, theta, refit_fe_kw):
     idx = np.flatnonzero(mult[codes])
     weights = mult[codes[idx]].astype(float)
     if refit_fe_kw is not None:
-        from .effects import _fit_qfe
+        from .effects import fit_quantile_fixed_effects
 
         keep = [j for j, m in enumerate(design.names) if m != INTERCEPT]
         sub = DesignMatrix(
@@ -693,13 +692,15 @@ def _refit(design, codes, mult, names, theta, refit_fe_kw):
             X=design.X[np.ix_(idx, keep)],
             y=design.y[idx],
         )
-        fit = _fit_qfe(sub, codes[idx], theta, weights=weights, **refit_fe_kw)
+        fit = fit_quantile_fixed_effects(
+            sub, codes[idx], theta, _weights=weights, **refit_fe_kw
+        )
         vals = [fit.coefficients[m] for m in names[:-1]]
         # group effects come in ascending unit order, as mult[mult > 0] does
         effects = np.fromiter(fit.group_effects.values(), dtype=float)
         vals.append(float(np.average(effects, weights=mult[mult > 0])))
     else:
         sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-        fit = _fit_quantile(sub, theta, weights)
+        fit = fit_quantile(sub, theta, _weights=weights)
         vals = [fit.coefficients[m] for m in names]
     return np.asarray(vals), fit.solver_meta["polished"]

@@ -14,7 +14,7 @@ from levquant import (
 from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
 )
-from levquant.effects import _fit_qfe
+from levquant.effects import fit_quantile_fixed_effects
 from levquant.panel import design_from_panel
 
 THETAS = ("0.15", "0.35", "0.5", "0.75", "0.95")
@@ -241,8 +241,9 @@ class TestConfiguredEstimator:
             mult = np.bincount(picks, minlength=n_firms)
             idx = np.flatnonzero(mult[codes])
             sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-            fit = _fit_qfe(
-                sub, codes[idx], 0.5, "penalized", 0.5, mult[codes[idx]].astype(float)
+            fit = fit_quantile_fixed_effects(
+                sub, codes[idx], 0.5, mode="penalized", penalty=0.5,
+                _weights=mult[codes[idx]].astype(float),
             )
             effects = [fit.group_effects[str(g)] for g in np.flatnonzero(mult)]
             draws.append(

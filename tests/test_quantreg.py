@@ -14,13 +14,14 @@ from levquant import (
     DesignError,
     DesignMatrix,
     OracleCapError,
+    bootstrap_p_values,
     bootstrap_se,
     check_loss,
     fit_quantile,
     fit_quantile_oracle,
     pseudo_r2,
 )
-from levquant.effects import _fit_qfe, fit_quantile_fixed_effects
+from levquant.effects import fit_quantile_fixed_effects
 from levquant import quantreg
 from levquant.quantreg import _chol_factor, _DenseOps, _GroupedOps, _polish_vertex, _steplen
 
@@ -352,7 +353,7 @@ class TestBootstrap:
         )
         out = bootstrap_se(d, 0.5, n_boot=30, seed=2, cluster=cl)
         assert out.std_errors["x"] > 0.0
-        assert set(out.p_values) == {"intercept", "x"}
+        assert set(out.std_errors) == {"intercept", "x"}
 
 
 def grouped_panel(seed, n_firms=30, years=6):
@@ -395,10 +396,10 @@ class TestWeightedRefit:
             sub = DesignMatrix(names=design.names, X=design.X[keep], y=design.y[keep])
             if mode in ("dummy", "penalized"):
                 ref = fit_quantile_fixed_effects(dup, copy, theta, mode=mode)
-                fit = _fit_qfe(sub, codes[keep], theta, mode, 1.0, w)
+                fit = fit_quantile_fixed_effects(sub, codes[keep], theta, mode=mode, _weights=w)
             else:
                 ref = fit_quantile(dup, theta)
-                fit = quantreg._fit_quantile(sub, theta, w)
+                fit = fit_quantile(sub, theta, _weights=w)
             ref_obj = ref.objective
             obj = quantreg._weighted_pinball(fit.residuals, w * theta, w * (1.0 - theta))
             if mode == "penalized":
@@ -417,16 +418,19 @@ class TestWeightedRefit:
         assert out.n_redrawn == 0
         assert out.n_polished == out.n_boot == 8
 
-    def test_p_values_test_the_full_sample_estimate(self):
+    def test_p_values_test_the_point_estimate(self):
         design, firms = grouped_panel(53)
         out = bootstrap_se(design, 0.5, n_boot=6, seed=4, cluster=firms, refit_group_effects=True)
         fit = fit_quantile_fixed_effects(design, firms, 0.5)
         estimates = dict(fit.coefficients)
         estimates["fixed_effects_mean"] = np.mean(list(fit.group_effects.values()))
-        assert set(out.p_values) == set(estimates)
+        p_values = bootstrap_p_values(fit, out.std_errors)
+        assert set(p_values) == set(estimates)
         for name, est in estimates.items():
             want = 2.0 * norm.sf(abs(est) / out.std_errors[name])
-            assert out.p_values[name] == pytest.approx(want, rel=1e-12)
+            assert p_values[name] == pytest.approx(want, rel=1e-12)
+        zero = dict(out.std_errors, x1=0.0)
+        assert bootstrap_p_values(fit, zero)["x1"] == 0.0
 
 
 def grouped_problem(rng, sizes, kx=2, penalized=False):
