@@ -61,7 +61,6 @@ from .quantreg import (
     BootstrapResult,
     DesignMatrix,
     QuantileFit,
-    bootstrap_p_values,
     bootstrap_se,
     check_loss,
     fit_quantile,

@@ -61,6 +61,8 @@ class TargetModelSpec:
         for th in self.thetas:
             if not (0.0 < th < 1.0):
                 raise ConfigError(f"quantile {th} outside (0, 1)")
+        if len(set(self.thetas)) < len(self.thetas):
+            raise ConfigError("thetas must name each quantile once")
         if self.fe_mode not in ("dummy", "penalized"):
             raise ConfigError(f"fe_mode must be dummy|penalized, got {self.fe_mode!r}")
         if self.fe_mode == "penalized" and not self.penalty > 0.0:

@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,12 +39,10 @@ from .panel import (
     write_tax_csv,
     yearly_means,
 )
-from .quantreg import bootstrap_p_values, bootstrap_se
+from .quantreg import bootstrap_se
 from .synthgen import ErrorSpec, SynthConfig, generate_panel, write_ground_truth
 
 ENV_CONFIG = "LEVQUANT_CONFIG"
-
-STAGES = ("ingest", "describe", "correlate", "hausman", "qreg", "speed")
 
 
 def _parse_theta(text):
@@ -231,11 +228,11 @@ class Pipeline:
             cfg = self.cfg
             panel = read_panel_csv(cfg.input)
             macro = read_macro_csv(cfg.macro)
-            tax = read_tax_csv(cfg.tax_table) if cfg.tax_table else cfg.tax_rate
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                panel = derive_variables(panel, macro, tax, winsorize=cfg.winsorize)
-            self._panel = panel
+            if cfg.tax_table:
+                tax = read_tax_csv(cfg.tax_table)
+            else:
+                tax = dict.fromkeys(macro, cfg.tax_rate)
+            self._panel = derive_variables(panel, macro, tax, winsorize=cfg.winsorize)
         return self._panel
 
     def _boot_seed(self, kind, theta_index):
@@ -293,27 +290,22 @@ def stage_qreg(ctx):
         spec = cfg.spec(kind)
         design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
         fe_options = dict(mode=spec.fe_mode, penalty=spec.penalty)
-        fits, se, pval = {}, {}, {}
+        fits = {}
         for i, theta in enumerate(spec.thetas):
-            fits[theta] = fit_quantile_fixed_effects(design, firms, theta, **fe_options)
+            fit = fits[theta] = fit_quantile_fixed_effects(design, firms, theta, **fe_options)
             if cfg.bootstrap:
-                boot = bootstrap_se(
+                fit.std_errors = bootstrap_se(
                     design, theta, cfg.bootstrap,
                     seed=ctx._boot_seed(kind, i),
                     cluster=firms, refit_group_effects=True, **fe_options,
-                )
-                fits[theta].std_errors = boot.std_errors
-                se[theta] = boot.std_errors
-                pval[theta] = bootstrap_p_values(fits[theta], boot.std_errors)
-        title = f"{kind.upper()} LEVERAGE"
+                ).std_errors
         table = (spec.thetas, fits, spec.predictors)
         out.append((
             f"quantile_{kind}.txt",
-            reports.render_quantile_table(title, *table, se=se, pval=pval), "text",
+            reports.render_quantile_table(f"{kind.upper()} LEVERAGE", *table), "text",
         ))
         out.append((
-            f"quantile_{kind}.csv",
-            reports.quantile_table_csv(*table, se=se, pval=pval), "delimited",
+            f"quantile_{kind}.csv", reports.quantile_table_csv(*table), "delimited",
         ))
     return out
 
@@ -355,13 +347,14 @@ def stage_speed(ctx):
     ]
 
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "describe": stage_describe,
-    "correlate": stage_correlate,
-    "hausman": stage_hausman,
-    "qreg": stage_qreg,
-    "speed": stage_speed,
+# name -> (stage function, subcommand help), in bundle order
+STAGES = {
+    "ingest": (stage_ingest, "validate the input panel"),
+    "describe": (stage_describe, "yearly variable means"),
+    "correlate": (stage_correlate, "correlation matrix"),
+    "hausman": (stage_hausman, "fixed- vs random-effects specification test"),
+    "qreg": (stage_qreg, "per-quantile coefficient tables"),
+    "speed": (stage_speed, "per-quantile adjustment speeds"),
 }
 
 
@@ -393,7 +386,7 @@ def run_stages(cfg, stage_names):
     statuses = {}
     for name in stage_names:
         try:
-            files += _write_outputs(cfg, _STAGE_FUNCS[name](ctx))
+            files += _write_outputs(cfg, STAGES[name][0](ctx))
             statuses[name] = "ok"
         except Exception as err:  # halt with a stage-named diagnostic
             statuses[name] = f"failed: {err}"
@@ -422,7 +415,7 @@ def _manifest(cfg, files, statuses, complete):
 
 
 def run_replicate(cfg):
-    code, files, statuses = run_stages(cfg, STAGES)
+    code, files, statuses = run_stages(cfg, tuple(STAGES))
     _manifest(cfg, files, statuses, complete=(code == 0))
     return code
 
@@ -449,17 +442,10 @@ def build_parser():
         description="panel quantile-regression toolkit for leverage adjustment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("replicate", "run the full pipeline and write the report bundle"),
-        ("ingest", "validate the input panel"),
-        ("describe", "yearly variable means"),
-        ("correlate", "correlation matrix"),
-        ("hausman", "fixed- vs random-effects specification test"),
-        ("qreg", "per-quantile coefficient tables"),
-        ("speed", "per-quantile adjustment speeds"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+    commands = {"replicate": "run the full pipeline and write the report bundle"}
+    commands.update((name, help_text) for name, (_, help_text) in STAGES.items())
+    for name, help_text in commands.items():
+        _add_common(sub.add_parser(name, help=help_text))
     sim = sub.add_parser("simulate", help="write a synthetic panel with known speed")
     sim.add_argument("--n-firms", type=int, default=200)
     sim.add_argument("--t-max", type=int, default=15)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -486,22 +485,12 @@ def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
     """Attach all derivable regression variables to a panel's usable rows.
 
     ``macro`` is a year -> MacroYear mapping that must cover every usable
-    year.  ``tax_rate_by_year`` is a year -> rate mapping, or a single
-    constant rate (accepted with a warning, since statutory rates move over
-    long samples).  Lag-dependent variables
+    year.  ``tax_rate_by_year`` is a year -> rate mapping that must cover
+    every usable year.  Lag-dependent variables
     (growth, investment) require the immediately preceding fiscal year for
     the same firm; a gap breaks the chain.  Idempotent: re-running on its
     own output reproduces it.
     """
-    if isinstance(tax_rate_by_year, (int, float)):
-        warnings.warn(
-            "using one constant tax rate for all years; supply a per-year "
-            "table for long samples",
-            stacklevel=2,
-        )
-        # every year that reaches the rate lookup has passed the macro check
-        tax_rate_by_year = dict.fromkeys(macro, float(tax_rate_by_year))
-
     raw = panel._items
     usable = panel._usable
     years = panel._record_year[usable]

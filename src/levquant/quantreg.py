@@ -97,7 +97,9 @@ class QuantileFit:
     ``coefficients`` holds the named slope vector (group effects, when a
     fixed-effects fit produced them, live in ``group_effects``).
     ``objective`` is the check loss of the fit's own residuals evaluated on
-    the data rows.
+    the data rows.  ``std_errors``, when set, maps estimate names to
+    standard errors; ``estimates`` and ``p_values`` carry, with it, every
+    number a quantile table prints.
     """
 
     theta: float
@@ -115,6 +117,28 @@ class QuantileFit:
     @property
     def n(self):
         return self.n_neg + self.n_pos + self.n_zero
+
+    @property
+    def estimates(self):
+        """The coefficients plus, for a fit with group effects, their
+        unweighted mean as ``"fixed_effects_mean"``."""
+        out = dict(self.coefficients)
+        if self.group_effects:
+            out["fixed_effects_mean"] = float(np.mean(list(self.group_effects.values())))
+        return out
+
+    @property
+    def p_values(self):
+        """Two-sided normal p-values of the estimates against zero, one per
+        name in ``std_errors`` (None without them).  A zero standard error
+        gives 0.0."""
+        if self.std_errors is None:
+            return None
+        est = self.estimates
+        return {
+            name: float(2.0 * norm.sf(abs(est[name]) / se)) if se > 0 else 0.0
+            for name, se in self.std_errors.items()
+        }
 
     @property
     def subgradient_ok(self):
@@ -575,21 +599,6 @@ class BootstrapResult:
     n_polished: int
 
 
-def bootstrap_p_values(fit, std_errors):
-    """Two-sided normal p-values of ``fit``'s estimates against zero with
-    the bootstrap ``std_errors``: the coefficients printed beside them, and
-    for ``fixed_effects_mean`` the mean of the fit's group effects.  A zero
-    standard error gives 0.0."""
-    out = {}
-    for name, se in std_errors.items():
-        if name == "fixed_effects_mean":
-            est = float(np.mean(list(fit.group_effects.values())))
-        else:
-            est = fit.coefficients[name]
-        out[name] = float(2.0 * norm.sf(abs(est) / se)) if se > 0 else 0.0
-    return out
-
-
 def bootstrap_se(
     design,
     theta,
@@ -680,7 +689,9 @@ def bootstrap_se(
 def _refit(design, codes, mult, names, theta, refit_fe_kw):
     """The estimates named by ``names`` from one refit on the rows of the
     units with ``mult > 0``, each row weighted by its unit's multiplicity,
-    and whether that refit was polished to a vertex."""
+    and whether that refit was polished to a vertex.  Its
+    ``fixed_effects_mean`` is the mean effect over the drawn copies (each
+    distinct firm weighted by its multiplicity), not over distinct firms."""
     idx = np.flatnonzero(mult[codes])
     weights = mult[codes[idx]].astype(float)
     if refit_fe_kw is not None:

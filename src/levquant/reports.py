@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 NA = "NA"
 
 QREG_LABELS = {
@@ -26,6 +24,7 @@ QREG_LABELS = {
     "gdp_rate": "GDPRATE",
     "levb_lag": "LAG_LEVB",
     "levm_lag": "LAG_LEVM",
+    "fixed_effects_mean": "FIXED_EFFECTS",
 }
 
 
@@ -84,59 +83,42 @@ def _csv_float(value):
 # ---------------------------------------------------------------------------
 
 
-def render_quantile_table(title, thetas, fits, variables, se=None, pval=None):
+def _fit_columns(thetas, fits):
+    """(theta, estimates, standard errors, p-values) of each fit, read once
+    per fit: every p-value costs a normal tail evaluation."""
+    return [
+        (t, fits[t].estimates, fits[t].std_errors or {}, fits[t].p_values or {})
+        for t in thetas
+    ]
+
+
+def render_quantile_table(title, thetas, fits, variables):
     """Aligned-text coefficient table for fits keyed by theta.
 
-    ``se`` / ``pval`` map theta -> {name -> value}; absent entries render
-    as NA.  The FIXED_EFFECTS row reports the mean of the estimated group
-    effects of each fit.
+    Each fit carries its estimates, standard errors and p-values; absent
+    entries render as NA.  The FIXED_EFFECTS row reports the mean of the
+    estimated group effects of each fit.
     """
+    columns = _fit_columns(thetas, fits)
     header = [title, "QUANTILES"] + [""] * (len(thetas) - 1)
     rows = [header, [""] + [fmt_theta(t) for t in thetas]]
-    for name in variables:
-        coef_cells, se_cells = [], []
-        for t in thetas:
-            fit = fits[t]
-            c = fit.coefficients.get(name)
-            p = (pval or {}).get(t, {}).get(name)
-            coef_cells.append(fmt_coef(c) + stars(p))
-            s = (se or {}).get(t, {}).get(name)
-            se_cells.append(fmt_coef(s))
-        rows.append([display_label(name)] + coef_cells)
-        rows.append(["sterrors"] + se_cells)
-    fe_cells, fe_se = [], []
-    for t in thetas:
-        fit = fits[t]
-        if fit.group_effects:
-            mean_fe = float(np.mean(list(fit.group_effects.values())))
-        else:
-            mean_fe = None
-        p = (pval or {}).get(t, {}).get("fixed_effects_mean")
-        fe_cells.append(fmt_coef(mean_fe) + stars(p))
-        fe_se.append(fmt_coef((se or {}).get(t, {}).get("fixed_effects_mean")))
-    rows.append(["FIXED_EFFECTS"] + fe_cells)
-    rows.append(["sterrors"] + fe_se)
+    for name in (*variables, "fixed_effects_mean"):
+        rows.append([display_label(name)] + [
+            fmt_coef(est.get(name)) + stars(p.get(name)) for _, est, _, p in columns
+        ])
+        rows.append(["sterrors"] + [fmt_coef(se.get(name)) for _, _, se, _ in columns])
     rows.append(["R-squared"] + [fmt_pct(fits[t].pseudo_r2) for t in thetas])
     return "\n".join(_table(rows)) + "\n"
 
 
-def quantile_table_csv(thetas, fits, variables, se=None, pval=None):
+def quantile_table_csv(thetas, fits, variables):
+    columns = _fit_columns(thetas, fits)
     lines = ["variable,theta,coefficient,std_error,p_value"]
-    for name in list(variables) + ["fixed_effects_mean"]:
-        for t in thetas:
-            fit = fits[t]
-            if name == "fixed_effects_mean":
-                c = (
-                    float(np.mean(list(fit.group_effects.values())))
-                    if fit.group_effects
-                    else None
-                )
-            else:
-                c = fit.coefficients.get(name)
-            s = (se or {}).get(t, {}).get(name)
-            p = (pval or {}).get(t, {}).get(name)
+    for name in (*variables, "fixed_effects_mean"):
+        for t, est, se, p in columns:
             lines.append(
-                f"{name},{fmt_theta(t)},{_csv_float(c)},{_csv_float(s)},{_csv_float(p)}"
+                f"{name},{fmt_theta(t)},{_csv_float(est.get(name))},"
+                f"{_csv_float(se.get(name))},{_csv_float(p.get(name))}"
             )
     for t in thetas:
         lines.append(f"r_squared,{fmt_theta(t)},{_csv_float(fits[t].pseudo_r2)},,")

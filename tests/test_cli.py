@@ -31,11 +31,12 @@ def synth_inputs(tmp_path_factory):
     return root
 
 
-def write_config(path, inputs, out, bootstrap=5, extra=""):
+def write_config(path, inputs, out, bootstrap=5, extra="", tax_table=True):
+    tax = f"tax_table = {inputs/'tax.csv'}\n" if tax_table else ""
     path.write_text(
         f"input = {inputs/'panel.csv'}\n"
         f"macro = {inputs/'macro.csv'}\n"
-        f"tax_table = {inputs/'tax.csv'}\n"
+        f"{tax}"
         "determinants = profta,liqta,sizeat\n"
         f"bootstrap = {bootstrap}\n"
         "seed = 77\n"
@@ -269,6 +270,24 @@ class TestConfiguredEstimator:
         dummy = estimate_speed(panel, replace(spec, fe_mode="dummy"))[0].speed
         assert float(reported) == penalized != dummy
 
+    def test_tax_rate_stands_in_for_a_missing_tax_table(self, synth_inputs, tmp_path):
+        def yearly_means(name, extra="", tax_table=False):
+            cfg_path = tmp_path / f"{name}.cfg"
+            write_config(cfg_path, synth_inputs, tmp_path / name, extra=extra,
+                         tax_table=tax_table)
+            assert main(["describe", "--config", str(cfg_path)]) == 0
+            text = (tmp_path / name / "yearly_means.csv").read_text()
+            header, *rows = text.splitlines()
+            return text, header.split(","), [row.split(",") for row in rows]
+
+        table, header, rows = yearly_means("table", tax_table=True)  # 0.21 every year
+        assert yearly_means("same", "tax_rate = 0.21\n")[0] == table
+        _, _, moved = yearly_means("moved", "tax_rate = 0.35\n")
+        ndts = header.index("ndts")
+        for row, other in zip(rows, moved):
+            assert row[ndts] != other[ndts]
+            assert row[:ndts] + row[ndts + 1:] == other[:ndts] + other[ndts + 1:]
+
     def test_regime_threshold_reaches_speed_stage(self, synth_inputs, tmp_path):
         # every year grows by less than 100%, so all rows are recession rows
         # and the recession speed is the unsplit speed
@@ -371,6 +390,7 @@ class TestConfig:
         "winsorize = 0.05",
         "two_step = yes please",
         "two_step = yes",
+        "theta = 0.5,0.5",
     ])
     def test_bad_value_is_exit_2_before_any_output(
         self, synth_inputs, tmp_path, capsys, line

@@ -169,11 +169,6 @@ class TestDeriveVariables:
         with pytest.raises(DataValidationError, match="macro"):
             derive_variables(panel, macro_for([2001]), {2000: 0.21})
 
-    def test_constant_tax_rate_warns(self):
-        panel = ingest_panel([record()])
-        with pytest.warns(UserWarning, match="constant tax rate"):
-            derive_variables(panel, macro_for([2000]), 0.21)
-
     def test_gap_breaks_lag_chain(self):
         recs = [record(year=2000), record(year=2002, sale=120.0)]
         panel = ingest_panel(recs)

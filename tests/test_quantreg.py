@@ -14,7 +14,6 @@ from levquant import (
     DesignError,
     DesignMatrix,
     OracleCapError,
-    bootstrap_p_values,
     bootstrap_se,
     check_loss,
     fit_quantile,
@@ -422,15 +421,17 @@ class TestWeightedRefit:
         design, firms = grouped_panel(53)
         out = bootstrap_se(design, 0.5, n_boot=6, seed=4, cluster=firms, refit_group_effects=True)
         fit = fit_quantile_fixed_effects(design, firms, 0.5)
+        assert fit.p_values is None
         estimates = dict(fit.coefficients)
         estimates["fixed_effects_mean"] = np.mean(list(fit.group_effects.values()))
-        p_values = bootstrap_p_values(fit, out.std_errors)
+        fit.std_errors = out.std_errors
+        p_values = fit.p_values
         assert set(p_values) == set(estimates)
         for name, est in estimates.items():
             want = 2.0 * norm.sf(abs(est) / out.std_errors[name])
             assert p_values[name] == pytest.approx(want, rel=1e-12)
-        zero = dict(out.std_errors, x1=0.0)
-        assert bootstrap_p_values(fit, zero)["x1"] == 0.0
+        fit.std_errors = dict(out.std_errors, x1=0.0)
+        assert fit.p_values["x1"] == 0.0
 
 
 def grouped_problem(rng, sizes, kx=2, penalized=False):
