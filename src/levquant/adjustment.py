@@ -18,8 +18,8 @@ import numpy as np
 from .effects import fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
 from .panel import (
-    MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year, complete_rows,
-    design_from_panel,
+    _MACRO_FIELDS, MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year,
+    complete_rows, design_from_panel,
 )
 from .quantreg import DesignMatrix, QuantileFit, fit_quantile
 
@@ -35,15 +35,19 @@ _MIN_ROWS_PER_COEF = 10
 
 @dataclass(frozen=True)
 class TargetModelSpec:
-    """What to estimate: which leverage, which regressors, which quantiles."""
+    """What to estimate: which leverage, which regressors, which quantiles.
+
+    ``penalty`` (0 <= penalty < inf) is the L1 weight on the firm effects of
+    every fit, as in ``fit_quantile_fixed_effects``: 0 fits one free effect
+    per firm.  A predictor counts once under all its names (``gdp_growth``
+    is ``gdp_rate``)."""
 
     leverage: str = "book"
     determinants: tuple = DEFAULT_DETERMINANTS
     macro_vars: tuple = MACRO_VARIABLES
     thetas: tuple = DEFAULT_THETAS
     regime_split: RegimeRule = RegimeRule()
-    fe_mode: str = "dummy"
-    penalty: float = 1.0
+    penalty: float = 0.0
     two_step: bool = False
 
     def __post_init__(self):
@@ -56,17 +60,16 @@ class TargetModelSpec:
         if unknown:
             raise ConfigError(f"unknown variable(s) {', '.join(unknown)}; "
                               f"choose from {', '.join(REGRESSORS)}")
-        if len(set(self.predictors)) < len(self.predictors):
-            raise ConfigError("determinants and macro_vars must name each variable once")
+        if len({_MACRO_FIELDS.get(v, v) for v in self.predictors}) < len(self.predictors):
+            raise ConfigError("determinants and macro_vars must name each variable once "
+                              "(gdp_growth and gdp_rate are one variable)")
         for th in self.thetas:
             if not (0.0 < th < 1.0):
                 raise ConfigError(f"quantile {th} outside (0, 1)")
         if len(set(self.thetas)) < len(self.thetas):
             raise ConfigError("thetas must name each quantile once")
-        if self.fe_mode not in ("dummy", "penalized"):
-            raise ConfigError(f"fe_mode must be dummy|penalized, got {self.fe_mode!r}")
-        if self.fe_mode == "penalized" and not self.penalty > 0.0:
-            raise ConfigError(f"penalty must be positive in penalized mode, got {self.penalty}")
+        if not 0.0 <= self.penalty < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {self.penalty}")
 
     @property
     def response(self):  # the leverage variable the model explains
@@ -112,9 +115,7 @@ def _fit_speed(design, firms, spec, theta):
     if spec.two_step:
         lam, fit = _two_step(design, firms, spec, theta)
     else:
-        fit = fit_quantile_fixed_effects(
-            design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty
-        )
+        fit = fit_quantile_fixed_effects(design, firms, theta, penalty=spec.penalty)
         lam = fit.coefficients[spec.lag]
     return AdjustmentResult(
         theta=theta,
@@ -136,9 +137,7 @@ def _two_step(design, firms, spec, theta):
     target_design = DesignMatrix(
         names=[design.names[j] for j in keep], X=design.X[:, keep], y=design.y
     )
-    step1 = fit_quantile_fixed_effects(
-        target_design, firms, theta, mode=spec.fe_mode, penalty=spec.penalty
-    )
+    step1 = fit_quantile_fixed_effects(target_design, firms, theta, penalty=spec.penalty)
     beta = np.asarray([step1.coefficients[m] for m in target_design.names])
     effects = np.asarray([step1.group_effects[str(f)] for f in firms])
     target = target_design.X @ beta + effects

@@ -21,7 +21,8 @@ from .adjustment import (
     estimate_speed_by_regime,
 )
 from .effects import (
-    fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects, hausman_test,
+    DEFAULT_SIGNIFICANCE, fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects,
+    hausman_test,
 )
 from .errors import ConfigError
 from .panel import (
@@ -39,7 +40,7 @@ from .panel import (
     write_tax_csv,
     yearly_means,
 )
-from .quantreg import bootstrap_se
+from .quantreg import DEFAULT_BOOTSTRAP, bootstrap_se
 from .synthgen import ErrorSpec, SynthConfig, generate_panel, write_ground_truth
 
 ENV_CONFIG = "LEVQUANT_CONFIG"
@@ -93,15 +94,14 @@ class RunConfig:
     leverage: str = _key("both", str, "book, market or both")
     determinants: tuple = _key(DEFAULT_DETERMINANTS, _parse_names, "comma-separated determinants")
     macro_vars: tuple = _key(MACRO_VARIABLES, _parse_names, "comma-separated macro regressors")
-    bootstrap: int = _key(200, int, "bootstrap replications: 0 (off) or at least 2")
+    bootstrap: int = _key(DEFAULT_BOOTSTRAP, int, "bootstrap replications: 0 (off) or at least 2")
     seed: int = _key(12345, int, "master seed")
     regime_threshold: float = _key(RegimeRule.threshold, float, "recession iff gdp growth below this")
     winsorize: tuple | None = _key(None, _parse_winsorize, "e.g. 0.01,0.99 (default off)")
     out: str = _key("levquant_out", str, "output directory")
     format: str = _key("both", str, "text, delimited or both")
-    significance: float = _key(0.05, float, "Hausman test level")
-    fe_mode: str = _key(_SPEC.fe_mode, str, "quantile fixed-effects estimator: dummy or penalized")
-    penalty: float = _key(_SPEC.penalty, float, "L1 penalty on the firm effects in penalized mode")
+    significance: float = _key(DEFAULT_SIGNIFICANCE, float, "Hausman test level")
+    penalty: float = _key(_SPEC.penalty, float, "L1 weight on the firm effects, 0 for free effects")
     two_step: bool = _key(_SPEC.two_step, _parse_bool, "two-step target/adjustment comparison mode")
 
     def __post_init__(self):
@@ -143,7 +143,6 @@ class RunConfig:
             macro_vars=tuple(self.macro_vars),
             thetas=tuple(self.theta),
             regime_split=RegimeRule(threshold=self.regime_threshold),
-            fe_mode=self.fe_mode,
             penalty=self.penalty,
             two_step=self.two_step,
         )
@@ -235,11 +234,11 @@ class Pipeline:
             self._panel = derive_variables(panel, macro, tax, winsorize=cfg.winsorize)
         return self._panel
 
-    def _boot_seed(self, kind, theta_index):
+    def _boot_seed(self, kind):
+        # a fresh sequence per call (spawn advances it), keyed on the kind
+        # alone: every quantile of a kind refits the same firm draws
         kind_index = ("book", "market").index(kind)
-        return np.random.SeedSequence(
-            entropy=self.cfg.seed, spawn_key=(kind_index, theta_index)
-        )
+        return np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=(kind_index,))
 
 
 def stage_ingest(ctx):
@@ -289,15 +288,15 @@ def stage_qreg(ctx):
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
         design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
-        fe_options = dict(mode=spec.fe_mode, penalty=spec.penalty)
         fits = {}
-        for i, theta in enumerate(spec.thetas):
-            fit = fits[theta] = fit_quantile_fixed_effects(design, firms, theta, **fe_options)
+        for theta in spec.thetas:
+            fit = fits[theta] = fit_quantile_fixed_effects(
+                design, firms, theta, penalty=spec.penalty
+            )
             if cfg.bootstrap:
                 fit.std_errors = bootstrap_se(
-                    design, theta, cfg.bootstrap,
-                    seed=ctx._boot_seed(kind, i),
-                    cluster=firms, refit_group_effects=True, **fe_options,
+                    design, theta, cfg.bootstrap, seed=ctx._boot_seed(kind),
+                    cluster=firms, refit_group_effects=True, penalty=spec.penalty,
                 ).std_errors
         table = (spec.thetas, fits, spec.predictors)
         out.append((

@@ -19,6 +19,8 @@ from .quantreg import (
     _validate_theta,
 )
 
+DEFAULT_SIGNIFICANCE = 0.05  # the Hausman test level of a run and of hausman_test
+
 
 class EffectsKind(enum.Enum):
     FixedWithin = "fixed_within"
@@ -227,14 +229,14 @@ def fit_random_effects(design, groups):
     )
 
 
-def hausman_decision(statistic, df, significance=0.05):
+def hausman_decision(statistic, df, significance=DEFAULT_SIGNIFICANCE):
     """Chi-squared tail probability and model choice for a Hausman statistic."""
     p = float(chi2.sf(statistic, df))
     choice = ModelChoice.FixedEffects if p < significance else ModelChoice.RandomEffects
     return p, choice
 
 
-def hausman_test(fe, re, significance=0.05):
+def hausman_test(fe, re, significance=DEFAULT_SIGNIFICANCE):
     """Hausman specification test comparing FE and RE slope estimates.
 
     H = d' [V_FE - V_RE]^+ d over the slope coefficients both fits share
@@ -268,17 +270,17 @@ def hausman_test(fe, re, significance=0.05):
     return HausmanResult(stat, df, p, choice, deficient)
 
 
-def fit_quantile_fixed_effects(
-    design, groups, theta, *, mode="dummy", penalty=1.0, _weights=None
-):
+def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _weights=None):
     """Quantile regression with firm fixed effects.
 
-    ``dummy`` mode augments the design with one indicator column per group
-    and fits slopes and effects jointly (the indicator block is handled
-    with specialized linear algebra, so large group counts stay cheap).
-    ``penalized`` mode shrinks the effects with an L1 penalty
-    ``penalty * sum |a_i|`` instead, following the longitudinal-data
-    treatment: the penalty rows enter the same LP with symmetric weights.
+    ``penalty`` is the L1 weight lambda on the effects (Koenker 2004,
+    "Quantile regression for longitudinal data").  At 0 each group gets one
+    free effect: one indicator column per group, fit jointly with the slopes
+    (the indicator block is handled with specialized linear algebra, so
+    large group counts stay cheap).  Above 0 the effects are shrunk by
+    ``penalty * sum |a_i|``: one zero-response penalty row per group enters
+    the same LP with symmetric weights.  A negative or non-finite penalty
+    raises ``ConfigError``.
 
     An intercept column is rejected: the group effects absorb it.
 
@@ -289,6 +291,8 @@ def fit_quantile_fixed_effects(
     The fit's objective, pseudo-R^2 and sign counts stay unweighted.
     """
     theta = _validate_theta(theta)
+    if not 0.0 <= penalty < np.inf:  # NaN fails both comparisons
+        raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {penalty}")
     if INTERCEPT in design.names:
         raise DesignError(
             "remove the intercept column: group effects absorb the level",
@@ -297,9 +301,7 @@ def fit_quantile_fixed_effects(
     labels, codes = _group_codes(groups, design.n)
     G = labels.size
     n, kx = design.n, design.k
-    if mode not in ("dummy", "penalized"):
-        raise ConfigError(f"unknown fixed-effects mode {mode!r}")
-    Xw = within_transform(design.X, groups)
+    Xw = design.X - _group_means(design.X, codes, G)[codes]
     try:
         _check_rank_dense(Xw, design.names)
     except DesignError as err:
@@ -307,21 +309,19 @@ def fit_quantile_fixed_effects(
             "no within-group variation for column(s): " + ", ".join(err.columns),
             columns=err.columns,
         ) from None
-    if n < kx + G and mode == "dummy":
-        raise DataValidationError(
-            f"need at least {kx + G} rows for {kx} slopes and {G} effects"
-        )
 
     weights = np.ones(n) if _weights is None else _weights
     p = weights * theta
     q = weights * (1.0 - theta)
-    if mode == "dummy":
+    if penalty == 0.0:
+        if n < kx + G:
+            raise DataValidationError(
+                f"need at least {kx + G} rows for {kx} slopes and {G} effects"
+            )
         ops = _GroupedOps(design.X, codes, G)
         y = design.y
         data_rows = None
     else:
-        if penalty <= 0.0:
-            raise ConfigError("penalty must be positive in penalized mode")
         X_ext = np.vstack([design.X, np.zeros((G, kx))])
         codes_ext = np.concatenate([codes, np.arange(G)])
         ops = _GroupedOps(X_ext, codes_ext, G)
@@ -334,7 +334,5 @@ def fit_quantile_fixed_effects(
 
     fit, effects = _solve_pinball(ops, y, theta, p, q, design.names, data_rows=data_rows)
     fit.group_effects = {str(l): float(v) for l, v in zip(labels, effects)}
-    fit.solver_meta["mode"] = mode
-    if mode == "penalized":
-        fit.solver_meta["penalty"] = penalty
+    fit.solver_meta["penalty"] = penalty
     return fit

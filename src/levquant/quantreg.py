@@ -31,6 +31,7 @@ from .errors import (
 INTERCEPT = "intercept"
 _GAP_TOL = 1e-9  # the interior point stops at duality gap < _GAP_TOL * (1 + |objective|)
 _MAX_ITER = 500  # interior point iterations before the HiGHS fallback takes over
+DEFAULT_BOOTSTRAP = 200  # bootstrap replications of a run and of bootstrap_se
 
 
 def _validate_theta(theta):
@@ -602,13 +603,12 @@ class BootstrapResult:
 def bootstrap_se(
     design,
     theta,
-    n_boot=200,
+    n_boot=DEFAULT_BOOTSTRAP,
     seed=0,
     cluster=None,
     *,
     refit_group_effects=False,
-    mode="dummy",
-    penalty=1.0,
+    penalty=0.0,
 ):
     """Pairs-bootstrap standard errors for a quantile fit.
 
@@ -619,11 +619,11 @@ def bootstrap_se(
     loss weighted by its unit's multiplicity m: the same optimum as
     refitting m copies of the unit.  With ``refit_group_effects`` the
     cluster labels double as fixed-effect groups: every drawn firm gets one
-    effect (its penalty row, under ``"penalized"``, also weighted by m),
-    and only the slope coefficients plus the multiplicity-weighted mean
-    effect (``"fixed_effects_mean"``) are collected; ``mode`` and
-    ``penalty`` select the fixed-effects estimator refit, as in
-    ``fit_quantile_fixed_effects``.  Replicate seeds derive
+    effect (its penalty row, when ``penalty > 0``, also weighted by m), and
+    only the slope coefficients plus the multiplicity-weighted mean effect
+    (``"fixed_effects_mean"``) are collected; ``penalty`` is the L1 weight
+    on the effects of the refit, as in ``fit_quantile_fixed_effects``
+    (0: one free effect per firm).  Replicate seeds derive
     deterministically from ``seed``, so results are bit-identical across
     runs and parallelism schedules.
 
@@ -652,7 +652,7 @@ def bootstrap_se(
     if refit_group_effects:
         names = [m for m in names if m != INTERCEPT] + ["fixed_effects_mean"]
     rows = np.empty((n_boot, len(names)))
-    refit_fe_kw = dict(mode=mode, penalty=penalty) if refit_group_effects else None
+    refit_penalty = penalty if refit_group_effects else None
     attempts = 0
     degenerate = 0
     polished = 0
@@ -663,7 +663,7 @@ def bootstrap_se(
             picks = rng.integers(0, n_units, size=n_units)
             mult = np.bincount(picks, minlength=n_units)
             try:
-                rows[b], was_polished = _refit(design, codes, mult, names, theta, refit_fe_kw)
+                rows[b], was_polished = _refit(design, codes, mult, names, theta, refit_penalty)
                 polished += was_polished
                 break
             except (DesignError, ConvergenceError, scipy.linalg.LinAlgError):
@@ -686,15 +686,16 @@ def bootstrap_se(
     )
 
 
-def _refit(design, codes, mult, names, theta, refit_fe_kw):
+def _refit(design, codes, mult, names, theta, penalty):
     """The estimates named by ``names`` from one refit on the rows of the
     units with ``mult > 0``, each row weighted by its unit's multiplicity,
-    and whether that refit was polished to a vertex.  Its
+    and whether that refit was polished to a vertex.  ``penalty`` is None
+    for a refit without group effects, else the effects' L1 weight.  Its
     ``fixed_effects_mean`` is the mean effect over the drawn copies (each
     distinct firm weighted by its multiplicity), not over distinct firms."""
     idx = np.flatnonzero(mult[codes])
     weights = mult[codes[idx]].astype(float)
-    if refit_fe_kw is not None:
+    if penalty is not None:
         from .effects import fit_quantile_fixed_effects
 
         keep = [j for j, m in enumerate(design.names) if m != INTERCEPT]
@@ -704,7 +705,7 @@ def _refit(design, codes, mult, names, theta, refit_fe_kw):
             y=design.y[idx],
         )
         fit = fit_quantile_fixed_effects(
-            sub, codes[idx], theta, _weights=weights, **refit_fe_kw
+            sub, codes[idx], theta, penalty=penalty, _weights=weights
         )
         vals = [fit.coefficients[m] for m in names[:-1]]
         # group effects come in ascending unit order, as mult[mult > 0] does

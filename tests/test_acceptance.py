@@ -107,7 +107,7 @@ def test_criterion_2_subgradient_optimality_everywhere():
         d = DesignMatrix(names=("x",), X=x[:, None], y=y)
         check(
             fit_quantile_fixed_effects(
-                d, groups, THETA_GRID[i % 9], mode="penalized", penalty=0.3
+                d, groups, THETA_GRID[i % 9], penalty=0.3
             )
         )
     assert violations == 0

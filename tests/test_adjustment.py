@@ -64,6 +64,11 @@ class TestLagLeverage:
 
 
 class TestEstimateSpeed:
+    def test_unknown_leverage_rejected(self):
+        # a run checks its leverage first, so only a library caller gets here
+        with pytest.raises(ConfigError, match="leverage must be"):
+            TargetModelSpec(leverage="gross")
+
     def test_speed_plus_lag_coefficient_is_one(self):
         panel, _ = synth_panel()
         for res in estimate_speed(panel, SPEC):

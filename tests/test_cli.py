@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import re
 from dataclasses import fields, replace
@@ -14,8 +15,9 @@ from levquant import (
 from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
 )
-from levquant.effects import fit_quantile_fixed_effects
+from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
 from levquant.panel import design_from_panel
+from levquant.quantreg import bootstrap_se
 
 THETAS = ("0.15", "0.35", "0.5", "0.75", "0.95")
 
@@ -53,6 +55,10 @@ def bundle(synth_inputs, tmp_path_factory):
     code = main(["replicate", "--config", str(cfg_path)])
     assert code == 0
     return cfg_path, out
+
+
+def default_of(fn, name):
+    return inspect.signature(fn).parameters[name].default
 
 
 def hash_dir(path):
@@ -121,6 +127,20 @@ class TestReplicate:
         after = hash_dir(out)
         for name in files:
             assert after[name] == before[name]
+
+    def test_one_theta_reproduces_its_bundle_cells(self, bundle, tmp_path):
+        # a kind's bootstrap draws do not depend on the other quantiles listed
+        def rows_at_median(bundle_dir, kind):
+            lines = (bundle_dir / f"quantile_{kind}.csv").read_text().splitlines()[1:]
+            return [line for line in lines if line.split(",")[1] == "0.5"]
+
+        cfg_path, out = bundle
+        alone = tmp_path / "alone"
+        assert main(["qreg", "--config", str(cfg_path), "--theta", "0.5",
+                     "--out", str(alone)]) == 0
+        for kind in ("book", "market"):
+            single = rows_at_median(alone, kind)
+            assert single and single == rows_at_median(out, kind)
 
     def test_empty_input_fails_at_ingest(self, synth_inputs, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -219,7 +239,7 @@ class TestConfiguredEstimator:
     def test_penalized_bootstrap_refits_penalized_estimator(self, synth_inputs, tmp_path):
         out = tmp_path / "penalized"
         cfg_path = tmp_path / "c.cfg"
-        extra = "fe_mode = penalized\npenalty = 0.5\nleverage = book\ntheta = 0.5\n"
+        extra = "penalty = 0.5\nleverage = book\ntheta = 0.5\n"
         write_config(cfg_path, synth_inputs, out, bootstrap=4, extra=extra)
         assert main(["qreg", "--config", str(cfg_path)]) == 0
         reported = {}
@@ -235,7 +255,7 @@ class TestConfiguredEstimator:
         design, firms, _ = design_from_panel(Pipeline(cfg).panel, "levb", predictors)
         _, codes = np.unique(firms, return_inverse=True)
         n_firms = codes.max() + 1
-        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0))
+        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
         draws = []
         for child in seed.spawn(4):
             picks = np.random.default_rng(child).integers(0, n_firms, n_firms)
@@ -243,7 +263,7 @@ class TestConfiguredEstimator:
             idx = np.flatnonzero(mult[codes])
             sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
             fit = fit_quantile_fixed_effects(
-                sub, codes[idx], 0.5, mode="penalized", penalty=0.5,
+                sub, codes[idx], 0.5, penalty=0.5,
                 _weights=mult[codes[idx]].astype(float),
             )
             effects = [fit.group_effects[str(g)] for g in np.flatnonzero(mult)]
@@ -255,10 +275,10 @@ class TestConfiguredEstimator:
         assert list(reported) == list(predictors) + ["fixed_effects_mean"]
         assert [reported[m] for m in reported] == pytest.approx(manual, rel=1e-12)
 
-    def test_fe_mode_reaches_speed_stage(self, synth_inputs, tmp_path):
+    def test_penalty_reaches_speed_stage(self, synth_inputs, tmp_path):
         out = tmp_path / "penalized"
         cfg_path = tmp_path / "c.cfg"
-        extra = "fe_mode = penalized\npenalty = 0.5\nleverage = book\ntheta = 0.5\n"
+        extra = "penalty = 0.5\nleverage = book\ntheta = 0.5\n"
         write_config(cfg_path, synth_inputs, out, bootstrap=0, extra=extra)
         assert main(["speed", "--config", str(cfg_path)]) == 0
         reported = (out / "speed.csv").read_text().splitlines()[1].split(",")[3]
@@ -267,7 +287,7 @@ class TestConfiguredEstimator:
         spec = cfg.spec("book")
         panel = Pipeline(cfg).panel
         penalized = estimate_speed(panel, spec)[0].speed
-        dummy = estimate_speed(panel, replace(spec, fe_mode="dummy"))[0].speed
+        dummy = estimate_speed(panel, replace(spec, penalty=0.0))[0].speed
         assert float(reported) == penalized != dummy
 
     def test_tax_rate_stands_in_for_a_missing_tax_table(self, synth_inputs, tmp_path):
@@ -310,6 +330,9 @@ class TestConfig:
     def test_run_defaults_are_the_model_defaults(self):
         assert RunConfig().spec("book") == TargetModelSpec()
         assert RunConfig().tax_rate == SynthConfig().tax_rate
+        assert RunConfig().bootstrap == default_of(bootstrap_se, "n_boot")
+        assert RunConfig().significance == default_of(hausman_test, "significance")
+        assert RunConfig().significance == default_of(hausman_decision, "significance")
 
     def test_file_parsing_and_comments(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -378,8 +401,14 @@ class TestConfig:
         "determinants = profta,levb_lag",
         "macro_vars = gdp",
         "macro_vars = inflation,profta",
-        "fe_mode = Dummy",
-        "fe_mode = penalized\npenalty = 0",
+        "fe_mode = dummy",  # not a key: penalty = 0 is the dummy estimator
+        "penalty = -0.5",
+        "penalty = inf",
+        "penalty = nan",
+        "macro_vars = inflation,gdp_rate,gdp_growth",
+        "determinants =",
+        "theta = ,",
+        "seed 5",
         "group_cap = 5000",  # not a key
         "bootstrap = 1",
         "bootstrap = -3",
@@ -405,7 +434,7 @@ class TestConfig:
     @pytest.mark.parametrize("flags", [
         ["--macro-vars", "gdp"],
         ["--significance", "0"],
-        ["--fe-mode", "penalized", "--penalty", "-1"],
+        ["--penalty", "-1"],
         ["--winsorize", "0.9,0.1"],
         ["--leverage", "foo"],
         ["--bootstrap", "1"],
@@ -426,8 +455,7 @@ class TestConfig:
             "theta": "0.25,0.75", "leverage": "book", "determinants": "profta,liqta",
             "macro_vars": "gdp_growth", "bootstrap": "3", "seed": "9",
             "regime_threshold": "1.5", "winsorize": "0.01,0.99", "out": "o",
-            "format": "text", "significance": "0.1", "fe_mode": "penalized",
-            "penalty": "0.5", "two_step": "true",
+            "format": "text", "significance": "0.1", "penalty": "0.5", "two_step": "true",
         }
         assert set(text) == {f.name for f in fields(RunConfig)}
         cfg = tmp_path / "c.cfg"

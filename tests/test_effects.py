@@ -106,6 +106,19 @@ class TestFixedEffects:
             got = np.asarray([fit.coefficients[m] for m in d.names])
             assert_allclose(got, beta[: d.k], atol=1e-10)
 
+    def test_group_labels_must_cover_every_row(self):
+        d = DesignMatrix(names=("x",), X=np.arange(4.0)[:, None], y=np.arange(4.0))
+        with pytest.raises(DataValidationError, match="every row needs a group label"):
+            fit_fixed_effects(d, ["a", "a", "b"])
+
+    def test_no_residual_degrees_of_freedom(self):
+        # three pairs leave three within dimensions, all taken by the slopes
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(6, 3)), rng.normal(size=6)
+        d = DesignMatrix(names=("x1", "x2", "x3"), X=X, y=y)
+        with pytest.raises(DataValidationError, match="too few observations"):
+            fit_fixed_effects(d, [0, 0, 1, 1, 2, 2])
+
     def test_all_singletons_error(self):
         d = DesignMatrix(names=("x",), X=np.arange(4.0)[:, None], y=np.arange(4.0))
         with pytest.raises(DataValidationError, match="within"):
@@ -148,6 +161,11 @@ class TestRandomEffects:
         rng = np.random.default_rng(7)
         d, groups, _ = panel_design(rng)
         with pytest.raises(ConfigError):
+            fit_random_effects(d, groups)
+
+    def test_needs_more_groups_than_coefficients(self):
+        d, groups = re_design(np.random.default_rng(7), n_groups=3, t=4)
+        with pytest.raises(DataValidationError, match="variance components not estimable"):
             fit_random_effects(d, groups)
 
     def test_clamped_equals_pooled(self):
@@ -317,6 +335,12 @@ class TestHausman:
         assert res.rank_deficient
         assert res.p_value == 1.0
 
+    def test_needs_a_shared_slope(self):
+        fe = make_fit(EffectsKind.FixedWithin, {"a": 2.0}, [[0.5]])
+        re = make_fit(EffectsKind.RandomGLS, {"intercept": 1.0, "b": 1.0}, np.eye(2))
+        with pytest.raises(DataValidationError, match="no slope coefficients"):
+            hausman_test(fe, re)
+
     def test_excludes_intercept(self):
         fe = make_fit(EffectsKind.FixedWithin, {"x": 1.0}, [[0.5]])
         re = make_fit(
@@ -376,7 +400,7 @@ class TestQuantileFixedEffects:
         x = rng.normal(size=n)
         y = 1.5 * x + 0.02 * rng.normal(size=4)[groups] + rng.normal(size=n) * 0.3
         d = DesignMatrix(names=("x",), X=x[:, None], y=y)
-        fit = fit_quantile_fixed_effects(d, groups, 0.5, mode="penalized", penalty=1e6)
+        fit = fit_quantile_fixed_effects(d, groups, 0.5, penalty=1e6)
         assert max(abs(v) for v in fit.group_effects.values()) <= 1e-6
         pooled = fit_quantile(d, 0.5)
         assert fit.coefficients["x"] == pytest.approx(
@@ -392,7 +416,7 @@ class TestQuantileFixedEffects:
         y = x + effects[groups] + rng.normal(size=n) * 0.2
         d = DesignMatrix(names=("x",), X=x[:, None], y=y)
         free = fit_quantile_fixed_effects(d, groups, 0.5)
-        shrunk = fit_quantile_fixed_effects(d, groups, 0.5, mode="penalized", penalty=0.5)
+        shrunk = fit_quantile_fixed_effects(d, groups, 0.5, penalty=0.5)
         norm_free = sum(abs(v) for v in free.group_effects.values())
         norm_shrunk = sum(abs(v) for v in shrunk.group_effects.values())
         assert norm_shrunk < norm_free + 1e-9
@@ -428,6 +452,20 @@ class TestQuantileFixedEffects:
         assert len(fit.group_effects) == G
         assert fit.solver_meta["algorithm"] == "frisch-newton"
         assert fit.subgradient_ok
+
+    def test_dummy_fit_needs_a_row_per_unknown(self):
+        # rounding in the demeaned 1e8-sized columns passes the rank check,
+        # so the row count is what stops 2 slopes and 2 effects on 3 rows
+        X = np.array([[1e8, 1e8], [1e8 + 1.1, 1e8 - 0.7], [5e8, 7e8]])
+        d = DesignMatrix(names=("a", "b"), X=X, y=np.arange(3.0))
+        with pytest.raises(DataValidationError, match="need at least 4 rows"):
+            fit_quantile_fixed_effects(d, [0, 0, 1], 0.5)
+
+    @pytest.mark.parametrize("penalty", [-0.5, math.inf, math.nan])
+    def test_penalty_outside_zero_to_inf_rejected(self, penalty):
+        d, groups, _ = panel_design(np.random.default_rng(21))
+        with pytest.raises(ConfigError, match="0 <= penalty < inf"):
+            fit_quantile_fixed_effects(d, groups, 0.5, penalty=penalty)
 
     def test_rejects_intercept_column(self):
         d = DesignMatrix(

@@ -101,6 +101,15 @@ class TestIngest:
 
 
 class TestDeriveVariables:
+    def test_variable_needs_derivation(self):
+        panel = ingest_panel([record(year=2000), record(year=2001)])
+        with pytest.raises(DataValidationError, match="not derived yet"):
+            panel.variable("levb")
+
+    def test_unknown_variable_named(self):
+        with pytest.raises(KeyError, match="unknown variable 'leverage'"):
+            simple_panel().variable("leverage")
+
     def test_book_leverage_ratio(self):
         panel = simple_panel()
         assert panel.rows[0].levb == pytest.approx(0.25)

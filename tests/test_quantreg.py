@@ -25,6 +25,10 @@ from levquant import quantreg
 from levquant.quantreg import _chol_factor, _DenseOps, _GroupedOps, _polish_vertex, _steplen
 
 
+# the fixed-effects estimator each test id names: its L1 weight on the effects
+PENALTY = {"dummy": 0.0, "penalized": 1.0}
+
+
 def intercept_design(y):
     y = np.asarray(y, dtype=float)
     return DesignMatrix(names=("intercept",), X=np.ones((y.size, 1)), y=y)
@@ -82,6 +86,15 @@ class TestDesignMatrix:
         y = np.array([1.0, np.nan, 3.0])
         with pytest.raises(DesignError):
             DesignMatrix(names=("intercept",), X=np.ones((3, 1)), y=y)
+
+    @pytest.mark.parametrize("names,X,y,message", [
+        (("a",), np.arange(5.0), np.ones(5), "2-d"),
+        (("a", "b"), np.ones((5, 3)), np.ones(5), "2 names for 3 columns"),
+        (("a",), np.ones((5, 1)), np.ones(4), "response length"),
+    ], ids=["1-d X", "name count", "response length"])
+    def test_malformed_shape_rejected(self, names, X, y, message):
+        with pytest.raises(DesignError, match=message):
+            DesignMatrix(names=names, X=X, y=y)
 
 
 class TestFitQuantile:
@@ -321,6 +334,11 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_se(d, 0.5, n_boot=5, seed=0, cluster=np.arange(4))
 
+    def test_group_effects_need_cluster_labels(self):
+        d = DesignMatrix(names=("x",), X=np.arange(10.0)[:, None], y=np.arange(10.0))
+        with pytest.raises(ValueError, match="requires cluster labels"):
+            bootstrap_se(d, 0.5, n_boot=5, seed=0, refit_group_effects=True)
+
     def test_needs_two_replications(self):
         d = intercept_design(np.arange(10.0))
         with pytest.raises(ValueError):
@@ -394,8 +412,10 @@ class TestWeightedRefit:
             w = mult[codes[keep]].astype(float)
             sub = DesignMatrix(names=design.names, X=design.X[keep], y=design.y[keep])
             if mode in ("dummy", "penalized"):
-                ref = fit_quantile_fixed_effects(dup, copy, theta, mode=mode)
-                fit = fit_quantile_fixed_effects(sub, codes[keep], theta, mode=mode, _weights=w)
+                ref = fit_quantile_fixed_effects(dup, copy, theta, penalty=PENALTY[mode])
+                fit = fit_quantile_fixed_effects(
+                    sub, codes[keep], theta, penalty=PENALTY[mode], _weights=w
+                )
             else:
                 ref = fit_quantile(dup, theta)
                 fit = fit_quantile(sub, theta, _weights=w)
@@ -412,7 +432,8 @@ class TestWeightedRefit:
     def test_cluster_bootstrap_polishes_every_replicate(self, mode):
         design, firms = grouped_panel(52)
         out = bootstrap_se(
-            design, 0.5, n_boot=8, seed=3, cluster=firms, refit_group_effects=True, mode=mode
+            design, 0.5, n_boot=8, seed=3, cluster=firms, refit_group_effects=True,
+            penalty=PENALTY[mode],
         )
         assert out.n_redrawn == 0
         assert out.n_polished == out.n_boot == 8
@@ -585,9 +606,9 @@ class TestExactFallback:
         X = rng.normal(size=(n, 2))
         y = X @ np.array([0.7, -0.2]) + rng.normal(size=6)[groups] + rng.normal(size=n)
         d = DesignMatrix(names=("x1", "x2"), X=X, y=y)
-        ipm = fit_quantile_fixed_effects(d, groups, 0.4, mode=mode)
+        ipm = fit_quantile_fixed_effects(d, groups, 0.4, penalty=PENALTY[mode])
         monkeypatch.setattr(quantreg, "_MAX_ITER", 1)
-        exact = fit_quantile_fixed_effects(d, groups, 0.4, mode=mode)
+        exact = fit_quantile_fixed_effects(d, groups, 0.4, penalty=PENALTY[mode])
         assert exact.solver_meta["algorithm"] == "highs"
         assert ipm.solver_meta["algorithm"] == "frisch-newton"
         assert exact.objective == pytest.approx(ipm.objective, rel=1e-9, abs=1e-9)

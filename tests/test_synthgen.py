@@ -45,6 +45,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ErrorSpec(kind="cauchy")
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ErrorSpec(sigma=-0.1), "sigma must be nonnegative"),
+        (lambda: SynthConfig(n_firms=0), "at least one firm"),
+        (lambda: SynthConfig(gamma={"gdp_growth": 0.1}), "unknown macro names in gamma"),
+    ], ids=["negative sigma", "no firms", "unknown gamma name"])
+    def test_bad_value_rejected(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
 
 class TestGeneratePanel:
     def test_deterministic_for_seed(self):
