@@ -121,7 +121,7 @@ def fit_fixed_effects(design, groups):
     Xw = within_transform(design.X, groups)
     yw = within_transform(design.y, groups)
     try:
-        _check_rank_dense(Xw, design.names)
+        _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))
     except DesignError as err:
         raise DesignError(
             "no within-group variation (time-invariant or collinear after "
@@ -303,7 +303,7 @@ def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _weights=N
     n, kx = design.n, design.k
     Xw = design.X - _group_means(design.X, codes, G)[codes]
     try:
-        _check_rank_dense(Xw, design.names)
+        _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))
     except DesignError as err:
         raise DesignError(
             "no within-group variation for column(s): " + ", ".join(err.columns),
@@ -314,10 +314,6 @@ def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _weights=N
     p = weights * theta
     q = weights * (1.0 - theta)
     if penalty == 0.0:
-        if n < kx + G:
-            raise DataValidationError(
-                f"need at least {kx + G} rows for {kx} slopes and {G} effects"
-            )
         ops = _GroupedOps(design.X, codes, G)
         y = design.y
         data_rows = None

@@ -257,8 +257,6 @@ class Panel:
         variable as a float array with NaN for absent values."""
         self._need_rows()
         if name in _MACRO_FIELDS:
-            if self.macro is None:
-                raise DataValidationError("macro series not joined")
             years, inverse = np.unique(self.years, return_inverse=True)
             per_year = [getattr(self.macro[y], _MACRO_FIELDS[name]) for y in years.tolist()]
             return np.asarray(per_year, dtype=float)[inverse]

@@ -308,10 +308,19 @@ def _solve_square(A, b):
     return x if np.isfinite(x).all() else None
 
 
-def _check_rank_dense(X, names):
+def _check_rank_dense(X, names, norms=None):
+    """Raise DesignError naming the columns beyond X's numerical rank.
+
+    ``norms`` are the column norms before X was demeaned: demeaning leaves
+    rounding of about eps times them, which a tolerance taken from the
+    demeaned columns cannot see, so each column is measured by its norm.
+    """
+    if norms is not None:
+        X = X / np.where(norms > 0.0, norms, 1.0)
     _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    tol = diag.max(initial=0.0) * max(X.shape) * np.finfo(float).eps
+    top = 1.0 if norms is not None else diag.max(initial=0.0)
+    tol = top * max(X.shape) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
     if rank < X.shape[1]:
         bad = [names[j] for j in piv[rank:]]

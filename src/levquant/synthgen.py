@@ -5,10 +5,11 @@ The generator simulates raw statement items, so the emitted panel round-trips
 through the normal ingestion/derivation path: determinants are whatever
 ``derive_variables`` recovers from the simulated statements, targets are
 built from those exact values, and leverage evolves by the adjustment rule.
+Draws are vectorised across firms, one array per quantity in a fixed
+per-year order, so attrition only removes rows from a seed's panel.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,6 +99,7 @@ class GroundTruth:
     firm_effects: dict          # firm_id -> a_i
     regimes: dict               # year -> Regime
     macro: dict                 # year -> MacroYear
+    n_clamped: int              # shock draws (burn-in too) with scale clamped at 0.05
 
 
 def _macro_series(config, rng):
@@ -126,12 +128,12 @@ def _macro_series(config, rng):
 
 
 def _shock(rng, spec, z):
-    if spec.kind == "normal":
-        return rng.normal(0.0, spec.sigma)
+    """One shock per firm, and the mask of draws whose heteroskedastic
+    scale ``1 + het_coef * z`` was clamped at 0.05."""
+    scale = 1.0 + spec.het_coef * z if spec.kind == "heteroskedastic" else np.ones(z.size)
     if spec.kind == "student":
-        return rng.standard_t(spec.df) * spec.sigma
-    scale = max(0.05, 1.0 + spec.het_coef * z)
-    return rng.normal(0.0, spec.sigma) * scale
+        return rng.standard_t(spec.df, z.size) * spec.sigma, scale < 0.05
+    return rng.normal(0.0, spec.sigma, z.size) * np.maximum(0.05, scale), scale < 0.05
 
 
 def generate_panel(config):
@@ -140,90 +142,81 @@ def generate_panel(config):
     Identical (config, seed) give byte-identical output.  Leverage starts at
     its stationary level and runs through a discarded burn-in, so the
     emitted years carry no initialization transient.  Attrition removes a
-    firm permanently with the configured per-year probability.
+    firm permanently with the configured per-year probability, truncating
+    the path the firm has without attrition.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     macro = _macro_series(config, rng)
-    years = sorted(macro)
     regimes = {y: config.regime_rule.classify(m.gdp_growth) for y, m in macro.items()}
-    emit_from = config.start_year
+    emit_from, n = config.start_year, config.n_firms
 
-    records = []
-    firm_effects = {}
-    width = len(str(config.n_firms))
-    for i in range(config.n_firms):
-        firm = f"F{i + 1:0{width}d}"
-        a_i = rng.normal(0.0, config.firm_effect_sd)
-        firm_effects[firm] = a_i
+    a = rng.normal(0.0, config.firm_effect_sd, n)
+    sales = np.exp(rng.normal(4.0, 0.8, n))
+    ppent = np.exp(rng.normal(3.5, 0.6, n))
+    total_assets = np.exp(rng.normal(4.5, 0.5, n))
+    levb = levm = config.intercept + a
+    alive = np.ones(n, dtype=bool)
+    n_clamped = 0
+    emitted = []  # per emitted year: firm index, year, then the raw items
+    for year in sorted(macro):
+        # attrition runs over emitted years only, one draw per firm and transition
+        if year > emit_from:
+            alive &= rng.random(n) >= config.attrition
+        # raw items chosen so ingestion recovers the intended determinants
+        profta = rng.normal(0.08, 0.05, n)
+        liqta = np.exp(rng.normal(0.3, 0.35, n))
+        growth = rng.normal(0.04, 0.10, n)
+        sales = np.maximum(sales * (1.0 + growth), 1e-6)
+        inv = rng.normal(0.1, 0.5, n)
+        dp = 0.08 * ppent
+        ppent_prev = ppent
+        ppent = np.maximum(ppent_prev + inv - dp, 1e-6)
+        lct = np.exp(rng.normal(2.0, 0.4, n))
+        ebit = profta * total_assets
+        ip = np.abs(rng.normal(0.02, 0.01, n)) * total_assets
+        ndts_target = rng.normal(0.5, 1.0, n)
+        txt = config.tax_rate * (ebit - ip - ndts_target)
 
-        sales = math.exp(rng.normal(4.0, 0.8))
-        ppent = math.exp(rng.normal(3.5, 0.6))
-        total_assets = math.exp(rng.normal(4.5, 0.5))
-        levb = config.intercept + a_i
-        levm = config.intercept + a_i
-        for year in years:
-            # attrition runs over emitted years only, one draw per transition
-            if year > emit_from and rng.random() < config.attrition:
-                break
-            my = macro[year]
-            # raw items chosen so ingestion recovers the intended determinants
-            profta = rng.normal(0.08, 0.05)
-            liqta = math.exp(rng.normal(0.3, 0.35))
-            growth = rng.normal(0.04, 0.10)
-            sales = max(sales * (1.0 + growth), 1e-6)
-            inv = rng.normal(0.1, 0.5)
-            dp = 0.08 * ppent
-            ppent_prev = ppent
-            ppent = max(ppent_prev + inv - dp, 1e-6)
-            lct = math.exp(rng.normal(2.0, 0.4))
-            act = liqta * lct
-            ebit = profta * total_assets
-            ip = abs(rng.normal(0.02, 0.01)) * total_assets
-            ndts_target = rng.normal(0.5, 1.0)
-            txt = config.tax_rate * (ebit - ip - ndts_target)
+        x = {"profta": profta, "liqta": liqta, "sizeat": np.log(sales), "growthat": growth,
+             "invta": ppent - ppent_prev + dp, "ndts": ebit - ip - txt / config.tax_rate}
+        m = {"inflation": macro[year].inflation, "gdp_rate": macro[year].gdp_growth}
+        drive = (config.intercept + a + sum(config.beta[k] * x[k] for k in config.beta)
+                 + sum(config.gamma[k] * m[k] for k in config.gamma))
+        delta = config.delta_for(regimes[year])
+        z = (profta - 0.08) / 0.05
+        shock_b, clamped = _shock(rng, config.error, z)
+        shock_m, _ = _shock(rng, config.error, z)
+        n_clamped += 2 * int(np.count_nonzero(clamped & alive))
+        levb = levb + delta * (drive - levb) + shock_b
+        levm = levm + delta * (drive - levm) + shock_m
 
-            x = {
-                "profta": profta,
-                "liqta": liqta,
-                "sizeat": math.log(sales),
-                "growthat": growth,
-                "invta": ppent - ppent_prev + dp,
-                "ndts": ebit - ip - txt / config.tax_rate,
-            }
-            m = {"inflation": my.inflation, "gdp_rate": my.gdp_growth}
-            drive = (
-                config.intercept
-                + a_i
-                + sum(config.beta[name] * x[name] for name in config.beta)
-                + sum(config.gamma[name] * m[name] for name in config.gamma)
-            )
-            delta = config.delta_for(regimes[year])
-            z = (profta - 0.08) / 0.05
-            levb = levb + delta * (drive - levb) + _shock(rng, config.error, z)
-            levm = levm + delta * (drive - levm) + _shock(rng, config.error, z)
+        if year < emit_from:
+            continue
+        debt = levb * total_assets
+        # market leverage is not representable where it leaves (0, 1) or debt <= 0
+        ok = (levm > 0.0) & (levm < 1.0) & (debt > 0.0)
+        mkt_eq = np.where(ok, debt * (1.0 - levm) / np.where(ok, levm, 1.0), np.nan)
+        keep = np.flatnonzero(alive)
+        emitted.append([keep, np.full(keep.size, year)] + [item[keep] for item in (
+            total_assets, debt, mkt_eq, liqta * lct, lct, ebit, ip, txt, sales, ppent, dp)])
 
-            if year < emit_from:
-                continue
-            debt = levb * total_assets
-            if 0.0 < levm < 1.0 and debt > 0.0:
-                mkt_eq = debt * (1.0 - levm) / levm
-            else:
-                mkt_eq = None  # market leverage not representable that year
-            records.append((
-                firm, year, total_assets, debt, mkt_eq, act, lct, ebit, ip, txt,
-                sales, ppent, dp,
-            ))
-
+    columns = [np.concatenate(col) for col in zip(*emitted)]
+    order = np.lexsort((columns[1], columns[0]))  # firm-major, years ascending
+    firm, year, *items = (col[order].tolist() for col in columns)
+    items[2] = [None if v != v else v for v in items[2]]  # mkt_eq
+    width = len(str(n))
+    labels = [f"F{i + 1:0{width}d}" for i in range(n)]
+    panel = ingest_panel(zip([labels[i] for i in firm], year, *items))
     emitted_macro = {y: m for y, m in macro.items() if y >= emit_from}
-    panel = ingest_panel(records)
     panel = derive_variables(
         panel, emitted_macro, {y: config.tax_rate for y in emitted_macro}
     )
     truth = GroundTruth(
         config=config,
-        firm_effects=firm_effects,
+        firm_effects=dict(zip(labels, a.tolist())),
         regimes={y: regimes[y] for y in emitted_macro},
         macro=emitted_macro,
+        n_clamped=n_clamped,
     )
     return panel, truth
 
@@ -347,6 +340,7 @@ def write_ground_truth(truth, path):
     lines.append(f"intercept = {cfg.intercept!r}")
     lines.append(f"firm_effect_sd = {cfg.firm_effect_sd!r}")
     lines.append(f"error = {cfg.error.kind} sigma={cfg.error.sigma!r}")
+    lines.append(f"clamped_shock_scales = {truth.n_clamped}")
     lines.append(f"seed = {cfg.seed}")
     lines.append(f"beta = {sorted(cfg.beta.items())!r}")
     lines.append(f"gamma = {sorted(cfg.gamma.items())!r}")

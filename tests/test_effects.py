@@ -453,12 +453,27 @@ class TestQuantileFixedEffects:
         assert fit.solver_meta["algorithm"] == "frisch-newton"
         assert fit.subgradient_ok
 
-    def test_dummy_fit_needs_a_row_per_unknown(self):
-        # rounding in the demeaned 1e8-sized columns passes the rank check,
-        # so the row count is what stops 2 slopes and 2 effects on 3 rows
+    @pytest.mark.parametrize("fit", [
+        fit_fixed_effects,
+        lambda d, groups: fit_quantile_fixed_effects(d, groups, 0.5),
+        lambda d, groups: fit_quantile_fixed_effects(d, groups, 0.5, penalty=1.0),
+    ], ids=["within", "quantile dummy", "quantile penalized"])
+    def test_large_columns_collinear_within_firms_rejected(self, fit):
+        # b moves exactly -2x a within each firm; demeaning 1e8-sized values
+        # leaves rounding that must not read as within variation
+        a = np.array([1e8, 1e8 + 1.1, 3e8, 3e8 + 0.3, 5e8, 5e8 + 0.9])
+        b = np.array([2e8, 2e8 - 2.2, 9e8, 9e8 - 0.6, 4e8, 4e8 - 1.8])
+        d = DesignMatrix(names=("a", "b"), X=np.column_stack([a, b]),
+                         y=np.array([1.0, 2.0, 0.5, 1.5, 3.0, 2.5]))
+        with pytest.raises(DesignError, match="no within-group variation"):
+            fit(d, np.repeat([0, 1, 2], 2))
+
+    def test_too_few_rows_for_the_effects_are_rank_deficient(self):
+        # 2 slopes and 2 effects on 3 rows: the demeaned columns have rank
+        # at most n - G = 1, so the rank check needs no separate row count
         X = np.array([[1e8, 1e8], [1e8 + 1.1, 1e8 - 0.7], [5e8, 7e8]])
         d = DesignMatrix(names=("a", "b"), X=X, y=np.arange(3.0))
-        with pytest.raises(DataValidationError, match="need at least 4 rows"):
+        with pytest.raises(DesignError, match="no within-group variation"):
             fit_quantile_fixed_effects(d, [0, 0, 1], 0.5)
 
     @pytest.mark.parametrize("penalty", [-0.5, math.inf, math.nan])

@@ -94,10 +94,10 @@ class TestIngest:
         cfg = SynthConfig(n_firms=20, t_max=6, error=ErrorSpec(sigma=0.2), seed=13)
         panel, _ = generate_panel(cfg)
         negative = [(r.firm_id, r.fiscal_year) for r in panel.records if r.book_debt < 0.0]
-        assert len(negative) == 13
+        assert len(negative) == 7
         assert panel.validation.flagged == [(k, "book_debt < 0: unusable") for k in negative]
         assert not (panel.variable("levb") < 0.0).any()
-        assert len(panel.rows) == len(panel.records) - 13
+        assert len(panel.rows) == len(panel.records) - 7
 
 
 class TestDeriveVariables:
@@ -172,6 +172,17 @@ class TestDeriveVariables:
         panel = ingest_panel([record()])
         with pytest.raises(ConfigError, match="tax rate"):
             derive_variables(panel, macro_for([2000]), {1999: 0.21})
+
+    @pytest.mark.parametrize("rate", [0.0, -0.21])
+    def test_nonpositive_tax_rate_is_config_error(self, rate):
+        panel = ingest_panel([record()])
+        with pytest.raises(ConfigError, match="tax rate must be positive"):
+            derive_variables(panel, macro_for([2000]), {2000: rate})
+
+    @pytest.mark.parametrize("limits", [(0.9, 0.1), (0.5, 0.5), (-0.1, 0.9), (0.1, 1.5)])
+    def test_bad_winsorization_limits_are_config_error(self, limits):
+        with pytest.raises(ConfigError, match="bad winsorization limits"):
+            simple_panel(winsorize=limits)
 
     def test_missing_macro_year_is_error(self):
         panel = ingest_panel([record()])
@@ -407,6 +418,18 @@ class TestCsvIO:
         assert panel.validation.n_read == 2
         assert panel.validation.rejected == [("line 2", "too many fields")]
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"
+        good = "F1,2000,200,50,150,80,40,100,10,21,100,100,15"
+        path.write_text(f"{header}\n{good}\nF2,2000,inf,50,150,80,40,100,10,21,100,100,15\n"
+                        "F3,2000,200,nan,150,80,40,100,10,21,100,100,15\n")
+        panel = read_panel_csv(path)
+        assert [r.firm_id for r in panel.records] == ["F1"]
+        assert panel.validation.rejected == [
+            ("line 3", "malformed value: non-finite"), ("line 4", "malformed value: non-finite"),
+        ]
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("firm_id,fyear,at\nF1,2000,10\n")
@@ -455,6 +478,13 @@ class TestDesignFromPanel:
                                          intercept=True)
         assert design.names == ("intercept", "profta", "inflation")
         assert_allclose(design.X[:, 2], [1.0, 2.0, 3.0])
+
+
+    def test_no_complete_rows_is_error(self):
+        # one firm-year per firm: no row has its lag before lags are formed
+        panel = self._three_year_panel()
+        with pytest.raises(DataValidationError, match="no complete rows for levb ~ levb_lag"):
+            design_from_panel(panel, "levb", ("levb_lag",))
 
 
 class TestCsvValidation:

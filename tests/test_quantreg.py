@@ -248,6 +248,20 @@ class TestOracle:
         with pytest.raises(OracleCapError):
             fit_quantile_oracle(d, 0.5)
 
+    def test_basis_budget_refused(self):
+        rng = np.random.default_rng(2)
+        d = random_design(rng, n=30, k=3)  # C(30, 3) = 4060 candidate bases
+        with pytest.raises(OracleCapError, match="4060 candidate bases exceed"):
+            fit_quantile_oracle(d, 0.5, max_bases=4059)
+
+    def test_collinear_columns_have_no_basis(self):
+        # powers of two keep every 2x2 determinant exactly zero in floating point
+        x = np.array([1.0, 2.0, 4.0, 8.0])
+        d = DesignMatrix(names=("x", "twice_x"), X=np.column_stack([x, 2.0 * x]),
+                         y=np.array([1.0, 0.0, 2.0, 1.0]))
+        with pytest.raises(DesignError, match="every k-subset of rows is singular"):
+            fit_quantile_oracle(d, 0.5)
+
     def test_against_linear_program(self):
         # independent route: the split-residual LP solved by an external
         # solver must agree with basis enumeration
@@ -357,6 +371,14 @@ class TestBootstrap:
         d = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=rng.normal(size=n))
         with pytest.raises(DegenerateResampleError):
             bootstrap_se(d, 0.5, n_boot=30, seed=3, cluster=cl)
+
+    def test_every_resample_degenerate_stops_after_fifty(self):
+        x = np.arange(1.0, 11.0)
+        d = DesignMatrix(names=("x", "twice_x"), X=np.column_stack([x, 2.0 * x]),
+                         y=np.arange(10.0))
+        with pytest.raises(DegenerateResampleError,
+                           match="replicate 0: 50 consecutive degenerate resamples"):
+            bootstrap_se(d, 0.5, n_boot=5, seed=0)
 
     def test_cluster_bootstrap_runs(self):
         rng = np.random.default_rng(19)

@@ -113,6 +113,39 @@ class TestGeneratePanel:
         lengths = {len(panel.rows_for(f)) for f in panel.firms}
         assert len(lengths) > 1
 
+    def test_attrition_truncates_each_firm_for_good(self):
+        cfg = SynthConfig(n_firms=200, t_max=12, attrition=0.3, seed=21)
+        panel, truth = generate_panel(cfg)
+        full, _ = generate_panel(SynthConfig(n_firms=200, t_max=12, seed=21))
+        assert len(truth.firm_effects) == cfg.n_firms
+        assert len(panel.records) < len(full.records)
+        for firm in truth.firm_effects:
+            kept = [r for r in panel.records if r.firm_id == firm]
+            # one contiguous run from the first year: a firm that leaves
+            # never comes back, and its years before leaving are unchanged
+            years = [r.fiscal_year for r in kept]
+            assert years == list(range(cfg.start_year, cfg.start_year + len(years)))
+            everything = [r for r in full.records if r.firm_id == firm]
+            assert kept == everything[:len(kept)]
+
+    def test_clamped_shock_scales_counted(self, tmp_path):
+        from levquant import write_ground_truth
+
+        def clamped(kind, het_coef=0.5):
+            cfg = SynthConfig(n_firms=50, t_max=6, seed=22,
+                              error=ErrorSpec(kind=kind, het_coef=het_coef))
+            return generate_panel(cfg)[1]
+
+        truth = clamped("heteroskedastic", het_coef=3.0)
+        # 1 + 3 z < 0.05 for z < -0.32: about 37% of 2 x 50 x (6 + 10) draws
+        assert 400 < truth.n_clamped < 800
+        assert clamped("heteroskedastic", het_coef=0.0).n_clamped == 0
+        assert clamped("normal").n_clamped == 0
+        assert clamped("student").n_clamped == 0
+        write_ground_truth(truth, tmp_path / "truth.txt")
+        lines = (tmp_path / "truth.txt").read_text().splitlines()
+        assert f"clamped_shock_scales = {truth.n_clamped}" in lines
+
     def test_leverage_bounded(self):
         panel, _ = generate_panel(SynthConfig(n_firms=100, t_max=30, seed=8))
         levs = np.asarray([r.levb for r in panel.rows])
