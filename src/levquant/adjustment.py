@@ -21,7 +21,7 @@ from .panel import (
     _MACRO_FIELDS, MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year,
     complete_rows, design_from_panel,
 )
-from .quantreg import DesignMatrix, QuantileFit, fit_quantile
+from .quantreg import QuantileFit
 
 DEFAULT_THETAS = (0.15, 0.35, 0.5, 0.75, 0.95)
 DEFAULT_DETERMINANTS = (
@@ -48,7 +48,6 @@ class TargetModelSpec:
     thetas: tuple = DEFAULT_THETAS
     regime_split: RegimeRule = RegimeRule()
     penalty: float = 0.0
-    two_step: bool = False
 
     def __post_init__(self):
         if self.leverage not in _LEVERAGE_VAR:
@@ -112,11 +111,8 @@ def lag_leverage(panel, kind="book"):
 
 
 def _fit_speed(design, firms, spec, theta):
-    if spec.two_step:
-        lam, fit = _two_step(design, firms, spec, theta)
-    else:
-        fit = fit_quantile_fixed_effects(design, firms, theta, penalty=spec.penalty)
-        lam = fit.coefficients[spec.lag]
+    fit = fit_quantile_fixed_effects(design, firms, theta, penalty=spec.penalty)
+    lam = fit.coefficients[spec.lag]
     return AdjustmentResult(
         theta=theta,
         leverage=spec.leverage,
@@ -127,26 +123,6 @@ def _fit_speed(design, firms, spec, theta):
         out_of_range=not (0.0 <= lam <= 1.0),
         fit=fit,
     )
-
-
-def _two_step(design, firms, spec, theta):
-    # step 1: the target model without the lag; step 2: regress the leverage
-    # change on the fitted gap, slope = delta
-    j_lag = design.names.index(spec.lag)
-    keep = [j for j in range(design.k) if j != j_lag]
-    target_design = DesignMatrix(
-        names=[design.names[j] for j in keep], X=design.X[:, keep], y=design.y
-    )
-    step1 = fit_quantile_fixed_effects(target_design, firms, theta, penalty=spec.penalty)
-    beta = np.asarray([step1.coefficients[m] for m in target_design.names])
-    effects = np.asarray([step1.group_effects[str(f)] for f in firms])
-    target = target_design.X @ beta + effects
-    lev_lag = design.X[:, j_lag]
-    gap = target - lev_lag
-    dy = design.y - lev_lag
-    step2 = fit_quantile(DesignMatrix(names=("gap",), X=gap[:, None], y=dy), theta)
-    delta = step2.coefficients["gap"]
-    return 1.0 - delta, step2
 
 
 def estimate_speed(panel, spec):

@@ -67,16 +67,6 @@ def _parse_winsorize(text):
     return limits
 
 
-def _parse_bool(text):
-    text = str(text).strip().lower()
-    if text not in ("true", "false"):
-        raise ConfigError(f"expected true or false, got {text!r}")
-    return text == "true"
-
-
-_SPEC = TargetModelSpec()  # the default target model
-
-
 def _key(default, parse, help):  # parse: a config-file or flag text -> value
     return field(default=default, metadata={"parse": parse, "help": help})
 
@@ -101,8 +91,8 @@ class RunConfig:
     out: str = _key("levquant_out", str, "output directory")
     format: str = _key("both", str, "text, delimited or both")
     significance: float = _key(DEFAULT_SIGNIFICANCE, float, "Hausman test level")
-    penalty: float = _key(_SPEC.penalty, float, "L1 weight on the firm effects, 0 for free effects")
-    two_step: bool = _key(_SPEC.two_step, _parse_bool, "two-step target/adjustment comparison mode")
+    penalty: float = _key(TargetModelSpec.penalty, float,
+                          "L1 weight on the firm effects, 0 for free effects")
 
     def __post_init__(self):
         checks = (
@@ -118,8 +108,6 @@ class RunConfig:
             (self.tax_rate > 0.0, f"tax_rate must be positive, got {self.tax_rate}"),
             (self.winsorize is None or 0.0 <= self.winsorize[0] < self.winsorize[1] <= 1.0,
              f"winsorize limits must satisfy 0 <= lo < hi <= 1, got {self.winsorize}"),
-            (isinstance(self.two_step, bool),
-             f"two_step must be true or false, got {self.two_step!r}"),
         )
         for ok, message in checks:
             if not ok:
@@ -144,7 +132,6 @@ class RunConfig:
             thetas=tuple(self.theta),
             regime_split=RegimeRule(threshold=self.regime_threshold),
             penalty=self.penalty,
-            two_step=self.two_step,
         )
 
 
@@ -358,7 +345,6 @@ STAGES = {
 
 
 def _write_outputs(cfg, items):
-    os.makedirs(cfg.out, exist_ok=True)
     written = []
     wanted = cfg.formats
     for name, text, kind in items:
@@ -372,14 +358,14 @@ def _write_outputs(cfg, items):
 
 
 def _write_config_echo(cfg):
-    os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "config_resolved.txt"), "w") as fh:
         fh.write(config_text(cfg))
     return ["config_resolved.txt"]
 
 
 def run_stages(cfg, stage_names):
-    """Run the given stages in order; returns (exit_code, files, statuses)."""
+    """Run the given stages in order into the existing directory ``cfg.out``;
+    returns (exit_code, files, statuses)."""
     ctx = Pipeline(cfg)
     files = _write_config_echo(cfg)
     statuses = {}
@@ -427,12 +413,8 @@ def run_replicate(cfg):
 def _add_common(parser):
     parser.add_argument("--config", help="configuration file path")
     for f in fields(RunConfig):
-        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
-        if f.metadata["parse"] is _parse_bool:  # a bare switch
-            parser.add_argument(flag, dest=f.name, action="store_const", const="true",
-                                help=help_text)
-        else:
-            parser.add_argument(flag, dest=f.name, help=help_text)
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            help=f.metadata["help"])
 
 
 def build_parser():
@@ -476,7 +458,6 @@ def simulate_config(args):
 
 def cmd_simulate(config, out):
     panel, truth = generate_panel(config)
-    os.makedirs(out, exist_ok=True)
     write_panel_csv(panel, os.path.join(out, "panel.csv"))
     write_macro_csv(truth.macro, os.path.join(out, "macro.csv"))
     write_tax_csv(
@@ -490,13 +471,15 @@ def cmd_simulate(config, out):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    configure = simulate_config if args.command == "simulate" else stage_config
+    simulate = args.command == "simulate"
     try:
-        cfg = configure(args)
+        cfg = simulate_config(args) if simulate else stage_config(args)
+        # an out path that cannot be a directory fails here, before any file is written
+        os.makedirs(args.out if simulate else cfg.out, exist_ok=True)
     except (ConfigError, OSError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    if args.command == "simulate":
+    if simulate:
         return cmd_simulate(cfg, args.out)
     if args.command == "replicate":
         return run_replicate(cfg)

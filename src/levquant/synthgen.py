@@ -339,7 +339,8 @@ def write_ground_truth(truth, path):
     lines.append(f"delta = {cfg.delta!r}")
     lines.append(f"intercept = {cfg.intercept!r}")
     lines.append(f"firm_effect_sd = {cfg.firm_effect_sd!r}")
-    lines.append(f"error = {cfg.error.kind} sigma={cfg.error.sigma!r}")
+    e = cfg.error
+    lines.append(f"error = {e.kind} sigma={e.sigma!r} df={e.df!r} het_coef={e.het_coef!r}")
     lines.append(f"clamped_shock_scales = {truth.n_clamped}")
     lines.append(f"seed = {cfg.seed}")
     lines.append(f"beta = {sorted(cfg.beta.items())!r}")

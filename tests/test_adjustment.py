@@ -87,20 +87,6 @@ class TestEstimateSpeed:
         lagged = lag_leverage(panel, "book")
         assert res.n_used == sum(r.levb_lag is not None for r in lagged.rows)
 
-    def test_two_step_comparison_mode(self):
-        # the two-step variant estimates a different object (target proxy
-        # from the reduced form); check its contracts, not agreement
-        panel, _ = synth_panel(n_firms=250, t_max=15, delta=0.6, seed=5)
-        spec = TargetModelSpec(
-            leverage="book", determinants=SPEC.determinants,
-            thetas=(0.5,), two_step=True,
-        )
-        two = estimate_speed(panel, spec)[0]
-        assert two.speed + two.lag_coefficient == 1.0
-        assert 0.0 < two.speed < 1.5
-        again = estimate_speed(panel, spec)[0]
-        assert two.speed == again.speed
-
     def test_market_leverage_kind(self):
         panel, _ = synth_panel(n_firms=150, t_max=12, delta=0.5, seed=6)
         spec = TargetModelSpec(

@@ -417,8 +417,7 @@ class TestConfig:
         "tax_rate = 0",
         "winsorize = 0.9,0.1",
         "winsorize = 0.05",
-        "two_step = yes please",
-        "two_step = yes",
+        "two_step = true",  # not a key: every speed is the one-step estimate
         "theta = 0.5,0.5",
     ])
     def test_bad_value_is_exit_2_before_any_output(
@@ -449,33 +448,42 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["replicate", "simulate"])
+    def test_out_that_cannot_be_a_directory_is_exit_2(
+        self, synth_inputs, tmp_path, capsys, command
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        argv = [command, "--out", str(out)]
+        if command == "replicate":
+            argv += ["--input", str(synth_inputs / "panel.csv"),
+                     "--macro", str(synth_inputs / "macro.csv"), "--bootstrap", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == ""
+
     def test_every_key_has_a_flag(self, tmp_path):
         text = {
             "input": "p.csv", "macro": "m.csv", "tax_table": "t.csv", "tax_rate": "0.3",
             "theta": "0.25,0.75", "leverage": "book", "determinants": "profta,liqta",
             "macro_vars": "gdp_growth", "bootstrap": "3", "seed": "9",
             "regime_threshold": "1.5", "winsorize": "0.01,0.99", "out": "o",
-            "format": "text", "significance": "0.1", "penalty": "0.5", "two_step": "true",
+            "format": "text", "significance": "0.1", "penalty": "0.5",
         }
         assert set(text) == {f.name for f in fields(RunConfig)}
         cfg = tmp_path / "c.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
         from_file = resolve_config(build_parser().parse_args(["qreg", "--config", str(cfg)]))
-        argv = ["qreg", "--two-step"]
+        argv = ["qreg"]
         for key, value in text.items():
-            if key != "two_step":
-                argv += ["--" + key.replace("_", "-"), value]
+            argv += ["--" + key.replace("_", "-"), value]
         from_flags = resolve_config(build_parser().parse_args(argv))
         assert from_flags == from_file
         assert config_text(from_file) == "".join(
-            f"{k} = {'True' if k == 'two_step' else v}\n" for k, v in sorted(text.items())
+            f"{k} = {v}\n" for k, v in sorted(text.items())
         )
-
-    @pytest.mark.parametrize("text,value", [("true", True), ("FALSE", False), (" True ", True)])
-    def test_two_step_takes_true_or_false(self, tmp_path, text, value):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"two_step = {text}\n")
-        assert read_config_file(cfg) == {"two_step": value}
 
 
 class TestFormatGate:

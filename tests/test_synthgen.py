@@ -243,6 +243,21 @@ class TestRoundTrip:
         assert "delta" in text and "[firm_effects]" in text
         assert all(f"F{i}" in text for i in (1, 2, 3))
 
+    @pytest.mark.parametrize("error", [
+        ErrorSpec(kind="student", sigma=0.01, df=3.0),
+        ErrorSpec(kind="heteroskedastic", sigma=0.02, het_coef=0.8),
+    ], ids=["student", "heteroskedastic"])
+    def test_ground_truth_determines_error_process(self, tmp_path, error):
+        from levquant import write_ground_truth
+
+        _, truth = generate_panel(SynthConfig(n_firms=3, t_max=4, error=error, seed=12))
+        path = tmp_path / "truth.txt"
+        write_ground_truth(truth, path)
+        line, = (ln for ln in path.read_text().splitlines() if ln.startswith("error = "))
+        kind, *params = line.removeprefix("error = ").split()
+        read_back = {k: float(v) for k, v in (p.split("=") for p in params)}
+        assert ErrorSpec(kind=kind, **read_back) == error
+
 
 class TestMonteCarlo:
     def test_single_replication_sd_undefined(self):
