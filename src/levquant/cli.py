@@ -177,10 +177,14 @@ def resolve_config(args):
 
 def stage_config(args):
     """The run config of a pipeline command: every stage reads the input
-    panel, so its paths are required here rather than by ``RunConfig``."""
+    panel, so its files are required here rather than by ``RunConfig``."""
     cfg = resolve_config(args)
     if not cfg.input or not cfg.macro:
         raise ConfigError("input and macro paths are required")
+    for key in ("input", "macro", "tax_table"):
+        path = getattr(cfg, key)
+        if path and not os.path.isfile(path):
+            raise ConfigError(f"{key}: not a file: {path}")
     return cfg
 
 

@@ -70,8 +70,8 @@ class RegimeRule:
 
 
 class FirmYearRecord(NamedTuple):
-    """One raw statement: the (firm_id, fiscal_year, *raw items) row that
-    ``ingest_panel`` reads."""
+    """One raw statement; ``ingest_panel`` reads the raw items from
+    ``total_assets`` on as columns under these field names."""
 
     firm_id: str
     fiscal_year: int
@@ -128,7 +128,7 @@ class ValidationReport:
         return len(self.flagged)
 
 
-_RAW_ITEMS = FirmYearRecord._fields[2:]
+RAW_ITEMS = FirmYearRecord._fields[2:]  # the item columns that ingest_panel takes
 _ROW_ITEMS = tuple(f.name for f in fields(ObservationRow))[2:]
 
 
@@ -210,22 +210,16 @@ class Panel:
             return None
         return (int(self.years.min()), int(self.years.max()))
 
-    def _view(self, cls, names, codes, years, columns, firm_id=None):
-        lo, hi = 0, len(codes)
-        if firm_id is not None:
-            code = np.searchsorted(self.firm_labels, firm_id)
-            if code == len(self.firm_labels) or self.firm_labels[code] != firm_id:
-                return ()
-            lo, hi = np.searchsorted(codes, [code, code + 1])
-        values = [self.firm_labels[codes[lo:hi]].tolist(), years[lo:hi].tolist()]
-        values += [_absent_as_none(columns[name][lo:hi]) for name in names]
+    def _view(self, cls, names, codes, years, columns):
+        values = [self.firm_labels[codes].tolist(), years.tolist()]
+        values += [_absent_as_none(columns[name]) for name in names]
         return tuple(cls(*v) for v in zip(*values))
 
     @cached_property
     def records(self):
         """The accepted raw statements as FirmYearRecord tuples."""
         return self._view(
-            FirmYearRecord, _RAW_ITEMS, self._record_firm, self._record_year,
+            FirmYearRecord, RAW_ITEMS, self._record_firm, self._record_year,
             self._items,
         )
 
@@ -241,10 +235,7 @@ class Panel:
 
     def rows_for(self, firm_id):
         self._need_rows()
-        return self._view(
-            ObservationRow, _ROW_ITEMS, self.firm_codes, self.years, self._columns,
-            firm_id,
-        )
+        return tuple(row for row in self.rows if row.firm_id == firm_id)
 
     def _need_rows(self):
         if self._columns is None:
@@ -296,43 +287,49 @@ class Panel:
 # ---------------------------------------------------------------------------
 
 
-def ingest_panel(rows):
-    """Sort, deduplicate, and flag a stream of raw firm-year statements.
+def ingest_panel(firm_ids, fiscal_years, items):
+    """Sort, deduplicate, and flag raw firm-year statements given as columns.
 
-    Each row is a ``(firm_id, fiscal_year, *raw items)`` sequence in
-    FirmYearRecord field order, None where a value is absent; a
-    FirmYearRecord is one.  Duplicate (firm, year) keys are rejected (first
+    ``firm_ids`` and ``fiscal_years`` hold one entry per statement;
+    ``items`` maps each raw item name (the FirmYearRecord fields from
+    ``total_assets`` on) to a column of the same length, NaN or None where a
+    value is absent.  Duplicate (firm, year) keys are rejected (first
     occurrence wins); unusable records (non-positive total assets or
-    negative book debt) stay in the panel but are flagged, in input order,
-    and excluded from derived variables.
+    negative book debt) stay in the panel but are flagged and excluded from
+    derived variables.  Both lists are in input order.
     """
-    accepted = {}
-    report = ValidationReport()
-    for firm, year, *raw in rows:
-        report.n_read += 1
-        key = (firm, year)
-        if key in accepted:
-            report.rejected.append((key, "duplicate (firm_id, fiscal_year)"))
-            continue
-        accepted[key] = raw
-    report.n_accepted = len(accepted)
-    keys = sorted(accepted)
-    labels = list(dict.fromkeys(firm for firm, _ in keys))
-    code = {firm: i for i, firm in enumerate(labels)}
-    table = np.array([accepted[k] for k in keys], dtype=float)
-    table = table.reshape(len(keys), len(_RAW_ITEMS)).T.copy()
-    items = dict(zip(_RAW_ITEMS, table))
-    fails = [~meets(items) for meets, _ in _USABLE_IF]
+    firm_ids = np.asarray(firm_ids, dtype=str)
+    years = np.asarray(fiscal_years, dtype=np.int64)
+    try:
+        raw = {name: np.asarray(items[name], dtype=float) for name in RAW_ITEMS}
+    except KeyError as err:
+        raise DataValidationError(f"raw item {err} missing") from None
+    n = len(firm_ids)
+    for name, column in {"fiscal_years": years, **raw}.items():
+        if len(column) != n:
+            raise DataValidationError(f"{name}: {len(column)} values for {n} firm ids")
+    labels, codes = np.unique(firm_ids, return_inverse=True)
+    order = np.lexsort((years, codes))  # stable: equal keys keep input order
+    sorted_codes, sorted_years = codes[order], years[order]
+    same = (sorted_codes[1:] == sorted_codes[:-1]) & (sorted_years[1:] == sorted_years[:-1])
+    first = np.ones(n, dtype=bool)  # per statement: no earlier one has its key
+    first[order[1:][same]] = False
+    keep = order[first[order]]  # the first occurrences, sorted by key
+    fails = [~meets(raw) for meets, _ in _USABLE_IF]
     reasons = np.select(fails, [reason for _, reason in _USABLE_IF], "")
-    why = {keys[i]: str(reasons[i]) for i in np.flatnonzero(reasons != "").tolist()}
-    report.flagged = [(key, why[key]) for key in accepted if key in why]
-    return Panel(
-        np.array(labels, dtype=str),
-        np.array([code[firm] for firm, _ in keys], dtype=np.intp),
-        np.array([year for _, year in keys], dtype=np.int64),
-        items,
-        validation=report,
+    flagged = np.flatnonzero(first & (reasons != ""))
+    report = ValidationReport(
+        n_read=n, n_accepted=len(keep),
+        rejected=[(key, "duplicate (firm_id, fiscal_year)")
+                  for key in _keys(firm_ids, years, np.flatnonzero(~first))],
+        flagged=list(zip(_keys(firm_ids, years, flagged), reasons[flagged].tolist())),
     )
+    raw = {name: column[keep] for name, column in raw.items()}
+    return Panel(labels, codes[keep], years[keep], raw, validation=report)
+
+
+def _keys(firm_ids, years, index):  # plain (str, int) tuples, as reports print them
+    return list(zip(firm_ids[index].tolist(), years[index].tolist()))
 
 
 def _parse_float(text):
@@ -397,18 +394,20 @@ _PANEL_PARSERS = {"firm_id": str.strip, "fyear": int, "mkt_eq": _parse_optional}
 def read_panel_csv(path):
     """Read the firm-year CSV into a Panel, collecting row-level rejections."""
     parse_rejects = []
-    rows = []
+    cells = [[] for _ in PANEL_COLUMNS]  # one list per column
     for lineno, row, problem in _read_csv(path, PANEL_COLUMNS):
         if problem:
             parse_rejects.append((f"line {lineno}", problem))
             continue
         try:
-            rows.append(tuple(
-                _PANEL_PARSERS.get(c, _parse_float)(row[c]) for c in PANEL_COLUMNS
-            ))
+            values = [_PANEL_PARSERS.get(c, _parse_float)(row[c]) for c in PANEL_COLUMNS]
         except ValueError as err:
             parse_rejects.append((f"line {lineno}", f"malformed value: {err}"))
-    panel = ingest_panel(rows)
+            continue
+        for column, value in zip(cells, values):
+            column.append(value)
+    firm_ids, years, *items = cells
+    panel = ingest_panel(firm_ids, years, dict(zip(RAW_ITEMS, items)))
     panel.validation.n_read += len(parse_rejects)
     panel.validation.rejected = parse_rejects + panel.validation.rejected
     return panel
@@ -442,7 +441,7 @@ def write_panel_csv(panel, path):
         panel.firm_labels[panel._record_firm].tolist(),
         map(str, panel._record_year.tolist()),
     ]
-    cells += [map(_csv_float, panel._items[name].tolist()) for name in _RAW_ITEMS]
+    cells += [map(_csv_float, panel._items[name].tolist()) for name in RAW_ITEMS]
     _write_csv(path, PANEL_COLUMNS, zip(*cells))
 
 

@@ -633,8 +633,8 @@ def bootstrap_se(
     (``"fixed_effects_mean"``) are collected; ``penalty`` is the L1 weight
     on the effects of the refit, as in ``fit_quantile_fixed_effects``
     (0: one free effect per firm).  Replicate seeds derive
-    deterministically from ``seed``, so results are bit-identical across
-    runs and parallelism schedules.
+    deterministically from ``seed``, so the results are deterministic per
+    seed: the same seed gives bit-identical results in every run.
 
     Degenerate (rank-deficient) resamples are redrawn and counted; more
     than 50% degenerate draws is an error.

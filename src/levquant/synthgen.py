@@ -18,7 +18,7 @@ import scipy.linalg
 from .adjustment import TargetModelSpec, estimate_speed, estimate_speed_by_regime
 from .errors import ConfigError, ConvergenceError, DataValidationError, DesignError
 from .panel import (
-    DEFAULT_TAX_RATE, MacroYear, Regime, RegimeRule, derive_variables, ingest_panel,
+    DEFAULT_TAX_RATE, RAW_ITEMS, MacroYear, Regime, RegimeRule, derive_variables, ingest_panel,
 )
 
 _BURN_IN = 10
@@ -157,7 +157,7 @@ def generate_panel(config):
     levb = levm = config.intercept + a
     alive = np.ones(n, dtype=bool)
     n_clamped = 0
-    emitted = []  # per emitted year: firm index, year, then the raw items
+    emitted = []  # per emitted year: the alive mask, then every firm's raw items
     for year in sorted(macro):
         # attrition runs over emitted years only, one draw per firm and transition
         if year > emit_from:
@@ -196,17 +196,17 @@ def generate_panel(config):
         # market leverage is not representable where it leaves (0, 1) or debt <= 0
         ok = (levm > 0.0) & (levm < 1.0) & (debt > 0.0)
         mkt_eq = np.where(ok, debt * (1.0 - levm) / np.where(ok, levm, 1.0), np.nan)
-        keep = np.flatnonzero(alive)
-        emitted.append([keep, np.full(keep.size, year)] + [item[keep] for item in (
-            total_assets, debt, mkt_eq, liqta * lct, lct, ebit, ip, txt, sales, ppent, dp)])
+        emitted.append((alive.copy(), total_assets, debt, mkt_eq, liqta * lct, lct, ebit, ip,
+                        txt, sales, ppent, dp))
 
-    columns = [np.concatenate(col) for col in zip(*emitted)]
-    order = np.lexsort((columns[1], columns[0]))  # firm-major, years ascending
-    firm, year, *items = (col[order].tolist() for col in columns)
-    items[2] = [None if v != v else v for v in items[2]]  # mkt_eq
+    # (firm, emitted year) tables; the emitted years run on from emit_from. Read
+    # row by row they are firm-major, so the report's input order is the panel's
+    alive_in, *items = (np.stack(col, axis=1) for col in zip(*emitted))
+    firm, year = np.nonzero(alive_in)
     width = len(str(n))
     labels = [f"F{i + 1:0{width}d}" for i in range(n)]
-    panel = ingest_panel(zip([labels[i] for i in firm], year, *items))
+    raw = {name: item[alive_in] for name, item in zip(RAW_ITEMS, items)}
+    panel = ingest_panel(np.array(labels)[firm], emit_from + year, raw)
     emitted_macro = {y: m for y, m in macro.items() if y >= emit_from}
     panel = derive_variables(
         panel, emitted_macro, {y: config.tax_rate for y in emitted_macro}
@@ -276,7 +276,7 @@ def monte_carlo_speed(
     """Bias / SD / RMSE of the estimated speed across simulated panels.
 
     Per-replication seeds derive from the master seed, so the report is
-    deterministic (and independent of any parallel execution order).
+    deterministic per seed.
     Estimator failures (data, design, convergence and linear-algebra
     errors) are excluded and counted, each with its reason, as is every
     regime that a replication's per-regime estimation skipped; any other

@@ -30,7 +30,6 @@ from levquant import (
     fit_quantile_oracle,
     hausman_decision,
     hausman_test,
-    ingest_panel,
     monte_carlo_speed,
     within_transform,
     write_macro_csv,
@@ -40,6 +39,8 @@ from levquant import (
 )
 from levquant import generate_panel
 from levquant.cli import main
+
+from conftest import ingest_records
 
 THETA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -258,7 +259,7 @@ def test_criterion_7_variable_formulas():
         for y in (2000, 2001)
     }
     panel = derive_variables(
-        ingest_panel([rec0, rec1]), macro, {2000: 0.21, 2001: 0.21}
+        ingest_records([rec0, rec1]), macro, {2000: 0.21, 2001: 0.21}
     )
     first, second = panel.rows
     assert first.levb == 0.25                     # 50 / 200
@@ -301,7 +302,7 @@ def test_criterion_8_descriptive_oracles():
         for y in sorted(set(years))
     }
     panel = derive_variables(
-        ingest_panel(recs), macro, {y: 0.21 for y in macro}
+        ingest_records(recs), macro, {y: 0.21 for y in macro}
     )
 
     cm = correlation_matrix(panel)

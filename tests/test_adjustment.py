@@ -14,9 +14,10 @@ from levquant import (
     estimate_speed,
     estimate_speed_by_regime,
     generate_panel,
-    ingest_panel,
     lag_leverage,
 )
+
+from conftest import ingest_records
 
 SPEC = TargetModelSpec(
     leverage="book", determinants=("profta", "liqta", "sizeat"), thetas=(0.5,)
@@ -194,7 +195,7 @@ class TestSpeedByRegime:
         panel, truth = generate_panel(cfg)
         negated = {y: replace(m, gdp_growth=-m.gdp_growth) for y, m in truth.macro.items()}
         flipped = derive_variables(
-            ingest_panel(panel.records), negated, {y: cfg.tax_rate for y in negated}
+            ingest_records(panel.records), negated, {y: cfg.tax_rate for y in negated}
         )
         spec = TargetModelSpec(
             leverage="book", determinants=SPEC.determinants, macro_vars=("inflation",),
@@ -259,7 +260,7 @@ class TestSpeedByRegime:
             for r in panel.records
         ]
         panel = derive_variables(
-            ingest_panel(records), truth.macro, {y: cfg.tax_rate for y in truth.macro}
+            ingest_records(records), truth.macro, {y: cfg.tax_rate for y in truth.macro}
         )
         spec = replace(SPEC, determinants=("profta", "liqta", "sizeat", "mbratio"))
         with warnings.catch_warnings():
@@ -271,7 +272,7 @@ class TestSpeedByRegime:
         assert out.results[Regime.Growth][0].n_used >= 70
 
     def test_firm_order_invariance(self):
-        from levquant import derive_variables, ingest_panel
+        from levquant import derive_variables
 
         panel, _ = synth_panel(n_firms=40, t_max=8, seed=24)
         res = estimate_speed(panel, SPEC)[0]
@@ -279,7 +280,7 @@ class TestSpeedByRegime:
         records = list(panel.records)
         rng.shuffle(records)
         reordered = derive_variables(
-            ingest_panel(records), panel.macro,
+            ingest_records(records), panel.macro,
             {y: 0.21 for y in panel.macro},
         )
         res2 = estimate_speed(reordered, SPEC)[0]

@@ -392,6 +392,22 @@ class TestConfig:
             assert "input and macro paths are required" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["input", "macro", "tax_table"])
+    def test_nonexistent_input_path_is_exit_2_before_any_output(
+        self, synth_inputs, tmp_path, capsys, key
+    ):
+        out = tmp_path / "out"
+        paths = {"input": synth_inputs / "panel.csv", "macro": synth_inputs / "macro.csv",
+                 "tax_table": synth_inputs / "tax.csv"}
+        paths[key] = tmp_path / "nope.csv"
+        argv = ["replicate", "--bootstrap", "0", "--out", str(out)]
+        for name, path in paths.items():
+            argv += [f"--{name.replace('_', '-')}", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {key}: not a file: {paths[key]}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "leverage = foo",
         "format = pdf",

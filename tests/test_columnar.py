@@ -6,9 +6,10 @@ from levquant import (
     FirmYearRecord,
     MacroYear,
     derive_variables,
-    ingest_panel,
     lag_leverage,
 )
+
+from conftest import ingest_records
 
 # firm -> years present; B's first year directly follows A's last, B skips
 # 2006, D's 2001 statement is unusable, A's 2002 market equity is unknown
@@ -75,7 +76,7 @@ def lagged_panel(records):
         y: MacroYear(year=y, inflation=2.0, gdp_growth=1.0)
         for y in years
     }
-    panel = derive_variables(ingest_panel(records), macro, {y: 0.21 for y in years})
+    panel = derive_variables(ingest_records(records), macro, {y: 0.21 for y in years})
     return lag_leverage(lag_leverage(panel, "book"), "market")
 
 

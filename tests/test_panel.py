@@ -22,6 +22,8 @@ from levquant import (
     yearly_means,
 )
 
+from conftest import ingest_records
+
 
 def record(firm="F1", year=2000, at=200.0, debt=50.0, mkt_eq=150.0, act=80.0,
            lct=40.0, ebit=100.0, ip=10.0, txt=21.0, sale=100.0, ppent=100.0,
@@ -43,28 +45,28 @@ def macro_for(years, inflation=3.0, gdp=2.0):
 
 def simple_panel(**kw):
     recs = [record(year=2000), record(year=2001, sale=110.0, ppent=120.0)]
-    panel = ingest_panel(recs)
+    panel = ingest_records(recs)
     return derive_variables(panel, macro_for([2000, 2001]), {2000: 0.21, 2001: 0.21}, **kw)
 
 
 class TestIngest:
     def test_clean_two_firms_three_years(self):
         recs = [record(firm=f, year=y) for f in ("A", "B") for y in (2000, 2001, 2002)]
-        panel = ingest_panel(recs)
+        panel = ingest_records(recs)
         assert len(panel.records) == 6
         assert panel.validation.n_rejected == 0
         assert panel.firms == ("A", "B")
         assert panel.year_span == (2000, 2002)
 
     def test_duplicate_rejected(self):
-        panel = ingest_panel([record(), record()])
+        panel = ingest_records([record(), record()])
         assert len(panel.records) == 1
         assert panel.validation.n_rejected == 1
         assert "duplicate" in panel.validation.rejected[0][1]
 
     def test_zero_assets_flagged_and_excluded_from_derivation(self):
         recs = [record(), record(year=2001, at=0.0)]
-        panel = ingest_panel(recs)
+        panel = ingest_records(recs)
         assert panel.validation.n_flagged == 1
         derived = derive_variables(panel, macro_for([2000, 2001]), {2000: 0.21, 2001: 0.21})
         assert len(derived.rows) == 1
@@ -77,7 +79,7 @@ class TestIngest:
             record(year=2001),
             record(year=2003, debt=0.0),  # no debt is usable
         ]
-        panel = ingest_panel(recs)
+        panel = ingest_records(recs)
         assert panel.validation.flagged == [
             (("F1", 2002), "book_debt < 0: unusable"),
             (("F1", 2000), "total_assets <= 0: unusable"),
@@ -88,6 +90,54 @@ class TestIngest:
         kept = derived.subset([False, True])
         assert [(r.fiscal_year, r.book_debt) for r in kept.records] == [(2003, 0.0)]
         assert kept.rows[0].levb == 0.0
+
+    def test_interleaved_duplicates_rejected_in_input_order_first_kept(self):
+        recs = [
+            record(firm="B", year=2001, at=1.0), record(firm="A", year=2000, at=2.0),
+            record(firm="B", year=2001, at=3.0), record(firm="A", year=2000, at=4.0),
+            record(firm="B", year=2000, at=5.0), record(firm="A", year=2000, at=6.0),
+            record(firm="B", year=2001, at=7.0),
+        ]
+        panel = ingest_records(recs)
+        dup = "duplicate (firm_id, fiscal_year)"
+        assert panel.validation.rejected == [
+            (("B", 2001), dup), (("A", 2000), dup), (("A", 2000), dup), (("B", 2001), dup),
+        ]
+        assert panel.validation.n_read == 7 and panel.validation.n_accepted == 3
+        assert [(r.firm_id, r.fiscal_year, r.total_assets) for r in panel.records] == [
+            ("A", 2000, 2.0), ("B", 2000, 5.0), ("B", 2001, 1.0),
+        ]
+
+    def test_firm_labels_sort_by_code_point(self):
+        firms = ["é", "b", "B", "a10", "a9"]
+        panel = ingest_records([record(firm=f) for f in firms])
+        assert panel.firms == tuple(sorted(firms)) == ("B", "a10", "a9", "b", "é")
+
+    def test_report_keys_are_plain_str_and_int(self):
+        from levquant.reports import render_validation
+
+        items = {name: np.full(3, 100.0) for name in FirmYearRecord._fields[2:]}
+        items["book_debt"] = np.array([10.0, -1.0, 10.0])
+        panel = ingest_panel(np.array(["B", "A", "B"]), np.array([2001, 2000, 2001]), items)
+        keys = [key for key, _ in panel.validation.rejected + panel.validation.flagged]
+        assert [(type(f), type(y)) for f, y in keys] == [(str, int), (str, int)]
+        assert render_validation(panel.validation).splitlines()[-5:] == [
+            "[rejected]",
+            "('B', 2001): duplicate (firm_id, fiscal_year)",
+            "",
+            "[flagged]",
+            "('A', 2000): book_debt < 0: unusable",
+        ]
+
+    def test_columns_must_match_the_firm_ids(self):
+        items = {name: [100.0, 100.0] for name in FirmYearRecord._fields[2:]}
+        with pytest.raises(DataValidationError, match="sales: 1 values for 2 firm ids"):
+            ingest_panel(["A", "B"], [2000, 2000], {**items, "sales": [100.0]})
+        with pytest.raises(DataValidationError, match="fiscal_years: 3 values"):
+            ingest_panel(["A", "B"], [2000, 2001, 2002], items)
+        del items["depreciation"]
+        with pytest.raises(DataValidationError, match="raw item 'depreciation' missing"):
+            ingest_panel(["A", "B"], [2000, 2000], items)
 
     def test_negative_book_debt_never_reaches_the_rows(self):
         # shocks this large drive book leverage below zero in some years
@@ -102,7 +152,7 @@ class TestIngest:
 
 class TestDeriveVariables:
     def test_variable_needs_derivation(self):
-        panel = ingest_panel([record(year=2000), record(year=2001)])
+        panel = ingest_records([record(year=2000), record(year=2001)])
         with pytest.raises(DataValidationError, match="not derived yet"):
             panel.variable("levb")
 
@@ -152,30 +202,30 @@ class TestDeriveVariables:
         assert panel.rows[0].mbratio == pytest.approx(200.0 / 200.0)
 
     def test_missing_market_equity_levm_absent(self):
-        panel = ingest_panel([record(mkt_eq=None)])
+        panel = ingest_records([record(mkt_eq=None)])
         derived = derive_variables(panel, macro_for([2000]), {2000: 0.21})
         assert derived.rows[0].levm is None
         assert derived.rows[0].mbratio is None
         assert derived.rows[0].levb == pytest.approx(0.25)
 
     def test_nonpositive_sales_size_absent(self):
-        panel = ingest_panel([record(sale=0.0)])
+        panel = ingest_records([record(sale=0.0)])
         derived = derive_variables(panel, macro_for([2000]), {2000: 0.21})
         assert derived.rows[0].sizeat is None
 
     def test_zero_current_liabilities_liqta_absent(self):
-        panel = ingest_panel([record(lct=0.0)])
+        panel = ingest_records([record(lct=0.0)])
         derived = derive_variables(panel, macro_for([2000]), {2000: 0.21})
         assert derived.rows[0].liqta is None
 
     def test_missing_tax_rate_is_hard_error(self):
-        panel = ingest_panel([record()])
+        panel = ingest_records([record()])
         with pytest.raises(ConfigError, match="tax rate"):
             derive_variables(panel, macro_for([2000]), {1999: 0.21})
 
     @pytest.mark.parametrize("rate", [0.0, -0.21])
     def test_nonpositive_tax_rate_is_config_error(self, rate):
-        panel = ingest_panel([record()])
+        panel = ingest_records([record()])
         with pytest.raises(ConfigError, match="tax rate must be positive"):
             derive_variables(panel, macro_for([2000]), {2000: rate})
 
@@ -185,13 +235,13 @@ class TestDeriveVariables:
             simple_panel(winsorize=limits)
 
     def test_missing_macro_year_is_error(self):
-        panel = ingest_panel([record()])
+        panel = ingest_records([record()])
         with pytest.raises(DataValidationError, match="macro"):
             derive_variables(panel, macro_for([2001]), {2000: 0.21})
 
     def test_gap_breaks_lag_chain(self):
         recs = [record(year=2000), record(year=2002, sale=120.0)]
-        panel = ingest_panel(recs)
+        panel = ingest_records(recs)
         derived = derive_variables(panel, macro_for([2000, 2002]),
                                    {2000: 0.21, 2002: 0.21})
         assert derived.rows[1].growthat is None
@@ -208,7 +258,7 @@ class TestDeriveVariables:
         for firm, years in (("A", [2000, 2001, 2002]), ("B", [2000, 2002, 2003]),
                             ("C", [2005])):
             recs += [record(firm=firm, year=y) for y in years]
-        panel = ingest_panel(recs)
+        panel = ingest_records(recs)
         all_years = sorted({r.fiscal_year for r in recs})
         derived = derive_variables(
             panel, macro_for(all_years), {y: 0.21 for y in all_years}
@@ -235,7 +285,7 @@ class TestDeriveVariables:
             for r in panel.records
         ]
         scaled = derive_variables(
-            ingest_panel(scaled_recs), panel.macro, {2000: 0.21, 2001: 0.21}
+            ingest_records(scaled_recs), panel.macro, {2000: 0.21, 2001: 0.21}
         )
         for a, b in zip(panel.rows, scaled.rows):
             for ratio in ("levb", "levm", "profta", "liqta", "mbratio"):
@@ -251,7 +301,7 @@ class TestDeriveVariables:
         recs = [record(year=2000 + i, ebit=float(v) * 2.0)
                 for i, v in enumerate([1, 2, 3, 4, 1000])]
         years = [r.fiscal_year for r in recs]
-        panel = ingest_panel(recs)
+        panel = ingest_records(recs)
         plain = derive_variables(panel, macro_for(years), {y: 0.21 for y in years})
         assert max(r.profta for r in plain.rows) == pytest.approx(10.0)
         clipped = derive_variables(
@@ -275,7 +325,7 @@ def build_variable_panel(values_by_var, years=None):
                 at=at,
             )
         )
-    panel = ingest_panel(recs)
+    panel = ingest_records(recs)
     all_years = sorted(set(years))
     return derive_variables(panel, macro_for(all_years), {y: 0.21 for y in all_years})
 
@@ -298,7 +348,7 @@ class TestYearlyMeans:
             assert ym.values[i, 0] == pytest.approx(sum(manual) / len(manual), abs=1e-12)
 
     def test_absent_variable_cell_marked_missing(self):
-        panel = ingest_panel([record(mkt_eq=None)])
+        panel = ingest_records([record(mkt_eq=None)])
         panel = derive_variables(panel, macro_for([2000]), {2000: 0.21})
         ym = yearly_means(panel, variables=("levm",))
         assert math.isnan(ym.values[0, 0])
@@ -430,6 +480,17 @@ class TestCsvIO:
             ("line 3", "malformed value: non-finite"), ("line 4", "malformed value: non-finite"),
         ]
 
+    def test_every_line_malformed_gives_an_empty_panel(self, tmp_path):
+        path = tmp_path / "all_bad.csv"
+        header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"
+        path.write_text(f"{header}\nF1,2000,x,50,150,80,40,100,10,21,100,100,15\n"
+                        "F2,2000,200\nF3,20x0,200,50,150,80,40,100,10,21,100,100,15\n")
+        panel = read_panel_csv(path)
+        assert len(panel) == 0 and panel.records == ()
+        assert panel.validation.n_read == 3 and panel.validation.n_accepted == 0
+        assert [line for line, _ in panel.validation.rejected] == ["line 2", "line 3", "line 4"]
+        assert panel.validation.flagged == []
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("firm_id,fyear,at\nF1,2000,10\n")
@@ -464,7 +525,7 @@ class TestDesignFromPanel:
             y: MacroYear(year=y, inflation=float(i), gdp_growth=2.0)
             for i, y in enumerate([2000, 2001, 2002], start=1)
         }
-        return derive_variables(ingest_panel(recs), macro, {y: 0.21 for y in macro})
+        return derive_variables(ingest_records(recs), macro, {y: 0.21 for y in macro})
 
     def test_listwise_deletion(self):
         panel = self._three_year_panel(third_mkt_eq=None)
