@@ -279,16 +279,17 @@ def stage_qreg(ctx):
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
         design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
-        fits = {}
-        for theta in spec.thetas:
-            fit = fits[theta] = fit_quantile_fixed_effects(
-                design, firms, theta, penalty=spec.penalty
-            )
-            if cfg.bootstrap:
-                fit.std_errors = bootstrap_se(
-                    design, theta, cfg.bootstrap, seed=ctx._boot_seed(kind),
-                    cluster=firms, refit_group_effects=True, penalty=spec.penalty,
-                ).std_errors
+        fits = {
+            theta: fit_quantile_fixed_effects(design, firms, theta, penalty=spec.penalty)
+            for theta in spec.thetas
+        }
+        if cfg.bootstrap:
+            std_errors = bootstrap_se(
+                design, spec.thetas, cfg.bootstrap, seed=ctx._boot_seed(kind),
+                cluster=firms, refit_group_effects=True, penalty=spec.penalty,
+            ).std_errors
+            for theta, fit in fits.items():
+                fit.std_errors = std_errors[theta]
         table = (spec.thetas, fits, spec.predictors)
         out.append((
             f"quantile_{kind}.txt",

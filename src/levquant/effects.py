@@ -270,7 +270,9 @@ def hausman_test(fe, re, significance=DEFAULT_SIGNIFICANCE):
     return HausmanResult(stat, df, p, choice, deficient)
 
 
-def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _weights=None):
+def fit_quantile_fixed_effects(
+    design, groups, theta, *, penalty=0.0, _weights=None, _problem=None
+):
     """Quantile regression with firm fixed effects.
 
     ``penalty`` is the L1 weight lambda on the effects (Koenker 2004,
@@ -284,15 +286,38 @@ def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _weights=N
 
     An intercept column is rejected: the group effects absorb it.
 
-    ``_weights`` is private to ``bootstrap_se``: it scales row i's check
-    loss by ``_weights[i]``.  The rows of a group share one weight, which
-    also scales the group's penalty row, so a group entered once with
-    weight m has the optimum of m copies of it, each with its own effect.
-    The fit's objective, pseudo-R^2 and sign counts stay unweighted.
+    ``_weights`` and ``_problem`` are private to ``bootstrap_se``.
+    ``_weights`` scales row i's check loss by ``_weights[i]``.  The rows of
+    a group share one weight, which also scales the group's penalty row, so
+    a group entered once with weight m has the optimum of m copies of it,
+    each with its own effect.  The fit's objective, pseudo-R^2 and sign
+    counts stay unweighted.  ``_problem`` is ``_fe_problem(design, groups,
+    penalty)``, built once and passed to the refits of every theta.
     """
     theta = _validate_theta(theta)
     if not 0.0 <= penalty < np.inf:  # NaN fails both comparisons
         raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {penalty}")
+    labels, codes, ops, y = _problem or _fe_problem(design, groups, penalty)
+    weights = np.ones(design.n) if _weights is None else _weights
+    p = weights * theta
+    q = weights * (1.0 - theta)
+    if penalty > 0.0:
+        group_weights = np.empty(labels.size)
+        group_weights[codes] = weights
+        p = np.concatenate([p, penalty * group_weights])
+        q = np.concatenate([q, penalty * group_weights])
+
+    fit, effects = _solve_pinball(ops, y, theta, p, q, design.names, data_rows=design.n)
+    fit.group_effects = {str(l): float(v) for l, v in zip(labels, effects)}
+    fit.solver_meta["penalty"] = penalty
+    return fit
+
+
+def _fe_problem(design, groups, penalty):
+    """The part of a quantile fixed-effects fit that does not depend on
+    theta or row weights: the group labels and codes, the within-rank
+    check, and the grouped design operator with its response, extended by
+    one zero-response penalty row per group when ``penalty > 0``."""
     if INTERCEPT in design.names:
         raise DesignError(
             "remove the intercept column: group effects absorb the level",
@@ -300,7 +325,6 @@ def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _weights=N
         )
     labels, codes = _group_codes(groups, design.n)
     G = labels.size
-    n, kx = design.n, design.k
     Xw = design.X - _group_means(design.X, codes, G)[codes]
     try:
         _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))
@@ -309,26 +333,9 @@ def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _weights=N
             "no within-group variation for column(s): " + ", ".join(err.columns),
             columns=err.columns,
         ) from None
-
-    weights = np.ones(n) if _weights is None else _weights
-    p = weights * theta
-    q = weights * (1.0 - theta)
     if penalty == 0.0:
-        ops = _GroupedOps(design.X, codes, G)
-        y = design.y
-        data_rows = None
-    else:
-        X_ext = np.vstack([design.X, np.zeros((G, kx))])
-        codes_ext = np.concatenate([codes, np.arange(G)])
-        ops = _GroupedOps(X_ext, codes_ext, G)
-        y = np.concatenate([design.y, np.zeros(G)])
-        group_weights = np.empty(G)
-        group_weights[codes] = weights
-        p = np.concatenate([p, penalty * group_weights])
-        q = np.concatenate([q, penalty * group_weights])
-        data_rows = n
-
-    fit, effects = _solve_pinball(ops, y, theta, p, q, design.names, data_rows=data_rows)
-    fit.group_effects = {str(l): float(v) for l, v in zip(labels, effects)}
-    fit.solver_meta["penalty"] = penalty
-    return fit
+        return labels, codes, _GroupedOps(design.X, codes, G), design.y
+    X_ext = np.vstack([design.X, np.zeros((G, design.k))])
+    codes_ext = np.concatenate([codes, np.arange(G)])
+    y_ext = np.concatenate([design.y, np.zeros(G)])
+    return labels, codes, _GroupedOps(X_ext, codes_ext, G), y_ext

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 import scipy.sparse
 from scipy.stats import norm
 
@@ -281,18 +282,20 @@ class _GroupedOps:
 
 def _chol_factor(M):
     """Cholesky-factor M, adding diagonal jitter on failure; returns a
-    solver for M out = rhs."""
-    jitter = 0.0
-    scale = float(np.trace(M)) / max(M.shape[0], 1) or 1.0
-    for _ in range(4):
-        try:
-            cf = scipy.linalg.cho_factor(
-                M + jitter * np.eye(M.shape[0]), check_finite=False
-            )
-            return lambda rhs: scipy.linalg.cho_solve(cf, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-12 * scale)
-    raise scipy.linalg.LinAlgError("normal-equation matrix is singular")
+    solver for M out = rhs.  LAPACK is called directly, with the arguments
+    ``cho_factor`` and ``cho_solve`` pass it, so the solves are the same."""
+    c, info = _potrf(M, lower=0, clean=0)
+    if info:
+        scale = float(np.trace(M)) / max(M.shape[0], 1) or 1.0
+        jitter = 1e-12 * scale
+        for _ in range(3):
+            c, info = _potrf(M + jitter * np.eye(M.shape[0]), lower=0, clean=0)
+            if not info:
+                break
+            jitter *= 100.0
+        else:
+            raise scipy.linalg.LinAlgError("normal-equation matrix is singular")
+    return lambda rhs: _potrs(c, rhs, lower=0)[0]
 
 
 def _solve_square(A, b):
@@ -374,8 +377,8 @@ def _interior_point(ops, y, p, q):
         ds = -da
         dz = -z - za * da
         dw = -w - ws * ds
-        ap = min(_steplen(a, da), _steplen(s, ds))
-        ad = min(_steplen(z, dz), _steplen(w, dw))
+        ap = _steplen(a, da, s, ds)
+        ad = _steplen(z, dz, w, dw)
         mu = gap / (2.0 * n)
         mu_aff = (
             (a + ap * da) @ (z + ad * dz) + (s + ap * ds) @ (w + ad * dw)
@@ -392,8 +395,8 @@ def _interior_point(ops, y, p, q):
         ds = -da
         dz = g_z - za * da
         dw = g_w - ws * ds
-        ap = min(_steplen(a, da), _steplen(s, ds))
-        ad = min(_steplen(z, dz), _steplen(w, dw))
+        ap = _steplen(a, da, s, ds)
+        ad = _steplen(z, dz, w, dw)
 
         a += ap * da
         s += ap * ds
@@ -404,11 +407,15 @@ def _interior_point(ops, y, p, q):
     return nu, _MAX_ITER, gap, False
 
 
-def _steplen(v, dv):
-    # the largest step in (0, 1] keeping v + step * dv positive, 0.9995 of
-    # the way to the boundary; ratios where dv >= 0 stay inf
-    ratio = np.divide(v, -dv, out=np.full(v.size, np.inf), where=dv < 0.0)
-    return min(1.0, 0.9995 * float(np.min(ratio, initial=np.inf)))
+def _steplen(v, dv, u, du):
+    # the largest step in (0, 1] keeping v + step * dv and u + step * du
+    # positive, 0.9995 of the way to the boundary.  A direction that is not
+    # below zero becomes +0.0, so its ratio is +inf by design; np.where with
+    # a data-dependent mask costs about twice as much per element
+    with np.errstate(divide="ignore"):
+        ratio_v = v / np.abs(np.minimum(dv, 0.0))
+        ratio_u = u / np.abs(np.minimum(du, 0.0))
+    return min(1.0, 0.9995 * float(min(ratio_v.min(), ratio_u.min())))
 
 
 def _polish_vertex(ops, y, beta, p, q):
@@ -599,14 +606,28 @@ def fit_quantile_oracle(design, theta, *, cap=200, max_bases=5_000_000):
 
 @dataclass
 class BootstrapResult:
-    """``n_polished`` counts the replicates whose refit was polished to a
-    vertex."""
+    """The replicates and standard errors of one ``bootstrap_se`` call.
+
+    For a scalar theta, ``replicates`` is (n_boot, estimates) and
+    ``std_errors`` maps estimate names to standard errors.  For a tuple of
+    thetas, ``replicates`` is (n_boot, thetas, estimates) and
+    ``std_errors`` maps each theta to its name -> standard error dict.
+    ``n_redrawn`` counts the redrawn resamples and ``n_polished`` the
+    replicates whose refit was polished to a vertex, both summed over
+    theta; ``redrawn_by_theta`` and ``polished_by_theta`` hold the counts
+    of each theta.
+    """
 
     std_errors: dict
     replicates: np.ndarray = field(repr=False)
     n_boot: int
     n_redrawn: int
     n_polished: int
+    redrawn_by_theta: dict = field(default_factory=dict)
+    polished_by_theta: dict = field(default_factory=dict)
+
+
+_REFIT_ERRORS = (DesignError, ConvergenceError, scipy.linalg.LinAlgError)
 
 
 def bootstrap_se(
@@ -619,7 +640,8 @@ def bootstrap_se(
     refit_group_effects=False,
     penalty=0.0,
 ):
-    """Pairs-bootstrap standard errors for a quantile fit.
+    """Pairs-bootstrap standard errors for a quantile fit at one theta or
+    at each theta of a tuple.
 
     The resampling unit is the cluster when ``cluster`` labels are given
     (all rows of a drawn cluster enter together), otherwise the row.  A
@@ -636,10 +658,21 @@ def bootstrap_se(
     deterministically from ``seed``, so the results are deterministic per
     seed: the same seed gives bit-identical results in every run.
 
-    Degenerate (rank-deficient) resamples are redrawn and counted; more
-    than 50% degenerate draws is an error.
+    The thetas of a tuple share the draws: each draw's sub-problem is built
+    once and refit at every theta, so replicate b of every theta comes from
+    the same resample and the replicates are joint across theta.  A
+    resample whose refit fails at a theta (a rank-deficient draw, an
+    interior point and fallback that both fail, a singular linear system)
+    is redrawn for that theta alone, from the continuation of replicate
+    b's random stream, and counted; the other thetas keep the draw.  So
+    each theta's replicates are bit-identical to a call at that theta
+    alone.  More than 50% failed resamples at one theta, or 50 failures in
+    a row, is an error.
     """
-    theta = _validate_theta(theta)
+    scalar = np.ndim(theta) == 0
+    thetas = tuple(_validate_theta(t) for t in ((theta,) if scalar else theta))
+    if not thetas or len(set(thetas)) < len(thetas):
+        raise ValueError(f"need one or more distinct thetas, got {theta}")
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replications")
     if refit_group_effects and cluster is None:
@@ -660,68 +693,102 @@ def bootstrap_se(
     names = list(design.names)
     if refit_group_effects:
         names = [m for m in names if m != INTERCEPT] + ["fixed_effects_mean"]
-    rows = np.empty((n_boot, len(names)))
+    rows = np.empty((n_boot, len(thetas), len(names)))
     refit_penalty = penalty if refit_group_effects else None
-    attempts = 0
-    degenerate = 0
-    polished = 0
+    attempts = np.zeros(len(thetas), dtype=int)
+    degenerate = np.zeros(len(thetas), dtype=int)
+    polished = np.zeros(len(thetas), dtype=int)
     for b in range(n_boot):
         rng = np.random.default_rng(children[b])
+        # the thetas still without replicate b have failed the same draws,
+        # so they continue the stream from one point and share the next draw
+        pending = list(range(len(thetas)))
         for _try in range(50):
-            attempts += 1
+            attempts[pending] += 1
             picks = rng.integers(0, n_units, size=n_units)
             mult = np.bincount(picks, minlength=n_units)
             try:
-                rows[b], was_polished = _refit(design, codes, mult, names, theta, refit_penalty)
-                polished += was_polished
+                refit = _refit(design, codes, mult, names, refit_penalty)
+            except _REFIT_ERRORS:
+                failed = pending
+            else:
+                failed = []
+                for i in pending:
+                    try:
+                        rows[b, i], was_polished = refit(thetas[i])
+                        polished[i] += was_polished
+                    except _REFIT_ERRORS:
+                        failed.append(i)
+            degenerate[failed] += 1
+            pending = failed
+            if not pending:
                 break
-            except (DesignError, ConvergenceError, scipy.linalg.LinAlgError):
-                degenerate += 1
         else:
             raise DegenerateResampleError(
                 f"replicate {b}: 50 consecutive degenerate resamples"
+                f" at theta {thetas[pending[0]]}"
             )
-    if degenerate > attempts / 2.0:
-        raise DegenerateResampleError(
-            f"{degenerate} of {attempts} resamples were degenerate"
-        )
+    for t, bad, tried in zip(thetas, degenerate, attempts):
+        if bad > tried / 2.0:
+            raise DegenerateResampleError(
+                f"{bad} of {tried} resamples were degenerate at theta {t}"
+            )
     ses = np.std(rows, axis=0, ddof=1)
+    std_errors = {
+        t: dict(zip(names, (float(v) for v in ses[i]))) for i, t in enumerate(thetas)
+    }
     return BootstrapResult(
-        std_errors=dict(zip(names, (float(v) for v in ses))),
-        replicates=rows,
+        std_errors=std_errors[thetas[0]] if scalar else std_errors,
+        replicates=rows[:, 0] if scalar else rows,
         n_boot=n_boot,
-        n_redrawn=degenerate,
-        n_polished=polished,
+        n_redrawn=int(degenerate.sum()),
+        n_polished=int(polished.sum()),
+        redrawn_by_theta=dict(zip(thetas, degenerate.tolist())),
+        polished_by_theta=dict(zip(thetas, polished.tolist())),
     )
 
 
-def _refit(design, codes, mult, names, theta, penalty):
-    """The estimates named by ``names`` from one refit on the rows of the
-    units with ``mult > 0``, each row weighted by its unit's multiplicity,
-    and whether that refit was polished to a vertex.  ``penalty`` is None
+def _refit(design, codes, mult, names, penalty):
+    """The refit of one draw as a function of theta, which returns the
+    estimates named by ``names`` and whether the refit was polished to a
+    vertex.  The refit keeps the rows of the units with ``mult > 0``, each
+    row weighted by its unit's multiplicity; what does not depend on theta
+    is built here once, and raises as a refit would.  ``penalty`` is None
     for a refit without group effects, else the effects' L1 weight.  Its
     ``fixed_effects_mean`` is the mean effect over the drawn copies (each
     distinct firm weighted by its multiplicity), not over distinct firms."""
     idx = np.flatnonzero(mult[codes])
     weights = mult[codes[idx]].astype(float)
-    if penalty is not None:
-        from .effects import fit_quantile_fixed_effects
+    if penalty is None:
+        sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
 
-        keep = [j for j, m in enumerate(design.names) if m != INTERCEPT]
-        sub = DesignMatrix(
-            names=[design.names[j] for j in keep],
-            X=design.X[np.ix_(idx, keep)],
-            y=design.y[idx],
-        )
-        fit = fit_quantile_fixed_effects(
-            sub, codes[idx], theta, penalty=penalty, _weights=weights
+        def refit(theta):
+            fit = fit_quantile(sub, theta, _weights=weights)
+            return [fit.coefficients[m] for m in names], fit.solver_meta["polished"]
+
+        return refit
+
+    from . import effects
+
+    keep = [j for j, m in enumerate(design.names) if m != INTERCEPT]
+    sub = DesignMatrix(
+        names=[design.names[j] for j in keep],
+        X=design.X[np.ix_(idx, keep)],
+        y=design.y[idx],
+    )
+    groups = codes[idx]
+    problem = effects._fe_problem(sub, groups, penalty)
+    # group effects come in ascending unit order, as mult[mult > 0] does
+    unit_weights = mult[mult > 0]
+
+    def refit(theta):
+        # looked up at call time, so a wrapper installed on the module sees it
+        fit = effects.fit_quantile_fixed_effects(
+            sub, groups, theta, penalty=penalty, _weights=weights, _problem=problem
         )
         vals = [fit.coefficients[m] for m in names[:-1]]
-        # group effects come in ascending unit order, as mult[mult > 0] does
-        effects = np.fromiter(fit.group_effects.values(), dtype=float)
-        vals.append(float(np.average(effects, weights=mult[mult > 0])))
-    else:
-        sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-        fit = fit_quantile(sub, theta, _weights=weights)
-        vals = [fit.coefficients[m] for m in names]
-    return np.asarray(vals), fit.solver_meta["polished"]
+        effect = np.fromiter(fit.group_effects.values(), dtype=float)
+        vals.append(float(np.average(effect, weights=unit_weights)))
+        return vals, fit.solver_meta["polished"]
+
+    return refit

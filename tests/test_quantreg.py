@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from levquant import (
     pseudo_r2,
 )
 from levquant.effects import fit_quantile_fixed_effects
-from levquant import quantreg
+from levquant import effects, quantreg
 from levquant.quantreg import _chol_factor, _DenseOps, _GroupedOps, _polish_vertex, _steplen
 
 
@@ -477,6 +479,89 @@ class TestWeightedRefit:
         assert fit.p_values["x1"] == 0.0
 
 
+THETAS = (0.15, 0.5, 0.95)
+
+
+def bootstrap_case(mode):
+    """A design and the bootstrap_se keywords of a cluster refit with
+    group effects (dummy or penalized) or of the row bootstrap."""
+    design, firms = grouped_panel(54)
+    if mode == "row":
+        X = np.column_stack([np.ones(design.n), design.X])
+        return DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y), {}
+    return design, dict(cluster=firms, refit_group_effects=True, penalty=PENALTY[mode])
+
+
+def fail_first_refit(monkeypatch, theta):
+    """Make the next fixed-effects fit at ``theta`` raise ConvergenceError,
+    once."""
+    real = effects.fit_quantile_fixed_effects
+    failed = []
+
+    def flaky(design, groups, at, **kwargs):
+        if at == theta and not failed:
+            failed.append(at)
+            raise ConvergenceError("forced")
+        return real(design, groups, at, **kwargs)
+
+    monkeypatch.setattr(effects, "fit_quantile_fixed_effects", flaky)
+
+
+class TestJointBootstrap:
+    """A tuple of thetas refits each draw at every theta; each theta's
+    replicates are those of a call at that theta alone."""
+
+    @pytest.mark.parametrize("mode", ["dummy", "penalized", "row"])
+    def test_joint_equals_separate_bit_for_bit(self, mode):
+        design, kwargs = bootstrap_case(mode)
+        joint = bootstrap_se(design, THETAS, n_boot=6, seed=5, **kwargs)
+        n_estimates = design.k + (mode != "row")  # plus fixed_effects_mean
+        assert joint.replicates.shape == (6, len(THETAS), n_estimates)
+        assert joint.n_boot == 6
+        for i, theta in enumerate(THETAS):
+            alone = bootstrap_se(design, theta, n_boot=6, seed=5, **kwargs)
+            assert alone.replicates.shape == (6, n_estimates)
+            assert joint.replicates[:, i].tobytes() == alone.replicates.tobytes()
+            assert joint.std_errors[theta] == alone.std_errors
+            assert joint.polished_by_theta[theta] == alone.n_polished
+            assert joint.redrawn_by_theta[theta] == alone.n_redrawn
+        assert joint.n_polished == sum(joint.polished_by_theta.values())
+        reverse = bootstrap_se(design, THETAS[::-1], n_boot=6, seed=5, **kwargs)
+        assert reverse.replicates[:, ::-1].tobytes() == joint.replicates.tobytes()
+        assert reverse.std_errors == joint.std_errors
+
+    def test_thetas_must_be_distinct(self):
+        design, kwargs = bootstrap_case("dummy")
+        for thetas in ((), (0.5, 0.5)):
+            with pytest.raises(ValueError, match="distinct thetas"):
+                bootstrap_se(design, thetas, n_boot=4, seed=5, **kwargs)
+
+    def test_failed_theta_redraws_alone(self, monkeypatch):
+        design, kwargs = bootstrap_case("dummy")
+        clean = bootstrap_se(design, THETAS, n_boot=5, seed=6, **kwargs)
+        fail_first_refit(monkeypatch, 0.5)
+        joint = bootstrap_se(design, THETAS, n_boot=5, seed=6, **kwargs)
+        fail_first_refit(monkeypatch, 0.5)
+        alone = bootstrap_se(design, 0.5, n_boot=5, seed=6, **kwargs)
+        # the other thetas keep the shared draw
+        for i in (0, 2):
+            assert joint.replicates[:, i].tobytes() == clean.replicates[:, i].tobytes()
+        # 0.5 redraws replicate 0 from the continuation of its stream
+        assert not np.array_equal(joint.replicates[0, 1], clean.replicates[0, 1])
+        assert joint.replicates[1:, 1].tobytes() == clean.replicates[1:, 1].tobytes()
+        assert joint.replicates[:, 1].tobytes() == alone.replicates.tobytes()
+        rng = np.random.default_rng(np.random.SeedSequence(6).spawn(5)[0])
+        codes = kwargs["cluster"]
+        for _ in range(2):  # the shared draw, then its continuation
+            mult = np.bincount(rng.integers(0, 30, size=30), minlength=30)
+        names = ["x1", "x2", "fixed_effects_mean"]
+        redraw, _ = quantreg._refit(design, codes, mult, names, 0.0)(0.5)
+        assert np.array_equal(joint.replicates[0, 1], redraw)
+        assert joint.redrawn_by_theta == {0.15: 0, 0.5: 1, 0.95: 0}
+        assert joint.n_redrawn == alone.n_redrawn == 1
+        assert clean.n_redrawn == 0
+
+
 def grouped_problem(rng, sizes, kx=2, penalized=False):
     """A grouped-ops instance laid out as ``fit_quantile_fixed_effects``
     builds it: dummy mode, or penalized mode with one zero-response
@@ -562,6 +647,8 @@ class TestSolverPieces:
                 assert np.array_equal(solve(rhs), reference_solve_normal(ops, d, rhs))
 
     def test_steplen_matches_boolean_mask_formula(self):
+        # one fused call gives the bits of the old two calls, one per pair,
+        # and raises no floating-point warning on zero directions
         def reference(v, dv):
             neg = dv < 0.0
             if not neg.any():
@@ -569,18 +656,24 @@ class TestSolverPieces:
             return min(1.0, 0.9995 * float(np.min(-v[neg] / dv[neg])))
 
         rng = np.random.default_rng(44)
-        for _ in range(2000):
-            n = int(rng.integers(1, 40))
-            v = rng.exponential(size=n) * 10.0 ** rng.integers(-6, 3)
-            for dv in (
-                np.zeros(n),
-                rng.exponential(size=n),
-                rng.normal(size=n) * 10.0 ** rng.integers(-3, 6),
-                np.where(rng.random(n) < 0.5, 0.0, -rng.exponential(size=n)),
-            ):
-                want = reference(v, dv)
-                got = _steplen(v, dv)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                n = int(rng.integers(1, 40))
+                v, u = rng.exponential(size=(2, n)) * 10.0 ** rng.integers(-6, 3, size=(2, 1))
+                zero = rng.random(n) < 0.5
+                directions = (
+                    np.zeros(n),
+                    np.full(n, -0.0),
+                    rng.exponential(size=n),
+                    rng.normal(size=n) * 10.0 ** rng.integers(-3, 6),
+                    np.where(zero, 0.0, -rng.exponential(size=n)),
+                    np.where(zero, -0.0, -rng.exponential(size=n)),
+                )
+                for dv, du in itertools.product(directions, repeat=2):
+                    want = min(reference(v, dv), reference(u, du))
+                    got = _steplen(v, dv, u, du)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_grouped_polish_allocates_no_dense_basis(self):
         # a dense (kx + G)^2 basis matrix would be 3002^2 * 8 bytes = 72 MB
@@ -667,3 +760,13 @@ class TestCholeskyJitter:
     def test_negative_definite_matrix_raises(self):
         with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
             _chol_factor(-np.eye(3))
+
+    def test_positive_definite_solve_matches_cho_solve(self):
+        rng = np.random.default_rng(45)
+        for k in (1, 3, 8):
+            A = rng.normal(size=(5 * k, k))
+            M = (A * rng.uniform(0.1, 2.0, size=5 * k)[:, None]).T @ A
+            rhs = rng.normal(size=k)
+            cf = scipy.linalg.cho_factor(M, check_finite=False)
+            want = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+            assert _chol_factor(M)(rhs).tobytes() == want.tobytes()
