@@ -302,22 +302,23 @@ def fit_quantile_fixed_effects(
     p = weights * theta
     q = weights * (1.0 - theta)
     if penalty > 0.0:
-        group_weights = np.empty(labels.size)
+        group_weights = np.empty(len(labels))
         group_weights[codes] = weights
         p = np.concatenate([p, penalty * group_weights])
         q = np.concatenate([q, penalty * group_weights])
 
     fit, effects = _solve_pinball(ops, y, theta, p, q, design.names, data_rows=design.n)
-    fit.group_effects = {str(l): float(v) for l, v in zip(labels, effects)}
+    fit.group_effects = dict(zip(labels, effects.tolist()))
     fit.solver_meta["penalty"] = penalty
     return fit
 
 
 def _fe_problem(design, groups, penalty):
     """The part of a quantile fixed-effects fit that does not depend on
-    theta or row weights: the group labels and codes, the within-rank
-    check, and the grouped design operator with its response, extended by
-    one zero-response penalty row per group when ``penalty > 0``."""
+    theta or row weights: the group labels (as the ``str`` keys of
+    ``group_effects``) and codes, the within-rank check, and the grouped
+    design operator with its response, extended by one zero-response
+    penalty row per group when ``penalty > 0``."""
     if INTERCEPT in design.names:
         raise DesignError(
             "remove the intercept column: group effects absorb the level",
@@ -325,6 +326,7 @@ def _fe_problem(design, groups, penalty):
         )
     labels, codes = _group_codes(groups, design.n)
     G = labels.size
+    labels = [str(label) for label in labels]
     Xw = design.X - _group_means(design.X, codes, G)[codes]
     try:
         _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+from scipy.linalg.lapack import dgesv as _gesv, dpotrf as _potrf, dpotrs as _potrs
 import scipy.sparse
 from scipy.stats import norm
 
@@ -185,6 +184,7 @@ class _DenseOps:
     def __init__(self, X):
         self.X = X
         self.ncols = X.shape[1]
+        self.start = None  # the interior point's start, see _start
 
     def matvec(self, nu):  # X @ nu, length n
         return self.X @ nu
@@ -209,43 +209,57 @@ class _GroupedOps:
 
     Exploits the diagonal structure of the indicator block so Newton steps
     cost O(n * kx^2) instead of O(n * (kx + n_groups)^2), and a vertex
-    costs one kx x kx solve instead of a (kx + n_groups)^2 one.
+    costs one kx x kx solve instead of a (kx + n_groups)^2 one.  ``factor``
+    writes each step's weights into a group matrix the operator owns, so
+    one operator serves one fit at a time.
     """
 
     def __init__(self, X, codes, n_groups):
         self.X = X
+        # X * d, X @ nu and X^T v run along the rows of the kx x n copy
+        self.XT = np.ascontiguousarray(X.T)
         self.codes = codes
         self.n_groups = n_groups
         self.kx = X.shape[1]
         self.ncols = self.kx + n_groups
-        # G x n group indicator; each of its rows keeps the group's rows in
-        # ascending order, so a product with it sums them as bincount does
+        self.start = None  # the interior point's start, see _start
+        # the rows of each group in row order, one group after another, and
+        # their codes; as the column indices of the G x n group indicator
+        # they make a product with it sum each group's rows as bincount does
         n = codes.size
+        self.group_order = np.argsort(codes, kind="stable")
+        self.group_codes = codes[self.group_order]
+        indptr = np.zeros(n_groups + 1, dtype=np.intp)
+        np.cumsum(np.bincount(codes, minlength=n_groups), out=indptr[1:])
         self.indicator = scipy.sparse.csr_matrix(
-            (np.ones(n), (codes, np.arange(n))), shape=(n_groups, n)
+            (np.ones(n), self.group_order, indptr), shape=(n_groups, n)
         )
+        # the indicator with row weights d in place of its ones: its product
+        # with the C-order X gives the group sums of X * d without forming
+        # that n x kx array
+        self._weighted = self.indicator.copy()
 
     def matvec(self, nu):
-        return self.X @ nu[: self.kx] + nu[self.kx :][self.codes]
+        return nu[: self.kx] @ self.XT + nu[self.kx :][self.codes]
 
     def rmatvec(self, v):
-        return np.concatenate([self.X.T @ v, self.indicator @ v])
+        return np.concatenate([self.XT @ v, self.indicator @ v])
 
     def factor(self, d):
         # block elimination of the diagonal group block: only the kx x kx
         # Schur complement is Cholesky-factored
-        X, kx = self.X, self.kx
-        dX = X * d[:, None]
-        Mxx = dX.T @ X
+        XT, kx = self.XT, self.kx
+        Mxx = (XT * d) @ XT.T
         Mgg = self.indicator @ d
-        Mxg = np.ascontiguousarray((self.indicator @ dX).T)
+        np.take(d, self.group_order, out=self._weighted.data)
+        Mxg = np.ascontiguousarray((self._weighted @ self.X).T)
         ratio = Mxg / Mgg[None, :]
         solve_x = _chol_factor(Mxx - ratio @ Mxg.T)
 
         def solve(rhs):
             fx, fg = rhs[:kx], rhs[kx:]
             out_x = solve_x(fx - ratio @ fg)
-            out_g = (fg - Mxg.T @ out_x) / Mgg
+            out_g = (fg - out_x @ Mxg) / Mgg
             return np.concatenate([out_x, out_g])
 
         return solve
@@ -255,16 +269,19 @@ class _GroupedOps:
 
     def polish_rows(self, r):
         # a basic solution needs one interpolated row per group plus kx
-        # more; pick each group's smallest residual, then the global rest
+        # more: each group's smallest |r|, then the kx smallest of the other
+        # rows in order of |r|; ties go to the first row in row order
         absr = np.abs(r)
-        order = np.lexsort((absr, self.codes))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = self.codes[order][1:] != self.codes[order][:-1]
-        per_group = order[first]
-        taken = np.zeros(r.size, dtype=bool)
-        taken[per_group] = True
-        by_resid = np.argsort(absr, kind="stable")
-        rest = by_resid[~taken[by_resid]][: self.kx]
+        by_group = absr[self.group_order]
+        low = np.minimum.reduceat(by_group, self.indicator.indptr[:-1])
+        hits = np.flatnonzero(by_group == low[self.group_codes])
+        first = np.ones(hits.size, dtype=bool)
+        first[1:] = self.group_codes[hits[1:]] != self.group_codes[hits[:-1]]
+        per_group = self.group_order[hits[first]]
+        absr[per_group] = np.inf
+        cut = np.partition(absr, self.kx - 1)[self.kx - 1]
+        near = np.flatnonzero(absr <= cut)
+        rest = near[np.argsort(absr[near], kind="stable")[: self.kx]]
         return per_group, rest
 
     def vertex(self, r, y):
@@ -299,16 +316,15 @@ def _chol_factor(M):
 
 
 def _solve_square(A, b):
-    """Solution of A x = b, or None when A is singular (or not square) or
-    the solution is not finite."""
-    try:
-        with warnings.catch_warnings():
-            # singular candidates are fine: they are rejected on objective
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            x = scipy.linalg.solve(A, b)
-    except (scipy.linalg.LinAlgError, ValueError):
+    """Solution of the square system A x = b, or None when A is singular
+    or the solution is not finite.  LAPACK ``gesv`` is called directly:
+    the LU factorization and solve of ``scipy.linalg.solve`` on a general
+    matrix, without its condition estimate; an ill-conditioned candidate
+    is rejected on objective, not warned about."""
+    _, _, x, info = _gesv(A, b)
+    if info > 0 or not np.isfinite(x).all():
         return None
-    return x if np.isfinite(x).all() else None
+    return x
 
 
 def _check_rank_dense(X, names, norms=None):
@@ -338,6 +354,24 @@ def _check_rank_dense(X, names, norms=None):
 # ---------------------------------------------------------------------------
 
 
+def _start(ops, y):
+    """The interior point's first iterate: nu, A nu and the dual slacks z,
+    w.  It depends on neither theta nor the row weights, so it is computed
+    once per operator and response and kept on ``ops`` for the fits at
+    every theta."""
+    if ops.start is not None and ops.start[0] is y:
+        return ops.start[1:]
+    c = -y
+    nu = ops.factor(np.ones(y.size))(ops.rmatvec(c))
+    Anu = ops.matvec(nu)
+    rho = c - Anu
+    delta = 0.1 * float(np.mean(np.abs(rho))) + 1e-10
+    z = np.maximum(rho, 0.0) + delta
+    w = z - rho  # keeps the dual residual exactly zero at the start
+    ops.start = (y, nu, Anu, z, w)
+    return nu, Anu, z, w
+
+
 def _interior_point(ops, y, p, q):
     """Mehrotra predictor-corrector on the dual box LP.
 
@@ -348,15 +382,10 @@ def _interior_point(ops, y, p, q):
     """
     n = y.size
     c = -y
-    ub = p + q
     b = ops.rmatvec(q)
     a = q.astype(float).copy()
     s = p.astype(float).copy()
-    nu = ops.factor(np.ones(n))(ops.rmatvec(c))
-    rho = c - ops.matvec(nu)
-    delta = 0.1 * float(np.mean(np.abs(rho))) + 1e-10
-    z = np.maximum(rho, 0.0) + delta
-    w = z - rho  # keeps the dual residual exactly zero at the start
+    nu, Anu, z, w = (v.copy() for v in _start(ops, y))
 
     gap = float(a @ z + s @ w)
     for it in range(_MAX_ITER):
@@ -364,7 +393,7 @@ def _interior_point(ops, y, p, q):
         if gap < _GAP_TOL * (1.0 + abs(obj)):
             return nu, it, gap, True
         r_p = b - ops.rmatvec(a)
-        r_d = c - ops.matvec(nu) - z + w
+        r_d = c - Anu - z + w
         za = z / a
         ws = w / s
         d = 1.0 / (za + ws)
@@ -391,7 +420,8 @@ def _interior_point(ops, y, p, q):
         g_w = tgt / s - w - (ds * dw) / s
         rhs2 = r_d - g_z + g_w
         dnu = solve(r_p + ops.rmatvec(d * rhs2))
-        da = d * (ops.matvec(dnu) - rhs2)
+        Adnu = ops.matvec(dnu)
+        da = d * (Adnu - rhs2)
         ds = -da
         dz = g_z - za * da
         dw = g_w - ws * ds
@@ -401,6 +431,7 @@ def _interior_point(ops, y, p, q):
         a += ap * da
         s += ap * ds
         nu += ad * dnu
+        Anu += ad * Adnu  # A nu for the next step's dual residual
         z += ad * dz
         w += ad * dw
         gap = float(a @ z + s @ w)
@@ -409,13 +440,11 @@ def _interior_point(ops, y, p, q):
 
 def _steplen(v, dv, u, du):
     # the largest step in (0, 1] keeping v + step * dv and u + step * du
-    # positive, 0.9995 of the way to the boundary.  A direction that is not
-    # below zero becomes +0.0, so its ratio is +inf by design; np.where with
-    # a data-dependent mask costs about twice as much per element
-    with np.errstate(divide="ignore"):
-        ratio_v = v / np.abs(np.minimum(dv, 0.0))
-        ratio_u = u / np.abs(np.minimum(du, 0.0))
-    return min(1.0, 0.9995 * float(min(ratio_v.min(), ratio_u.min())))
+    # positive, 0.9995 of the way to the boundary.  v and u are strictly
+    # positive, so no ratio divides by zero; a direction that is not below
+    # zero gives a ratio that is not above zero
+    most = -float(min((dv / v).min(), (du / u).min()))
+    return 1.0 if most <= 0.9995 else 0.9995 / most
 
 
 def _polish_vertex(ops, y, beta, p, q):

@@ -22,6 +22,7 @@ from levquant import (
     hausman_test,
     within_transform,
 )
+from levquant.effects import _fe_problem
 
 
 def panel_design(rng, n=60, n_groups=6, k=2, noise=0.3, effect_sd=1.0):
@@ -439,6 +440,40 @@ class TestQuantileFixedEffects:
         )
         dense = fit_quantile(aug, 0.35)
         assert fit.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("penalty", [0.0, 1.0], ids=["dummy", "penalized"])
+    def test_shared_problem_fits_bit_for_bit(self, penalty):
+        # the theta-free part of a fit, with the interior point's start, is
+        # built once and serves every theta; a weighted refit reuses it
+        rng = np.random.default_rng(22)
+        d, groups, _ = panel_design(rng, n=90, n_groups=9)
+        weights = rng.integers(1, 4, size=9)[groups].astype(float)
+        problem = _fe_problem(d, groups, penalty)
+        for theta in (0.15, 0.5, 0.95):
+            shared, alone = (
+                fit_quantile_fixed_effects(
+                    d, groups, theta, penalty=penalty, _weights=weights, _problem=prob
+                )
+                for prob in (problem, None)
+            )
+            assert shared.coefficients == alone.coefficients
+            assert shared.group_effects == alone.group_effects
+            assert shared.residuals.tobytes() == alone.residuals.tobytes()
+            assert shared.solver_meta == alone.solver_meta
+        assert problem[2].start is not None
+
+    @pytest.mark.parametrize("labels", [
+        np.array(["a", "b", "c"]),
+        np.array([10, 20, 30]),
+        np.array([0.1, 2.5, 1e16]),
+    ], ids=["str", "int", "float"])
+    def test_group_effect_keys_are_label_strings(self, labels):
+        d, groups, _ = panel_design(np.random.default_rng(23), n=60, n_groups=3)
+        by_code = fit_quantile_fixed_effects(d, groups, 0.5)
+        fit = fit_quantile_fixed_effects(d, labels[groups], 0.5)
+        want = {str(l): float(v) for l, v in zip(labels, by_code.group_effects.values())}
+        assert list(fit.group_effects.items()) == list(want.items())
+        assert all(type(k) is str and type(v) is float for k, v in fit.group_effects.items())
 
     def test_many_groups_fit_in_dummy_mode(self):
         # the grouped solver has no firm limit: 6,000 effects fit in dummy mode

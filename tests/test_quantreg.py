@@ -24,7 +24,14 @@ from levquant import (
 )
 from levquant.effects import fit_quantile_fixed_effects
 from levquant import effects, quantreg
-from levquant.quantreg import _chol_factor, _DenseOps, _GroupedOps, _polish_vertex, _steplen
+from levquant.quantreg import (
+    _chol_factor,
+    _DenseOps,
+    _GroupedOps,
+    _polish_vertex,
+    _solve_square,
+    _steplen,
+)
 
 
 # the fixed-effects estimator each test id names: its L1 weight on the effects
@@ -594,16 +601,17 @@ def reference_solve_normal(ops, d, rhs):
         cf = scipy.linalg.cho_factor(M, check_finite=False)
         return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
     X, codes, G, kx = ops.X, ops.codes, ops.n_groups, ops.kx
-    dX = X * d[:, None]
-    Mxx = dX.T @ X
+    XT = np.ascontiguousarray(X.T)  # the kx x n layout the operator keeps
+    dXT = XT * d
+    Mxx = dXT @ XT.T
     Mgg = np.bincount(codes, weights=d, minlength=G)
     Mxg = np.empty((kx, G))
     for j in range(kx):
-        Mxg[j] = np.bincount(codes, weights=dX[:, j], minlength=G)
+        Mxg[j] = np.bincount(codes, weights=dXT[j], minlength=G)
     ratio = Mxg / Mgg[None, :]
     cf = scipy.linalg.cho_factor(Mxx - ratio @ Mxg.T, check_finite=False)
     out_x = scipy.linalg.cho_solve(cf, rhs[:kx] - ratio @ rhs[kx:], check_finite=False)
-    return np.concatenate([out_x, (rhs[kx:] - Mxg.T @ out_x) / Mgg])
+    return np.concatenate([out_x, (rhs[kx:] - out_x @ Mxg) / Mgg])
 
 
 class TestSolverPieces:
@@ -647,9 +655,17 @@ class TestSolverPieces:
                 assert np.array_equal(solve(rhs), reference_solve_normal(ops, d, rhs))
 
     def test_steplen_matches_boolean_mask_formula(self):
-        # one fused call gives the bits of the old two calls, one per pair,
-        # and raises no floating-point warning on zero directions
+        # one fused call gives the bits of 0.9995 / (largest -dv / v) over
+        # the directions below zero, capped at 1, within 2 ulp of the
+        # older 0.9995 * (smallest v / -dv), and raises no floating-point
+        # warning on zero directions
         def reference(v, dv):
+            neg = dv < 0.0
+            if not neg.any():
+                return 1.0
+            return min(1.0, 0.9995 / float(np.max(-dv[neg] / v[neg])))
+
+        def older(v, dv):
             neg = dv < 0.0
             if not neg.any():
                 return 1.0
@@ -674,6 +690,62 @@ class TestSolverPieces:
                     want = min(reference(v, dv), reference(u, du))
                     got = _steplen(v, dv, u, du)
                     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    old = min(older(v, dv), older(u, du))
+                    assert abs(got - old) <= 2.0 * np.spacing(old)
+
+    def test_polish_rows_match_sorted_selection(self):
+        # the selection by a lexsort and a full stable argsort is the
+        # reference: each group's smallest |r|, then the kx smallest other
+        # rows by |r|, ties to the first row in row order
+        def reference(ops, r):
+            absr = np.abs(r)
+            order = np.lexsort((absr, ops.codes))
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = ops.codes[order][1:] != ops.codes[order][:-1]
+            per_group = order[first]
+            taken = np.zeros(r.size, dtype=bool)
+            taken[per_group] = True
+            by_resid = np.argsort(absr, kind="stable")
+            return per_group, by_resid[~taken[by_resid]][: ops.kx]
+
+        rng = np.random.default_rng(46)
+        shapes = ([4, 4, 4, 4], [1, 7, 2, 12, 3], rng.integers(1, 9, size=40).tolist())
+        for sizes, kx, penalized in itertools.product(shapes, (1, 3), (False, True)):
+            for _ in range(10):
+                ops, _ = grouped_problem(rng, sizes, kx=kx, penalized=penalized)
+                # shuffle the data rows, so groups are not contiguous; the
+                # penalty rows stay appended after them
+                n_data = sum(sizes)
+                perm = np.concatenate([rng.permutation(n_data), np.arange(n_data, ops.X.shape[0])])
+                ops = _GroupedOps(ops.X[perm], ops.codes[perm], len(sizes))
+                n = perm.size
+                for r in (
+                    rng.normal(size=n),
+                    # few distinct |r|: ties within groups and at the kx boundary
+                    rng.integers(-3, 4, size=n) * 0.5,
+                    np.where(rng.random(n) < 0.7, 0.0, rng.normal(size=n)),
+                ):
+                    got, want = ops.polish_rows(r), reference(ops, r)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+
+    def test_square_solve_matches_scipy_solve(self):
+        # LAPACK gesv gives the bytes of scipy.linalg.solve, random and
+        # ill-conditioned alike, and warns about neither
+        rng = np.random.default_rng(47)
+        for decades in (0, 8, 15):
+            for _ in range(20):
+                U, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+                V, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+                A = (U * np.logspace(0, -decades, 9)) @ V.T
+                b = rng.normal(size=9)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                    want = scipy.linalg.solve(A, b)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _solve_square(A, b)
+                assert got.tobytes() == want.tobytes()
 
     def test_grouped_polish_allocates_no_dense_basis(self):
         # a dense (kx + G)^2 basis matrix would be 3002^2 * 8 bytes = 72 MB
