@@ -521,10 +521,9 @@ def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
             "levm": np.where(denom != 0.0, debt / denom, nan),
             "ndts": x["ebit"] - x["interest_payable"] - x["income_tax"] / tax_rate,
             "profta": x["ebit"] / ta,
-            # math.log, not np.log: the two differ in the last bit on some inputs
-            "sizeat": np.asarray(
-                [math.log(s) if s > 0.0 else nan for s in sales.tolist()], dtype=float
-            ),
+            # np.log(0) is -inf, not NaN, so the mask is needed; np.log, as
+            # synthgen uses, may differ from math.log in the last bit
+            "sizeat": np.where(sales > 0.0, np.log(sales), nan),
             "growthat": np.where(prev_sales > 0.0, sales / prev_sales - 1.0, nan),
             "invta": x["net_ppe"] - prev_ppe + x["depreciation"],
             "liqta": np.where(lct != 0.0, x["current_assets"] / lct, nan),

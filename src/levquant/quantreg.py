@@ -378,7 +378,8 @@ def _interior_point(ops, y, p, q):
     Solves min sum_i p_i*(r_i)+ + q_i*(r_i)- over coefficients, via its dual
     max y'a  s.t.  A'a = A'q, 0 <= a <= p + q  (A = design).  Returns the
     multiplier ``nu`` on the equality constraints; the primal coefficient
-    vector is ``-nu``.
+    vector is ``-nu``.  The primal slack is s = p + q - a, so its direction
+    is -da and is never formed.
     """
     n = y.size
     c = -y
@@ -386,54 +387,83 @@ def _interior_point(ops, y, p, q):
     a = q.astype(float).copy()
     s = p.astype(float).copy()
     nu, Anu, z, w = (v.copy() for v in _start(ops, y))
+    # work arrays of this call alone, so fits on one operator share none
+    za, ws, d, rhs2, da, dz, dw, g_z, g_w, tmp = np.empty((10, n))
 
     gap = float(a @ z + s @ w)
     for it in range(_MAX_ITER):
         obj = float(c @ a)
         if gap < _GAP_TOL * (1.0 + abs(obj)):
             return nu, it, gap, True
-        r_p = b - ops.rmatvec(a)
-        r_d = c - Anu - z + w
-        za = z / a
-        ws = w / s
-        d = 1.0 / (za + ws)
+        np.divide(z, a, out=za)
+        np.divide(w, s, out=ws)
+        np.add(za, ws, out=d)
+        np.divide(1.0, d, out=d)
         solve = ops.factor(d)  # shared by the predictor and the corrector
 
-        # affine (predictor) direction
-        rhs2 = r_d + z - w
-        dnu = solve(r_p + ops.rmatvec(d * rhs2))
-        da = d * (ops.matvec(dnu) - rhs2)
-        ds = -da
-        dz = -z - za * da
-        dw = -w - ws * ds
-        ap = _steplen(a, da, s, ds)
+        # affine (predictor) direction; with the dual residual
+        # r_d = c - A nu - z + w, its right-hand side r_d + z - w is c - A nu,
+        # and the primal residual b - A'a joins A'(d * rhs2) in one product
+        np.subtract(c, Anu, out=rhs2)
+        np.multiply(d, rhs2, out=tmp)
+        tmp -= a
+        dnu = solve(b + ops.rmatvec(tmp))
+        np.subtract(ops.matvec(dnu), rhs2, out=da)
+        da *= d
+        np.multiply(za, da, out=dz)
+        dz += z
+        np.negative(dz, out=dz)  # -z - za * da
+        np.multiply(ws, da, out=dw)
+        dw -= w
+        ap = _primal_steplen(a, s, da)
         ad = _steplen(z, dz, w, dw)
         mu = gap / (2.0 * n)
+        # (a + ap da)'(z + ad dz) + (s - ap da)'(w + ad dw), expanded
         mu_aff = (
-            (a + ap * da) @ (z + ad * dz) + (s + ap * ds) @ (w + ad * dw)
+            gap
+            + ad * (a @ dz + s @ dw)
+            + ap * (da @ z - da @ w)
+            + ap * ad * (da @ dz - da @ dw)
         ) / (2.0 * n)
         sigma = min(max((mu_aff / mu) ** 3, 1e-10), 0.99999)
 
         # corrector
         tgt = sigma * mu
-        g_z = tgt / a - z - (da * dz) / a
-        g_w = tgt / s - w - (ds * dw) / s
-        rhs2 = r_d - g_z + g_w
-        dnu = solve(r_p + ops.rmatvec(d * rhs2))
+        np.multiply(da, dz, out=g_z)
+        np.subtract(tgt, g_z, out=g_z)
+        g_z /= a
+        g_z -= z  # (tgt - da dz) / a - z
+        np.multiply(da, dw, out=g_w)
+        g_w += tgt
+        g_w /= s
+        g_w -= w  # (tgt + da dw) / s - w
+        rhs2 -= z
+        rhs2 += w
+        rhs2 -= g_z
+        rhs2 += g_w  # r_d - g_z + g_w
+        np.multiply(d, rhs2, out=tmp)
+        tmp -= a
+        dnu = solve(b + ops.rmatvec(tmp))
         Adnu = ops.matvec(dnu)
-        da = d * (Adnu - rhs2)
-        ds = -da
-        dz = g_z - za * da
-        dw = g_w - ws * ds
-        ap = _steplen(a, da, s, ds)
+        np.subtract(Adnu, rhs2, out=da)
+        da *= d
+        np.multiply(za, da, out=dz)
+        np.subtract(g_z, dz, out=dz)
+        np.multiply(ws, da, out=dw)
+        dw += g_w
+        ap = _primal_steplen(a, s, da)
         ad = _steplen(z, dz, w, dw)
 
-        a += ap * da
-        s += ap * ds
+        np.multiply(da, ap, out=tmp)
+        a += tmp
+        s -= tmp
         nu += ad * dnu
-        Anu += ad * Adnu  # A nu for the next step's dual residual
-        z += ad * dz
-        w += ad * dw
+        Adnu *= ad
+        Anu += Adnu  # A nu for the next step's right-hand side
+        dz *= ad
+        z += dz
+        dw *= ad
+        w += dw
         gap = float(a @ z + s @ w)
     return nu, _MAX_ITER, gap, False
 
@@ -443,7 +473,16 @@ def _steplen(v, dv, u, du):
     # positive, 0.9995 of the way to the boundary.  v and u are strictly
     # positive, so no ratio divides by zero; a direction that is not below
     # zero gives a ratio that is not above zero
-    most = -float(min((dv / v).min(), (du / u).min()))
+    return _capped_step(-float(min((dv / v).min(), (du / u).min())))
+
+
+def _primal_steplen(a, s, da):
+    # _steplen(a, da, s, -da) without forming -da: negation is exact, so
+    # the smallest -da / s is minus the largest da / s, bit for bit
+    return _capped_step(-float(min((da / a).min(), -(da / s).max())))
+
+
+def _capped_step(most):
     return 1.0 if most <= 0.9995 else 0.9995 / most
 
 

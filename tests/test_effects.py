@@ -22,6 +22,7 @@ from levquant import (
     hausman_test,
     within_transform,
 )
+from levquant import quantreg
 from levquant.effects import _fe_problem
 
 
@@ -393,6 +394,31 @@ class TestQuantileFixedEffects:
             )
             _, obj = fit_quantile_oracle(aug, theta)
             assert abs(fit.objective - obj) <= 1e-8
+
+    @pytest.mark.parametrize("theta", [0.15, 0.5, 0.95])
+    def test_weighted_unbalanced_objective_matches_oracle(self, theta):
+        # integer row weights on three unbalanced groups: the weighted fit
+        # has the optimum of the rows duplicated by their weights, which the
+        # oracle finds with one dummy column per group
+        rng = np.random.default_rng(17)
+        sizes = [2, 4, 8]
+        codes = np.repeat(np.arange(len(sizes)), sizes)
+        for _ in range(4):
+            X = rng.normal(size=(codes.size, 2))
+            y = X @ [1.2, -0.5] + rng.normal(size=len(sizes))[codes] + rng.normal(size=codes.size)
+            w = rng.integers(1, 4, size=codes.size)
+            d = DesignMatrix(names=("x1", "x2"), X=X, y=y)
+            fit = fit_quantile_fixed_effects(d, codes, theta, _weights=w.astype(float))
+            obj = quantreg._weighted_pinball(fit.residuals, w * theta, w * (1.0 - theta))
+            dup = np.repeat(np.arange(codes.size), w)
+            dummies = (codes[dup, None] == np.arange(len(sizes))).astype(float)
+            aug = DesignMatrix(
+                names=("x1", "x2", "g0", "g1", "g2"),
+                X=np.column_stack([X[dup], dummies]),
+                y=y[dup],
+            )
+            _, want = fit_quantile_oracle(aug, theta)
+            assert abs(obj - want) <= 1e-8
 
     def test_penalty_limit_recovers_pooled(self):
         rng = np.random.default_rng(16)

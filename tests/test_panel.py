@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,28 @@ class TestDeriveVariables:
         panel = ingest_records([record(sale=0.0)])
         derived = derive_variables(panel, macro_for([2000]), {2000: 0.21})
         assert derived.rows[0].sizeat is None
+
+    def test_size_has_np_log_bytes_and_nan_without_positive_sales(self):
+        # lognormal sales, with the draws where np.log and math.log differ
+        # in the last bit, plus zero and negative sales, which give NaN and
+        # no warning
+        rng = np.random.default_rng(31)
+        draws = rng.lognormal(3.0, 2.0, size=200_000)
+        differ = draws[np.log(draws) != np.array([math.log(v) for v in draws.tolist()])]
+        assert differ.size > 0
+        sales = np.concatenate([draws[:500], differ, [0.0, -0.0, -5.0]])
+        records = [record(firm=f"F{i}", sale=float(v)) for i, v in enumerate(sales)]
+        panel = ingest_records(records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            derived = derive_variables(panel, macro_for([2000]), {2000: 0.21})
+        by_firm = {f"F{i}": v for i, v in enumerate(sales)}  # rows sort by firm
+        got = derived.variable("sizeat")
+        want = np.array([by_firm[f] for f in derived.firm_labels[derived.firm_codes]])
+        positive = want > 0.0
+        assert positive.sum() == 500 + differ.size
+        assert got[positive].tobytes() == np.log(want[positive]).tobytes()
+        assert np.isnan(got[~positive]).all()
 
     def test_zero_current_liabilities_liqta_absent(self):
         panel = ingest_records([record(lct=0.0)])

@@ -28,7 +28,9 @@ from levquant.quantreg import (
     _chol_factor,
     _DenseOps,
     _GroupedOps,
+    _interior_point,
     _polish_vertex,
+    _primal_steplen,
     _solve_square,
     _steplen,
 )
@@ -692,6 +694,48 @@ class TestSolverPieces:
                     assert np.float64(got).tobytes() == np.float64(want).tobytes()
                     old = min(older(v, dv), older(u, du))
                     assert abs(got - old) <= 2.0 * np.spacing(old)
+
+    def test_primal_steplen_is_steplen_of_negated_direction(self):
+        # the primal slack moves by -da, which is never formed: the step has
+        # the bits of _steplen(a, da, s, -da) on the directions of
+        # test_steplen_matches_boolean_mask_formula
+        rng = np.random.default_rng(45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                n = int(rng.integers(1, 40))
+                a, s = rng.exponential(size=(2, n)) * 10.0 ** rng.integers(-6, 3, size=(2, 1))
+                zero = rng.random(n) < 0.5
+                for da in (
+                    np.zeros(n),
+                    np.full(n, -0.0),
+                    rng.exponential(size=n),
+                    -rng.exponential(size=n),
+                    rng.normal(size=n) * 10.0 ** rng.integers(-3, 6),
+                    np.where(zero, 0.0, -rng.exponential(size=n)),
+                    np.where(zero, -0.0, rng.exponential(size=n)),
+                ):
+                    got = np.float64(_primal_steplen(a, s, da)).tobytes()
+                    assert got == np.float64(_steplen(a, da, s, -da)).tobytes()
+
+    @pytest.mark.parametrize("penalized", [False, True], ids=["dummy", "penalized"])
+    def test_consecutive_fits_on_one_operator_match_fresh_operators(self, penalized):
+        # each call owns its work arrays: fits on one operator, one after
+        # another at different theta, have the bits of fits on fresh ones
+        rng = np.random.default_rng(48)
+        sizes = [1, 7, 2, 12, 3, 5]
+        ops, y = grouped_problem(rng, sizes, kx=3, penalized=penalized)
+        weights = rng.integers(1, 4, size=len(sizes))[ops.codes].astype(float)
+
+        def fit(ops, theta):
+            return _interior_point(ops, y, weights * theta, weights * (1.0 - theta))
+
+        for theta in (0.15, 0.95, 0.5, 0.15):
+            nu, iterations, gap, converged = fit(ops, theta)
+            fresh = fit(_GroupedOps(ops.X, ops.codes, len(sizes)), theta)
+            assert converged and fresh[3]
+            assert nu.tobytes() == fresh[0].tobytes()
+            assert (iterations, gap) == fresh[1:3]
 
     def test_polish_rows_match_sorted_selection(self):
         # the selection by a lexsort and a full stable argsort is the
