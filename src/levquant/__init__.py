@@ -65,7 +65,6 @@ from .quantreg import (
     check_loss,
     fit_quantile,
     fit_quantile_oracle,
-    pseudo_r2,
 )
 from .synthgen import (
     ErrorSpec,

@@ -286,7 +286,7 @@ def stage_qreg(ctx):
         if cfg.bootstrap:
             std_errors = bootstrap_se(
                 design, spec.thetas, cfg.bootstrap, seed=ctx._boot_seed(kind),
-                cluster=firms, refit_group_effects=True, penalty=spec.penalty,
+                cluster=firms, penalty=spec.penalty,
             ).std_errors
             for theta, fit in fits.items():
                 fit.std_errors = std_errors[theta]
@@ -433,13 +433,14 @@ def build_parser():
     for name, help_text in commands.items():
         _add_common(sub.add_parser(name, help=help_text))
     sim = sub.add_parser("simulate", help="write a synthetic panel with known speed")
-    sim.add_argument("--n-firms", type=int, default=200)
-    sim.add_argument("--t-max", type=int, default=15)
-    sim.add_argument("--delta", default="0.6", help="speed, or growth,recession pair")
-    sim.add_argument("--attrition", type=float, default=0.0)
-    sim.add_argument("--sigma", type=float, default=None, help="shock scale")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--start-year", type=int, default=2000)
+    synth = SynthConfig()  # the flags' defaults are the generator's
+    sim.add_argument("--n-firms", type=int, default=synth.n_firms)
+    sim.add_argument("--t-max", type=int, default=synth.t_max)
+    sim.add_argument("--delta", default=str(synth.delta), help="speed, or growth,recession pair")
+    sim.add_argument("--attrition", type=float, default=synth.attrition)
+    sim.add_argument("--sigma", type=float, default=synth.error.sigma, help="shock scale")
+    sim.add_argument("--seed", type=int, default=synth.seed)
+    sim.add_argument("--start-year", type=int, default=synth.start_year)
     sim.add_argument("--out", default="levquant_synth")
     return parser
 
@@ -449,13 +450,12 @@ def simulate_config(args):
     if len(deltas) > 2:
         raise ConfigError(f"--delta takes a speed or a growth,recession pair, got {args.delta!r}")
     delta = deltas[0] if len(deltas) == 1 else deltas
-    error = ErrorSpec() if args.sigma is None else ErrorSpec(sigma=args.sigma)
     return SynthConfig(
         n_firms=args.n_firms,
         t_max=args.t_max,
         attrition=args.attrition,
         delta=delta,
-        error=error,
+        error=ErrorSpec(sigma=args.sigma),
         seed=args.seed,
         start_year=args.start_year,
     )

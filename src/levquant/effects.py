@@ -101,13 +101,13 @@ def _group_means(M, codes, n_groups):
     return out
 
 
-def fit_fixed_effects(design, groups):
-    """Within (fixed-effects) estimator.
-
-    Slopes come from least squares on group-demeaned data; the residual
-    variance uses the n - k - G degrees-of-freedom correction.  The design
-    must not contain an intercept column (it is absorbed by the effects).
-    """
+def _check_within(design, groups, *, need_repeats=False):
+    """The checks every fixed-effects fit makes of its design: no intercept
+    column (the group effects absorb it), a group label on every row, and
+    variation within groups in every column, measured on the group-demeaned
+    X by the column norms before demeaning.  Returns the group labels, the
+    row codes and the demeaned X.  ``need_repeats`` first rejects groups
+    that are all singletons, which leave a within fit no data."""
     if INTERCEPT in design.names:
         raise DesignError(
             "fixed-effects design must not include an intercept column; "
@@ -115,11 +115,9 @@ def fit_fixed_effects(design, groups):
             columns=[INTERCEPT],
         )
     labels, codes = _group_codes(groups, design.n)
-    G = labels.size
-    if np.max(np.bincount(codes)) < 2:
+    if need_repeats and codes.size == labels.size:
         raise DataValidationError("no within variation: all groups are singletons")
-    Xw = within_transform(design.X, groups)
-    yw = within_transform(design.y, groups)
+    Xw = design.X - _group_means(design.X, codes, labels.size)[codes]
     try:
         _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))
     except DesignError as err:
@@ -128,6 +126,19 @@ def fit_fixed_effects(design, groups):
             f"demeaning): {', '.join(err.columns)}",
             columns=err.columns,
         ) from None
+    return labels, codes, Xw
+
+
+def fit_fixed_effects(design, groups):
+    """Within (fixed-effects) estimator.
+
+    Slopes come from least squares on group-demeaned data; the residual
+    variance uses the n - k - G degrees-of-freedom correction.  The design
+    must not contain an intercept column (it is absorbed by the effects).
+    """
+    labels, codes, Xw = _check_within(design, groups, need_repeats=True)
+    G = labels.size
+    yw = design.y - _group_means(design.y, codes, G)[codes]
     n, k = design.n, design.k
     dof = n - k - G
     if dof <= 0:
@@ -319,22 +330,9 @@ def _fe_problem(design, groups, penalty):
     ``group_effects``) and codes, the within-rank check, and the grouped
     design operator with its response, extended by one zero-response
     penalty row per group when ``penalty > 0``."""
-    if INTERCEPT in design.names:
-        raise DesignError(
-            "remove the intercept column: group effects absorb the level",
-            columns=[INTERCEPT],
-        )
-    labels, codes = _group_codes(groups, design.n)
+    labels, codes, _ = _check_within(design, groups)
     G = labels.size
     labels = [str(label) for label in labels]
-    Xw = design.X - _group_means(design.X, codes, G)[codes]
-    try:
-        _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))
-    except DesignError as err:
-        raise DesignError(
-            "no within-group variation for column(s): " + ", ".join(err.columns),
-            columns=err.columns,
-        ) from None
     if penalty == 0.0:
         return labels, codes, _GroupedOps(design.X, codes, G), design.y
     X_ext = np.vstack([design.X, np.zeros((G, design.k))])

@@ -233,10 +233,6 @@ class Panel:
             ObservationRow, _ROW_ITEMS, self.firm_codes, self.years, self._columns
         )
 
-    def rows_for(self, firm_id):
-        self._need_rows()
-        return tuple(row for row in self.rows if row.firm_id == firm_id)
-
     def _need_rows(self):
         if self._columns is None:
             raise DataValidationError(

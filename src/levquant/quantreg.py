@@ -602,15 +602,6 @@ def fit_quantile(design, theta, *, _weights=None):
     return fit
 
 
-def pseudo_r2(fit, design, theta):
-    """Koenker-Machado goodness of fit: 1 - loss(fit) / loss(intercept-only).
-
-    By convention the value is 0 when the intercept-only objective is 0
-    (constant response).
-    """
-    return _koenker_machado(fit.objective, design.y, _validate_theta(theta))
-
-
 # ---------------------------------------------------------------------------
 # exact small-instance oracle
 # ---------------------------------------------------------------------------
@@ -676,93 +667,86 @@ def fit_quantile_oracle(design, theta, *, cap=200, max_bases=5_000_000):
 class BootstrapResult:
     """The replicates and standard errors of one ``bootstrap_se`` call.
 
-    For a scalar theta, ``replicates`` is (n_boot, estimates) and
-    ``std_errors`` maps estimate names to standard errors.  For a tuple of
-    thetas, ``replicates`` is (n_boot, thetas, estimates) and
-    ``std_errors`` maps each theta to its name -> standard error dict.
-    ``n_redrawn`` counts the redrawn resamples and ``n_polished`` the
-    replicates whose refit was polished to a vertex, both summed over
-    theta; ``redrawn_by_theta`` and ``polished_by_theta`` hold the counts
-    of each theta.
+    ``replicates`` is (n_boot, thetas, estimates) and ``std_errors`` maps
+    each theta to its name -> standard error dict.  ``n_redrawn`` counts
+    the redrawn resamples summed over theta; ``redrawn_by_theta`` and
+    ``polished_by_theta`` hold, for each theta, its redrawn resamples and
+    the replicates whose refit was polished to a vertex.
     """
 
     std_errors: dict
     replicates: np.ndarray = field(repr=False)
     n_boot: int
     n_redrawn: int
-    n_polished: int
-    redrawn_by_theta: dict = field(default_factory=dict)
-    polished_by_theta: dict = field(default_factory=dict)
+    redrawn_by_theta: dict
+    polished_by_theta: dict
 
 
 _REFIT_ERRORS = (DesignError, ConvergenceError, scipy.linalg.LinAlgError)
 
 
 def bootstrap_se(
-    design,
-    theta,
-    n_boot=DEFAULT_BOOTSTRAP,
-    seed=0,
-    cluster=None,
-    *,
+    design, thetas, n_boot=DEFAULT_BOOTSTRAP, seed=0, cluster=None, *, penalty=None,
     refit_group_effects=False,
-    penalty=0.0,
 ):
-    """Pairs-bootstrap standard errors for a quantile fit at one theta or
-    at each theta of a tuple.
+    """Pairs-bootstrap standard errors of quantile fits at each theta of
+    the tuple ``thetas``.
 
     The resampling unit is the cluster when ``cluster`` labels are given
     (all rows of a drawn cluster enter together), otherwise the row.  A
     replicate draws as many units as there are, with replacement, and
     refits once on the rows of the distinct units drawn, each row's check
     loss weighted by its unit's multiplicity m: the same optimum as
-    refitting m copies of the unit.  With ``refit_group_effects`` the
-    cluster labels double as fixed-effect groups: every drawn firm gets one
-    effect (its penalty row, when ``penalty > 0``, also weighted by m), and
-    only the slope coefficients plus the multiplicity-weighted mean effect
-    (``"fixed_effects_mean"``) are collected; ``penalty`` is the L1 weight
-    on the effects of the refit, as in ``fit_quantile_fixed_effects``
-    (0: one free effect per firm).  Replicate seeds derive
-    deterministically from ``seed``, so the results are deterministic per
-    seed: the same seed gives bit-identical results in every run.
+    refitting m copies of the unit.  ``penalty=None`` refits
+    ``fit_quantile``; a number refits ``fit_quantile_fixed_effects`` with
+    that L1 weight on the effects and the cluster labels as its groups, so
+    every drawn firm gets one effect (its penalty row also weighted by m),
+    and adds the multiplicity-weighted mean effect (``"fixed_effects_mean"``)
+    to the design's estimates.  A penalty needs cluster labels, and a
+    design its point fit rejects raises that fit's ``DesignError`` before
+    the first draw.  Replicate seeds derive from ``seed``, so the same seed
+    gives bit-identical results in every run.
 
-    The thetas of a tuple share the draws: each draw's sub-problem is built
-    once and refit at every theta, so replicate b of every theta comes from
-    the same resample and the replicates are joint across theta.  A
-    resample whose refit fails at a theta (a rank-deficient draw, an
-    interior point and fallback that both fail, a singular linear system)
-    is redrawn for that theta alone, from the continuation of replicate
-    b's random stream, and counted; the other thetas keep the draw.  So
-    each theta's replicates are bit-identical to a call at that theta
-    alone.  More than 50% failed resamples at one theta, or 50 failures in
-    a row, is an error.
+    The thetas share the draws: each draw's sub-problem is built once and
+    refit at every theta, so replicate b of every theta comes from the
+    same resample and the replicates are joint across theta.  A resample
+    whose refit fails at a theta (a rank-deficient draw, an interior point
+    and fallback that both fail, a singular linear system) is redrawn for
+    that theta alone, from the continuation of replicate b's random
+    stream, and counted; the other thetas keep the draw.  So each theta's
+    replicates are bit-identical to a call with that theta alone.  More
+    than 50% failed resamples at one theta, or 50 failures in a row, is an
+    error.
+
+    ``refit_group_effects=True``, which also takes a scalar theta, is the
+    older spelling of ``penalty=0.0`` that perfbench's tracer test uses.
     """
-    scalar = np.ndim(theta) == 0
-    thetas = tuple(_validate_theta(t) for t in ((theta,) if scalar else theta))
+    from . import effects
+
+    if refit_group_effects:
+        thetas, penalty = tuple(np.ravel(thetas)), 0.0 if penalty is None else penalty
+    if np.ndim(thetas) != 1:
+        raise ValueError(f"thetas must be a tuple of quantiles, got {thetas!r}")
+    thetas = tuple(_validate_theta(t) for t in thetas)
     if not thetas or len(set(thetas)) < len(thetas):
-        raise ValueError(f"need one or more distinct thetas, got {theta}")
+        raise ValueError(f"need one or more distinct thetas, got {thetas}")
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replications")
-    if refit_group_effects and cluster is None:
-        raise ValueError("refit_group_effects requires cluster labels")
-    n = design.n
     if cluster is None:
-        codes = np.arange(n)  # the row bootstrap: one unit per row
+        if penalty is not None:
+            raise ValueError("a penalty needs cluster labels: they are the effects' groups")
+        codes = np.arange(design.n)  # the row bootstrap: one unit per row
+    elif penalty is None:
+        _, codes = effects._group_codes(cluster, design.n)
     else:
-        cluster = np.asarray(cluster)
-        if cluster.shape[0] != n:
-            raise ValueError("cluster labels must cover all design rows")
-        _, codes = np.unique(cluster, return_inverse=True)
+        _, codes, _ = effects._check_within(design, cluster)
     n_units = int(codes.max()) + 1
 
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(n_boot)
-    names = list(design.names)
-    if refit_group_effects:
-        names = [m for m in names if m != INTERCEPT] + ["fixed_effects_mean"]
+    names = list(design.names) + ([] if penalty is None else ["fixed_effects_mean"])
     rows = np.empty((n_boot, len(thetas), len(names)))
-    refit_penalty = penalty if refit_group_effects else None
     attempts = np.zeros(len(thetas), dtype=int)
     degenerate = np.zeros(len(thetas), dtype=int)
     polished = np.zeros(len(thetas), dtype=int)
@@ -776,7 +760,7 @@ def bootstrap_se(
             picks = rng.integers(0, n_units, size=n_units)
             mult = np.bincount(picks, minlength=n_units)
             try:
-                refit = _refit(design, codes, mult, names, refit_penalty)
+                refit = _refit(design, codes, mult, penalty)
             except _REFIT_ERRORS:
                 failed = pending
             else:
@@ -802,48 +786,41 @@ def bootstrap_se(
                 f"{bad} of {tried} resamples were degenerate at theta {t}"
             )
     ses = np.std(rows, axis=0, ddof=1)
-    std_errors = {
-        t: dict(zip(names, (float(v) for v in ses[i]))) for i, t in enumerate(thetas)
-    }
     return BootstrapResult(
-        std_errors=std_errors[thetas[0]] if scalar else std_errors,
-        replicates=rows[:, 0] if scalar else rows,
+        std_errors={
+            t: dict(zip(names, (float(v) for v in ses[i]))) for i, t in enumerate(thetas)
+        },
+        replicates=rows,
         n_boot=n_boot,
         n_redrawn=int(degenerate.sum()),
-        n_polished=int(polished.sum()),
         redrawn_by_theta=dict(zip(thetas, degenerate.tolist())),
         polished_by_theta=dict(zip(thetas, polished.tolist())),
     )
 
 
-def _refit(design, codes, mult, names, penalty):
+def _refit(design, codes, mult, penalty):
     """The refit of one draw as a function of theta, which returns the
-    estimates named by ``names`` and whether the refit was polished to a
-    vertex.  The refit keeps the rows of the units with ``mult > 0``, each
-    row weighted by its unit's multiplicity; what does not depend on theta
-    is built here once, and raises as a refit would.  ``penalty`` is None
-    for a refit without group effects, else the effects' L1 weight.  Its
-    ``fixed_effects_mean`` is the mean effect over the drawn copies (each
-    distinct firm weighted by its multiplicity), not over distinct firms."""
+    estimates in design column order (then ``fixed_effects_mean``, with a
+    penalty) and whether the refit was polished to a vertex.  The refit
+    keeps the rows of the units with ``mult > 0``, each row weighted by its
+    unit's multiplicity; what does not depend on theta is built here once,
+    and raises as a refit would.  ``penalty`` is None for a refit without
+    group effects, else the effects' L1 weight.  Its ``fixed_effects_mean``
+    is the mean effect over the drawn copies (each distinct firm weighted
+    by its multiplicity), not over distinct firms."""
     idx = np.flatnonzero(mult[codes])
     weights = mult[codes[idx]].astype(float)
+    sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
     if penalty is None:
-        sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
 
         def refit(theta):
             fit = fit_quantile(sub, theta, _weights=weights)
-            return [fit.coefficients[m] for m in names], fit.solver_meta["polished"]
+            return list(fit.coefficients.values()), fit.solver_meta["polished"]
 
         return refit
 
     from . import effects
 
-    keep = [j for j, m in enumerate(design.names) if m != INTERCEPT]
-    sub = DesignMatrix(
-        names=[design.names[j] for j in keep],
-        X=design.X[np.ix_(idx, keep)],
-        y=design.y[idx],
-    )
     groups = codes[idx]
     problem = effects._fe_problem(sub, groups, penalty)
     # group effects come in ascending unit order, as mult[mult > 0] does
@@ -854,9 +831,8 @@ def _refit(design, codes, mult, names, penalty):
         fit = effects.fit_quantile_fixed_effects(
             sub, groups, theta, penalty=penalty, _weights=weights, _problem=problem
         )
-        vals = [fit.coefficients[m] for m in names[:-1]]
         effect = np.fromiter(fit.group_effects.values(), dtype=float)
-        vals.append(float(np.average(effect, weights=unit_weights)))
+        vals = [*fit.coefficients.values(), float(np.average(effect, weights=unit_weights))]
         return vals, fit.solver_meta["polished"]
 
     return refit

@@ -17,7 +17,7 @@ from levquant import (
     lag_leverage,
 )
 
-from conftest import ingest_records
+from conftest import ingest_records, rows_for
 
 SPEC = TargetModelSpec(
     leverage="book", determinants=("profta", "liqta", "sizeat"), thetas=(0.5,)
@@ -54,7 +54,7 @@ class TestLagLeverage:
         lagged = lag_leverage(panel, "book")
         pairs = 0
         for firm in panel.firms:
-            years = sorted(r.fiscal_year for r in panel.rows_for(firm))
+            years = sorted(r.fiscal_year for r in rows_for(panel, firm))
             pairs += sum(b == a + 1 for a, b in zip(years, years[1:]))
         assert sum(r.levb_lag is not None for r in lagged.rows) == pairs
 

@@ -14,6 +14,7 @@ from levquant import (
 )
 from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
+    simulate_config,
 )
 from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
 from levquant.panel import design_from_panel
@@ -533,6 +534,10 @@ class TestSimulate:
         assert {p for p in os.listdir(out)} == {
             "panel.csv", "macro.csv", "tax_rates.csv", "ground_truth.txt"
         }
+
+    def test_simulate_defaults_are_the_generator_defaults(self):
+        args = build_parser().parse_args(["simulate"])
+        assert simulate_config(args) == SynthConfig()
 
     def test_simulate_regime_pair(self, tmp_path):
         out = tmp_path / "synth2"

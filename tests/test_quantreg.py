@@ -20,7 +20,6 @@ from levquant import (
     check_loss,
     fit_quantile,
     fit_quantile_oracle,
-    pseudo_r2,
 )
 from levquant.effects import fit_quantile_fixed_effects
 from levquant import effects, quantreg
@@ -303,7 +302,6 @@ class TestPseudoR2:
         )
         fit = fit_quantile(d, 0.5)
         assert fit.pseudo_r2 == pytest.approx(1.0, abs=1e-9)
-        assert pseudo_r2(fit, d, 0.5) == pytest.approx(1.0, abs=1e-9)
 
     def test_intercept_only_is_zero(self):
         rng = np.random.default_rng(2)
@@ -334,14 +332,14 @@ class TestPseudoR2:
 class TestBootstrap:
     def test_constant_panel_zero_se(self):
         d = intercept_design(np.full(12, 2.5))
-        out = bootstrap_se(d, 0.5, n_boot=2, seed=1)
-        assert out.std_errors["intercept"] == 0.0
+        out = bootstrap_se(d, (0.5,), n_boot=2, seed=1)
+        assert out.std_errors[0.5]["intercept"] == 0.0
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(9)
         d = random_design(rng, n=25, k=2)
-        a = bootstrap_se(d, 0.5, n_boot=25, seed=42)
-        b = bootstrap_se(d, 0.5, n_boot=25, seed=42)
+        a = bootstrap_se(d, (0.5,), n_boot=25, seed=42)
+        b = bootstrap_se(d, (0.5,), n_boot=25, seed=42)
         assert a.std_errors == b.std_errors
         assert np.array_equal(a.replicates, b.replicates)
 
@@ -350,24 +348,32 @@ class TestBootstrap:
         rng = np.random.default_rng(202)
         n = 400
         d = intercept_design(rng.normal(size=n))
-        out = bootstrap_se(d, 0.5, n_boot=500, seed=7)
+        out = bootstrap_se(d, (0.5,), n_boot=500, seed=7)
         target = np.sqrt(np.pi / 2.0) / np.sqrt(n)
-        assert abs(out.std_errors["intercept"] - target) <= 0.25 * target
+        assert abs(out.std_errors[0.5]["intercept"] - target) <= 0.25 * target
 
     def test_cluster_labels_must_cover(self):
         d = intercept_design(np.arange(10.0))
         with pytest.raises(ValueError):
-            bootstrap_se(d, 0.5, n_boot=5, seed=0, cluster=np.arange(4))
+            bootstrap_se(d, (0.5,), n_boot=5, seed=0, cluster=np.arange(4))
 
     def test_group_effects_need_cluster_labels(self):
+        # a penalty is a fixed-effects refit, whose groups are the clusters
         d = DesignMatrix(names=("x",), X=np.arange(10.0)[:, None], y=np.arange(10.0))
-        with pytest.raises(ValueError, match="requires cluster labels"):
-            bootstrap_se(d, 0.5, n_boot=5, seed=0, refit_group_effects=True)
+        for penalty in (0.0, 0.5):
+            with pytest.raises(ValueError, match="needs cluster labels"):
+                bootstrap_se(d, (0.5,), n_boot=5, seed=0, penalty=penalty)
+
+    def test_scalar_theta_rejected(self):
+        d = intercept_design(np.arange(10.0))
+        for theta in (0.5, np.float64(0.5), np.array(0.5)):
+            with pytest.raises(ValueError, match="tuple of quantiles"):
+                bootstrap_se(d, theta, n_boot=5, seed=0)
 
     def test_needs_two_replications(self):
         d = intercept_design(np.arange(10.0))
         with pytest.raises(ValueError):
-            bootstrap_se(d, 0.5, n_boot=1, seed=0)
+            bootstrap_se(d, (0.5,), n_boot=1, seed=0)
 
     def test_mostly_degenerate_resamples_error(self):
         # two predictors alive only inside their own single cluster: most
@@ -381,7 +387,7 @@ class TestBootstrap:
         X = np.column_stack([np.ones(n), x1, x2])
         d = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=rng.normal(size=n))
         with pytest.raises(DegenerateResampleError):
-            bootstrap_se(d, 0.5, n_boot=30, seed=3, cluster=cl)
+            bootstrap_se(d, (0.5,), n_boot=30, seed=3, cluster=cl)
 
     def test_every_resample_degenerate_stops_after_fifty(self):
         x = np.arange(1.0, 11.0)
@@ -389,7 +395,7 @@ class TestBootstrap:
                          y=np.arange(10.0))
         with pytest.raises(DegenerateResampleError,
                            match="replicate 0: 50 consecutive degenerate resamples"):
-            bootstrap_se(d, 0.5, n_boot=5, seed=0)
+            bootstrap_se(d, (0.5,), n_boot=5, seed=0)
 
     def test_cluster_bootstrap_runs(self):
         rng = np.random.default_rng(19)
@@ -401,9 +407,9 @@ class TestBootstrap:
             X=np.column_stack([np.ones(n), x]),
             y=1 + x + rng.normal(size=n),
         )
-        out = bootstrap_se(d, 0.5, n_boot=30, seed=2, cluster=cl)
-        assert out.std_errors["x"] > 0.0
-        assert set(out.std_errors) == {"intercept", "x"}
+        out = bootstrap_se(d, (0.5,), n_boot=30, seed=2, cluster=cl)
+        assert out.std_errors[0.5]["x"] > 0.0
+        assert set(out.std_errors[0.5]) == {"intercept", "x"}
 
 
 def grouped_panel(seed, n_firms=30, years=6):
@@ -464,27 +470,27 @@ class TestWeightedRefit:
     @pytest.mark.parametrize("mode", ["dummy", "penalized"])
     def test_cluster_bootstrap_polishes_every_replicate(self, mode):
         design, firms = grouped_panel(52)
-        out = bootstrap_se(
-            design, 0.5, n_boot=8, seed=3, cluster=firms, refit_group_effects=True,
-            penalty=PENALTY[mode],
-        )
+        out = bootstrap_se(design, (0.5,), n_boot=8, seed=3, cluster=firms, penalty=PENALTY[mode])
         assert out.n_redrawn == 0
-        assert out.n_polished == out.n_boot == 8
+        assert out.n_boot == 8
+        assert out.polished_by_theta == {0.5: 8}
 
     def test_p_values_test_the_point_estimate(self):
         design, firms = grouped_panel(53)
-        out = bootstrap_se(design, 0.5, n_boot=6, seed=4, cluster=firms, refit_group_effects=True)
+        std_errors = bootstrap_se(
+            design, (0.5,), n_boot=6, seed=4, cluster=firms, penalty=0.0
+        ).std_errors[0.5]
         fit = fit_quantile_fixed_effects(design, firms, 0.5)
         assert fit.p_values is None
         estimates = dict(fit.coefficients)
         estimates["fixed_effects_mean"] = np.mean(list(fit.group_effects.values()))
-        fit.std_errors = out.std_errors
+        fit.std_errors = std_errors
         p_values = fit.p_values
         assert set(p_values) == set(estimates)
         for name, est in estimates.items():
-            want = 2.0 * norm.sf(abs(est) / out.std_errors[name])
+            want = 2.0 * norm.sf(abs(est) / std_errors[name])
             assert p_values[name] == pytest.approx(want, rel=1e-12)
-        fit.std_errors = dict(out.std_errors, x1=0.0)
+        fit.std_errors = dict(std_errors, x1=0.0)
         assert fit.p_values["x1"] == 0.0
 
 
@@ -498,7 +504,7 @@ def bootstrap_case(mode):
     if mode == "row":
         X = np.column_stack([np.ones(design.n), design.X])
         return DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y), {}
-    return design, dict(cluster=firms, refit_group_effects=True, penalty=PENALTY[mode])
+    return design, dict(cluster=firms, penalty=PENALTY[mode])
 
 
 def fail_first_refit(monkeypatch, theta):
@@ -518,7 +524,7 @@ def fail_first_refit(monkeypatch, theta):
 
 class TestJointBootstrap:
     """A tuple of thetas refits each draw at every theta; each theta's
-    replicates are those of a call at that theta alone."""
+    replicates are those of a call with that theta alone."""
 
     @pytest.mark.parametrize("mode", ["dummy", "penalized", "row"])
     def test_joint_equals_separate_bit_for_bit(self, mode):
@@ -528,13 +534,13 @@ class TestJointBootstrap:
         assert joint.replicates.shape == (6, len(THETAS), n_estimates)
         assert joint.n_boot == 6
         for i, theta in enumerate(THETAS):
-            alone = bootstrap_se(design, theta, n_boot=6, seed=5, **kwargs)
-            assert alone.replicates.shape == (6, n_estimates)
-            assert joint.replicates[:, i].tobytes() == alone.replicates.tobytes()
-            assert joint.std_errors[theta] == alone.std_errors
-            assert joint.polished_by_theta[theta] == alone.n_polished
-            assert joint.redrawn_by_theta[theta] == alone.n_redrawn
-        assert joint.n_polished == sum(joint.polished_by_theta.values())
+            alone = bootstrap_se(design, (theta,), n_boot=6, seed=5, **kwargs)
+            assert alone.replicates.shape == (6, 1, n_estimates)
+            assert joint.replicates[:, i].tobytes() == alone.replicates[:, 0].tobytes()
+            assert joint.std_errors[theta] == alone.std_errors[theta]
+            assert joint.polished_by_theta[theta] == alone.polished_by_theta[theta]
+            assert joint.redrawn_by_theta[theta] == alone.redrawn_by_theta[theta]
+        assert joint.n_redrawn == sum(joint.redrawn_by_theta.values())
         reverse = bootstrap_se(design, THETAS[::-1], n_boot=6, seed=5, **kwargs)
         assert reverse.replicates[:, ::-1].tobytes() == joint.replicates.tobytes()
         assert reverse.std_errors == joint.std_errors
@@ -545,26 +551,42 @@ class TestJointBootstrap:
             with pytest.raises(ValueError, match="distinct thetas"):
                 bootstrap_se(design, thetas, n_boot=4, seed=5, **kwargs)
 
+    @pytest.mark.parametrize("mode", ["dummy", "penalized"])
+    def test_intercept_with_penalty_raises_before_any_draw(self, mode, monkeypatch):
+        design, kwargs = bootstrap_case(mode)
+        X = np.column_stack([np.ones(design.n), design.X])
+        design = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y)
+        with pytest.raises(DesignError) as point:
+            fit_quantile_fixed_effects(design, kwargs["cluster"], 0.5, penalty=kwargs["penalty"])
+
+        def no_draw(*args):
+            raise AssertionError("a draw was refit")
+
+        monkeypatch.setattr(quantreg, "_refit", no_draw)
+        with pytest.raises(DesignError) as boot:
+            bootstrap_se(design, THETAS, n_boot=4, seed=5, **kwargs)
+        assert str(boot.value) == str(point.value)
+        assert boot.value.columns == ("intercept",)
+
     def test_failed_theta_redraws_alone(self, monkeypatch):
         design, kwargs = bootstrap_case("dummy")
         clean = bootstrap_se(design, THETAS, n_boot=5, seed=6, **kwargs)
         fail_first_refit(monkeypatch, 0.5)
         joint = bootstrap_se(design, THETAS, n_boot=5, seed=6, **kwargs)
         fail_first_refit(monkeypatch, 0.5)
-        alone = bootstrap_se(design, 0.5, n_boot=5, seed=6, **kwargs)
+        alone = bootstrap_se(design, (0.5,), n_boot=5, seed=6, **kwargs)
         # the other thetas keep the shared draw
         for i in (0, 2):
             assert joint.replicates[:, i].tobytes() == clean.replicates[:, i].tobytes()
         # 0.5 redraws replicate 0 from the continuation of its stream
         assert not np.array_equal(joint.replicates[0, 1], clean.replicates[0, 1])
         assert joint.replicates[1:, 1].tobytes() == clean.replicates[1:, 1].tobytes()
-        assert joint.replicates[:, 1].tobytes() == alone.replicates.tobytes()
+        assert joint.replicates[:, 1].tobytes() == alone.replicates[:, 0].tobytes()
         rng = np.random.default_rng(np.random.SeedSequence(6).spawn(5)[0])
         codes = kwargs["cluster"]
         for _ in range(2):  # the shared draw, then its continuation
             mult = np.bincount(rng.integers(0, 30, size=30), minlength=30)
-        names = ["x1", "x2", "fixed_effects_mean"]
-        redraw, _ = quantreg._refit(design, codes, mult, names, 0.0)(0.5)
+        redraw, _ = quantreg._refit(design, codes, mult, 0.0)(0.5)
         assert np.array_equal(joint.replicates[0, 1], redraw)
         assert joint.redrawn_by_theta == {0.15: 0, 0.5: 1, 0.95: 0}
         assert joint.n_redrawn == alone.n_redrawn == 1

@@ -37,6 +37,16 @@ def test_hausman_random_effects_decision_is_retained():
     assert "do not reject the null hypothesis, the Random Effects Model is retained." in text
     assert "Fixed Effect Model is the most appropriate" not in text
     assert "pseudo-inverse" not in text
+    # and the other verdict, with the note of a rank-deficient variance difference
+    result = HausmanResult(statistic=12.5, df=2, p_value=0.0019,
+                           decision=ModelChoice.FixedEffects, rank_deficient=True)
+    text = render_hausman(result, "book_leverage")
+    assert text.splitlines()[-2:] == [
+        "Note: variance difference not positive definite; pseudo-inverse used with df = 2.",
+        "Probability of Chi-Sq below the significance level: reject the null hypothesis, "
+        "the Fixed Effect Model is the most appropriate.",
+    ]
+    assert "Random Effects Model is retained" not in text
 
 
 @pytest.mark.parametrize("p_value,marks", [

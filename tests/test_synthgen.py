@@ -24,6 +24,7 @@ from levquant import (
     write_panel_csv,
     write_tax_csv,
 )
+from conftest import rows_for
 
 
 class TestConfigValidation:
@@ -93,7 +94,7 @@ class TestGeneratePanel:
         )
         panel, _ = generate_panel(cfg)
         for firm in panel.firms:
-            levs = [r.levb for r in panel.rows_for(firm)]
+            levs = [r.levb for r in rows_for(panel, firm)]
             assert max(levs) - min(levs) <= 1e-12
 
     def test_attrition_survival_within_binomial_bounds(self):
@@ -102,7 +103,7 @@ class TestGeneratePanel:
         last_year = panel.year_span[1]
         survivors = sum(
             1 for f in panel.firms
-            if any(r.fiscal_year == last_year for r in panel.rows_for(f))
+            if any(r.fiscal_year == last_year for r in rows_for(panel, f))
         )
         p = 0.9**19
         mean, sd = 1000 * p, math.sqrt(1000 * p * (1 - p))
@@ -110,7 +111,7 @@ class TestGeneratePanel:
 
     def test_unbalanced_with_attrition(self):
         panel, _ = generate_panel(SynthConfig(n_firms=50, t_max=10, attrition=0.2, seed=7))
-        lengths = {len(panel.rows_for(f)) for f in panel.firms}
+        lengths = {len(rows_for(panel, f)) for f in panel.firms}
         assert len(lengths) > 1
 
     def test_attrition_truncates_each_firm_for_good(self):
@@ -287,6 +288,9 @@ class TestMonteCarlo:
         assert cell.true_delta == 0.5
         assert cell.bias == pytest.approx(cell.mean - 0.5)
         assert cell.rmse >= abs(cell.bias) - 1e-12
+        assert cell.estimates.size == 4
+        assert cell.sd == pytest.approx(float(np.std(cell.estimates, ddof=1)), rel=1e-12)
+        assert cell.sd > 0.0
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
