@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effects import fit_quantile_fixed_effects
+from .effects import _fe_problem, fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
 from .panel import (
     _MACRO_FIELDS, MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year,
@@ -110,8 +110,10 @@ def lag_leverage(panel, kind="book"):
     return panel._with_columns({var + "_lag": lag})
 
 
-def _fit_speed(design, firms, spec, theta):
-    fit = fit_quantile_fixed_effects(design, firms, theta, penalty=spec.penalty)
+def _fit_speed(design, firms, spec, theta, problem):
+    fit = fit_quantile_fixed_effects(
+        design, firms, theta, penalty=spec.penalty, _problem=problem
+    )
     lam = fit.coefficients[spec.lag]
     return AdjustmentResult(
         theta=theta,
@@ -137,7 +139,8 @@ def estimate_speed(panel, spec):
     design, firms, _ = design_from_panel(
         panel, spec.response, spec.predictors + (spec.lag,)
     )
-    return [_fit_speed(design, firms, spec, th) for th in spec.thetas]
+    problem = _fe_problem(design, firms, spec.penalty) if spec.thetas else None
+    return [_fit_speed(design, firms, spec, th, problem) for th in spec.thetas]
 
 
 @dataclass

@@ -21,8 +21,8 @@ from .adjustment import (
     estimate_speed_by_regime,
 )
 from .effects import (
-    DEFAULT_SIGNIFICANCE, fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects,
-    hausman_test,
+    DEFAULT_SIGNIFICANCE, _fe_problem, fit_fixed_effects, fit_quantile_fixed_effects,
+    fit_random_effects, hausman_test,
 )
 from .errors import ConfigError
 from .panel import (
@@ -279,8 +279,11 @@ def stage_qreg(ctx):
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
         design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
+        problem = _fe_problem(design, firms, spec.penalty)
         fits = {
-            theta: fit_quantile_fixed_effects(design, firms, theta, penalty=spec.penalty)
+            theta: fit_quantile_fixed_effects(
+                design, firms, theta, penalty=spec.penalty, _problem=problem
+            )
             for theta in spec.thetas
         }
         if cfg.bootstrap:

@@ -297,13 +297,14 @@ def fit_quantile_fixed_effects(
 
     An intercept column is rejected: the group effects absorb it.
 
-    ``_weights`` and ``_problem`` are private to ``bootstrap_se``.
-    ``_weights`` scales row i's check loss by ``_weights[i]``.  The rows of
-    a group share one weight, which also scales the group's penalty row, so
-    a group entered once with weight m has the optimum of m copies of it,
-    each with its own effect.  The fit's objective, pseudo-R^2 and sign
-    counts stay unweighted.  ``_problem`` is ``_fe_problem(design, groups,
-    penalty)``, built once and passed to the refits of every theta.
+    ``_weights`` is private to ``bootstrap_se``: it scales row i's check
+    loss by ``_weights[i]``.  The rows of a group share one weight, which
+    also scales the group's penalty row, so a group entered once with
+    weight m has the optimum of m copies of it, each with its own effect.
+    The fit's objective, pseudo-R^2 and sign counts stay unweighted.
+    ``_problem`` is ``_fe_problem(design, groups, penalty)``, built once by
+    a caller that fits several theta on one design (the bootstrap refits,
+    the qreg stage, ``estimate_speed``) and passed to each of those fits.
     """
     theta = _validate_theta(theta)
     if not 0.0 <= penalty < np.inf:  # NaN fails both comparisons

@@ -333,20 +333,28 @@ def _check_rank_dense(X, names, norms=None):
     ``norms`` are the column norms before X was demeaned: demeaning leaves
     rounding of about eps times them, which a tolerance taken from the
     demeaned columns cannot see, so each column is measured by its norm.
+
+    A tall X is first reduced to its k x k triangle R by numpy's QR and the
+    rank read from the pivoted QR of R (X = QR, RP = Q2 R2: XP = Q Q2 R2),
+    so scipy's OpenBLAS thread pool, which stalls against numpy's on the
+    same cores, gets no n-row work.  A deficient X is factored whole, to
+    name the columns of its own pivots.
     """
     if norms is not None:
         X = X / np.where(norms > 0.0, norms, 1.0)
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    top = 1.0 if norms is not None else diag.max(initial=0.0)
-    tol = top * max(X.shape) * np.finfo(float).eps
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        bad = [names[j] for j in piv[rank:]]
-        raise DesignError(
-            f"design is rank deficient; collinear column(s): {', '.join(bad)}",
-            columns=bad,
-        )
+    n, k = X.shape
+    for M in (np.linalg.qr(X, mode="r"), X) if n > k else (X,):
+        _, R, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        top = 1.0 if norms is not None else diag.max(initial=0.0)
+        rank = int(np.sum(diag > top * max(n, k) * np.finfo(float).eps))
+        if rank == k:
+            return
+    bad = [names[j] for j in piv[rank:]]
+    raise DesignError(
+        f"design is rank deficient; collinear column(s): {', '.join(bad)}",
+        columns=bad,
+    )
 
 
 # ---------------------------------------------------------------------------

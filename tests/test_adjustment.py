@@ -219,6 +219,26 @@ class TestSpeedByRegime:
         assert Regime.Recession in out.skipped
         assert Regime.Growth in out.results
 
+    def test_two_year_regime_skipped_by_the_rank_check(self):
+        # with two recession years every macro column is one year contrast
+        # after firm demeaning: they vary, but are collinear, so the rank
+        # check (not the zero-variance check) rejects the regime and names
+        # the column its pivoted QR puts last
+        rng = np.random.default_rng(16)
+        gdps = [rng.uniform(0.5, 4.0) for _ in range(10)]
+        gdps[4], gdps[7] = -1.0, -2.0
+        path = tuple((rng.uniform(1, 5), g) for g in gdps)
+        panel, truth = synth_panel(n_firms=40, t_max=10, seed=26, macro_path=path)
+        assert [y for y, r in truth.regimes.items() if r is Regime.Recession] == [2004, 2007]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = estimate_speed_by_regime(panel, SPEC)
+        assert out.skipped == {
+            Regime.Recession: "degenerate subset: no within-group variation "
+            "(time-invariant or collinear after demeaning): gdp_rate"
+        }
+        assert list(out.results) == [Regime.Growth]
+
     @pytest.mark.parametrize("threshold", [0.0, 2.5])
     def test_rows_follow_the_threshold(self, threshold):
         # each regime is fitted on exactly the complete lagged rows whose

@@ -24,6 +24,7 @@ from levquant import (
 from levquant.effects import fit_quantile_fixed_effects
 from levquant import effects, quantreg
 from levquant.quantreg import (
+    _check_rank_dense,
     _chol_factor,
     _DenseOps,
     _GroupedOps,
@@ -193,6 +194,88 @@ class TestFitQuantile:
             for th in np.linspace(0.1, 0.9, 9)
         ]
         assert all(b <= a + 1e-10 for a, b in zip(fitted[1:], fitted))
+
+
+def pivoted_qr_of_x(X, names, norms=None):
+    """The columns that a column-pivoted QR of the whole X puts beyond its
+    numerical rank, in pivot order; None at full rank."""
+    if norms is not None:
+        X = X / np.where(norms > 0.0, norms, 1.0)
+    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    top = 1.0 if norms is not None else diag.max(initial=0.0)
+    rank = int(np.sum(diag > top * max(X.shape) * np.finfo(float).eps))
+    return [names[j] for j in piv[rank:]] if rank < X.shape[1] else None
+
+
+def collinear_case(rng, case, n, k):
+    X = rng.normal(size=(n, k))
+    i, j, m = rng.choice(k, 3, replace=False)
+    if case == "duplicate":
+        X[:, j] = X[:, i]
+    elif case == "combination":
+        X[:, j] = 2.0 * X[:, i] - 0.5 * X[:, m]
+    elif case == "near":
+        X[:, j] = X[:, i] + 1e-9 * rng.normal(size=n)
+    elif case == "zero":
+        X[:, j] = 0.0
+    elif case == "scales":
+        X[:, j] *= 1e8
+        X[:, i] *= 1e-6
+    elif case == "scaled_duplicate":
+        X[:, j] = 1e8 * X[:, i]
+    return X
+
+
+class TestRankCheck:
+    CASES = ("duplicate", "combination", "near", "zero", "scales", "scaled_duplicate", "full")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_raises_and_names_as_a_pivoted_qr_of_x(self, case):
+        # the rank is read from the pivoted QR of X's triangle; a deficient
+        # X names exactly the columns, in order, of its own pivoted QR
+        rng = np.random.default_rng(60 + self.CASES.index(case))
+        raised = 0
+        for _ in range(6):
+            k = int(rng.integers(3, 10))
+            names = tuple(f"c{c}" for c in range(k))
+            for n in (k, k + 1, 200, 3000):
+                X = collinear_case(rng, case, n, k)
+                for norms in (None, np.linalg.norm(X, axis=0) * rng.uniform(0.5, 2.0, k)):
+                    want = pivoted_qr_of_x(X, names, norms)
+                    if want is None:
+                        _check_rank_dense(X, names, norms)
+                        continue
+                    raised += 1
+                    with pytest.raises(DesignError) as err:
+                        _check_rank_dense(X, names, norms)
+                    assert list(err.value.columns) == want
+        if case in ("duplicate", "combination", "zero", "scaled_duplicate"):
+            assert raised == 48
+        if case == "full":
+            assert raised == 0
+
+    def test_scipy_qr_sees_no_more_than_k_rows(self, monkeypatch):
+        # scipy's OpenBLAS pool gets no n-row factorization from a full-rank
+        # fit, fixed-effects fit or fixed-effects bootstrap
+        rows = []
+        qr = scipy.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return qr(a, *args, **kwargs)
+
+        rng = np.random.default_rng(46)
+        firms = np.repeat(np.arange(200), 10)
+        X = rng.normal(size=(firms.size, 9))
+        y = X @ rng.normal(size=9) + rng.normal(size=200)[firms] + rng.normal(size=firms.size)
+        d = DesignMatrix(names=tuple(f"x{j}" for j in range(9)), X=X, y=y)
+        monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+        fit_quantile(d, 0.5)
+        fit_quantile_fixed_effects(d, firms, 0.5)
+        bootstrap_se(d, (0.25, 0.75), n_boot=2, seed=3, cluster=firms, penalty=0.0)
+        assert len(rows) >= 4
+        assert max(rows) <= 9
 
 
 class TestEquivariance:

@@ -13,6 +13,10 @@ when it is set) that is removed at exit, also when the script is interrupted
 or terminated; the change side is the checkout this script lives in, as it
 is on disk.  Pair i uses seed ``--seed + i``.
 
+The ``machine`` block records the platform, the BLAS thread variables as
+set, and the thread count of each OpenBLAS pool: numpy and scipy wheels
+bring one library each, with its own pool of worker threads.
+
 The results are merged into ``--out`` under the key
 "<workload> trace<R> seeds <first>-<last>": every pair's metrics on both
 sides, and per metric the median and quartiles of each side, the median of
@@ -20,6 +24,8 @@ the per-pair change / parent - 1, and the number of pairs in which the
 change was better, in the direction BENCHMARK.json declares for that metric.
 """
 import argparse
+import ctypes
+import glob
 import json
 import os
 import platform
@@ -31,6 +37,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_args(argv):
@@ -58,6 +65,29 @@ def export(rev, dest):
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tar.extractall(dest, **safe)
     os.remove(archive)
+
+
+def blas_pools():
+    """Thread count of the OpenBLAS pool that numpy and that scipy each
+    load, read through the library's own ``*_get_num_threads``; None where
+    the package ships no OpenBLAS that this finds."""
+    import numpy
+    import scipy.linalg  # binds scipy and loads its OpenBLAS
+
+    getters = [f"{prefix}_get_num_threads{suffix}"
+               for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+    pools = {}
+    for module in (numpy, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)),
+                            f"{module.__name__}.libs")
+        pools[module.__name__] = None
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+            lib = ctypes.CDLL(path)
+            found = [getattr(lib, name) for name in getters if hasattr(lib, name)]
+            if found:
+                found[0].argtypes, found[0].restype = [], ctypes.c_int
+                pools[module.__name__] = found[0]()
+    return pools
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -115,7 +145,9 @@ def main(argv=None):
         parent={"rev": args.parent, "commit": parent_sha},
         change={"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
         machine={"platform": platform.platform(), "cpus": os.cpu_count(),
-                 "python": platform.python_version()},
+                 "python": platform.python_version(),
+                 "env": {v: os.environ.get(v) for v in THREAD_VARS},
+                 "openblas_threads": blas_pools()},
     )
     runs = record.setdefault("runs", {})
     seconds = bench["run_seconds"]
