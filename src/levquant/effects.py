@@ -3,11 +3,12 @@ fixed-effects handling inside quantile fits."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import ConfigError, DataValidationError, DesignError
 from .quantreg import (
@@ -242,7 +243,8 @@ def fit_random_effects(design, groups):
 
 def hausman_decision(statistic, df, significance=DEFAULT_SIGNIFICANCE):
     """Chi-squared tail probability and model choice for a Hausman statistic."""
-    p = float(chi2.sf(statistic, df))
+    # chi2.sf's edges, which chdtrc lacks: 1.0 at a statistic <= 0, NaN unless df > 0
+    p = float(chdtrc(df, max(statistic, 0.0))) if df > 0 else math.nan
     choice = ModelChoice.FixedEffects if p < significance else ModelChoice.RandomEffects
     return p, choice
 

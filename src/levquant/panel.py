@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .errors import ConfigError, DataValidationError
 from .quantreg import INTERCEPT, DesignMatrix
@@ -335,46 +337,67 @@ def _parse_float(text):
     return value
 
 
+_BLOCK_ROWS = 4096  # data lines per block of a CSV read: bounds a columnar parse's memory
+
+
 def _read_csv(path, columns):
-    """Yield (line number, row dict, problem) for each data row of a CSV
-    file whose header must name every one of ``columns``.  ``problem`` is
-    None, or says how the line's field count disagrees with the header."""
+    """Yield the data rows of a CSV file whose header must name every one of
+    ``columns``, in blocks of up to ``_BLOCK_ROWS`` lines.  A block is
+    (lines, rows, rejects): the line number and the cells of ``columns``
+    (a tuple in that order) of each row whose field count fits the header,
+    and (line number, problem) for each row whose count does not.  Line
+    numbers are physical lines; as in csv.DictReader, blank lines are
+    skipped and a name the header repeats means its last column."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in columns if c not in header]
         if missing:
             raise DataValidationError(
                 f"{path}: missing column(s): {', '.join(missing)}"
             )
-        lineno = 1
-        for lineno, row in enumerate(reader, start=2):
-            problem = None
-            if None in row:  # csv.DictReader files extra fields under None
-                problem = "too many fields"
-            elif any(row[c] is None for c in columns):  # and pads a short line
-                problem = "too few fields"
-            yield lineno, row, problem
-    if lineno == 1:
+        index = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(*(index[c] for c in columns))
+        need, width = max(index[c] for c in columns) + 1, len(header)
+        lines, rows, rejects = [], [], []
+        empty = True
+        for row in reader:
+            if not row:
+                continue
+            if need <= len(row) <= width:
+                lines.append(reader.line_num)
+                rows.append(pick(row))
+            else:
+                problem = "too many fields" if len(row) > width else "too few fields"
+                rejects.append((reader.line_num, problem))
+            if len(lines) + len(rejects) == _BLOCK_ROWS:
+                yield lines, rows, rejects
+                lines, rows, rejects = [], [], []
+                empty = False
+    if lines or rejects:
+        yield lines, rows, rejects
+    elif empty:
         raise DataValidationError(f"{path}: no data rows")
 
 
 def _read_years(path, columns, parse):
-    """year -> parse(row) for each data row of a CSV file keyed by year."""
+    """year -> parse(*cells) for each data row of a CSV file keyed by year,
+    the cells being those of ``columns`` after the year."""
     out = {}
-    for lineno, row, problem in _read_csv(path, columns):
-        if problem:
-            raise DataValidationError(f"{path}: line {lineno}: {problem}")
-        try:
-            year = int(row["year"])
-            value = parse(row)
-        except ValueError as err:
-            raise DataValidationError(
-                f"{path}: line {lineno}: malformed value: {err}"
-            ) from None
-        if year in out:
-            raise DataValidationError(f"{path}: duplicate year {year}")
-        out[year] = value
+    for lines, rows, rejects in _read_csv(path, columns):
+        for lineno, row in sorted([*zip(lines, rows), *rejects]):
+            if isinstance(row, str):  # a field count's problem
+                raise DataValidationError(f"{path}: line {lineno}: {row}")
+            try:
+                year = int(row[0])
+                value = parse(*row[1:])
+            except ValueError as err:
+                raise DataValidationError(
+                    f"{path}: line {lineno}: malformed value: {err}"
+                ) from None
+            if year in out:
+                raise DataValidationError(f"{path}: duplicate year {year}")
+            out[year] = value
     return out
 
 
@@ -385,25 +408,60 @@ def _parse_optional(text):
 
 # the parser of each firm-year cell that is not a finite float
 _PANEL_PARSERS = {"firm_id": str.strip, "fyear": int, "mkt_eq": _parse_optional}
+_FLOAT_COLUMNS = tuple(c for c in PANEL_COLUMNS if c not in _PANEL_PARSERS)
+
+
+def _parse_columns(rows):
+    """Firm ids, years and the raw item columns of firm-year rows, parsed
+    column by column; raises ValueError if any cell does not parse."""
+    n = len(rows)
+    cells = dict(zip(PANEL_COLUMNS, zip(*rows))) if n else dict.fromkeys(PANEL_COLUMNS, ())
+    floats = np.fromiter(
+        map(float, itertools.chain.from_iterable(cells[c] for c in _FLOAT_COLUMNS)),
+        dtype=float, count=n * len(_FLOAT_COLUMNS),
+    )
+    if not np.isfinite(floats).all():
+        raise ValueError("non-finite")
+    items = dict(zip(_FLOAT_COLUMNS, floats.reshape(len(_FLOAT_COLUMNS), n)))
+    items["mkt_eq"] = np.array([_parse_optional(t) for t in cells["mkt_eq"]], dtype=float)
+    firm_ids = list(map(str.strip, cells["firm_id"]))
+    years = list(map(int, cells["fyear"]))
+    return firm_ids, years, [items[c] for c in PANEL_COLUMNS[2:]]
+
+
+def _parse_rows(lines, rows):
+    """The rows whose every cell parses, and a reject naming the first
+    malformed value of each other row."""
+    good, rejects = [], []
+    for lineno, row in zip(lines, rows):
+        try:
+            for column, text in zip(PANEL_COLUMNS, row):
+                _PANEL_PARSERS.get(column, _parse_float)(text)
+        except ValueError as err:
+            rejects.append((lineno, f"malformed value: {err}"))
+        else:
+            good.append(row)
+    return good, rejects
 
 
 def read_panel_csv(path):
     """Read the firm-year CSV into a Panel, collecting row-level rejections."""
-    parse_rejects = []
-    cells = [[] for _ in PANEL_COLUMNS]  # one list per column
-    for lineno, row, problem in _read_csv(path, PANEL_COLUMNS):
-        if problem:
-            parse_rejects.append((f"line {lineno}", problem))
-            continue
+    firm_ids, years, items, parse_rejects = [], [], [[] for _ in RAW_ITEMS], []
+    for lines, rows, rejects in _read_csv(path, PANEL_COLUMNS):
         try:
-            values = [_PANEL_PARSERS.get(c, _parse_float)(row[c]) for c in PANEL_COLUMNS]
-        except ValueError as err:
-            parse_rejects.append((f"line {lineno}", f"malformed value: {err}"))
-            continue
-        for column, value in zip(cells, values):
-            column.append(value)
-    firm_ids, years, *items = cells
-    panel = ingest_panel(firm_ids, years, dict(zip(RAW_ITEMS, items)))
+            block_ids, block_years, block_items = _parse_columns(rows)
+        except ValueError:  # row by row, so that each malformed line is named
+            rows, malformed = _parse_rows(lines, rows)
+            rejects = sorted(rejects + malformed)
+            block_ids, block_years, block_items = _parse_columns(rows)
+        firm_ids += block_ids
+        years += block_years
+        for column, values in zip(items, block_items):
+            column.append(values)
+        parse_rejects += [(f"line {lineno}", problem) for lineno, problem in rejects]
+    panel = ingest_panel(
+        firm_ids, years, {name: np.concatenate(c) for name, c in zip(RAW_ITEMS, items)}
+    )
     panel.validation.n_read += len(parse_rejects)
     panel.validation.rejected = parse_rejects + panel.validation.rejected
     return panel
@@ -412,8 +470,7 @@ def read_panel_csv(path):
 def read_macro_csv(path):
     """Read the macro series as a year -> MacroYear mapping."""
     series = _read_years(
-        path, MACRO_COLUMNS,
-        lambda row: (_parse_float(row["cpi_inflation"]), _parse_float(row["gdp_growth"])),
+        path, MACRO_COLUMNS, lambda infl, gdp: (_parse_float(infl), _parse_float(gdp))
     )
     return {
         year: MacroYear(year=year, inflation=infl, gdp_growth=gdp)
@@ -422,7 +479,7 @@ def read_macro_csv(path):
 
 
 def read_tax_csv(path):
-    return _read_years(path, TAX_COLUMNS, lambda row: _parse_float(row["tax_rate"]))
+    return _read_years(path, TAX_COLUMNS, _parse_float)
 
 
 def _write_csv(path, columns, lines):
@@ -583,6 +640,12 @@ class CorrelationMatrix:
         return len(self.names)
 
 
+def _t_two_sided_p(t, df):
+    """2 * P(T > |t|) on ``df`` degrees of freedom: scipy.stats.t.sf's own
+    special function, without the import of scipy.stats."""
+    return 2.0 * float(stdtr(df, -abs(t)))
+
+
 def correlation_matrix(panel, variables=None, min_pairs=3):
     """Pairwise-complete Pearson correlations with two-sided p-values.
 
@@ -628,7 +691,7 @@ def correlation_matrix(panel, variables=None, min_pairs=3):
                 pij = 0.0
             else:
                 t = rij * math.sqrt((m - 2) / (1.0 - rij * rij))
-                pij = 2.0 * float(stats.t.sf(abs(t), m - 2))
+                pij = _t_two_sided_p(t, m - 2)
             p[i, j] = p[j, i] = pij
     return CorrelationMatrix(tuple(variables), r, p, n)
 

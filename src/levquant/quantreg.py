@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 from scipy.linalg.lapack import dgesv as _gesv, dpotrf as _potrf, dpotrs as _potrs
 import scipy.sparse
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import (
     ConvergenceError,
@@ -137,7 +136,7 @@ class QuantileFit:
             return None
         est = self.estimates
         return {
-            name: float(2.0 * norm.sf(abs(est[name]) / se)) if se > 0 else 0.0
+            name: float(2.0 * ndtr(-(abs(est[name]) / se))) if se > 0 else 0.0
             for name, se in self.std_errors.items()
         }
 
@@ -518,6 +517,8 @@ def _highs(ops, y, p, q):
     """Exact solve of the pinball LP by HiGHS: min p'u + q'v subject to
     A b + u - v = y, u, v >= 0.  Raises ConvergenceError unless HiGHS
     reports an optimal solution."""
+    import scipy.optimize  # a slow import that only this fallback needs
+
     n, k = y.size, ops.ncols
     eye = scipy.sparse.identity(n, format="csr")
     res = scipy.optimize.linprog(

@@ -514,6 +514,19 @@ class TestCsvIO:
         assert [line for line, _ in panel.validation.rejected] == ["line 2", "line 3", "line 4"]
         assert panel.validation.flagged == []
 
+    def test_reject_names_the_physical_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"
+        good = "F1,2000,200,50,150,80,40,100,10,21,100,100,15"
+        path.write_text(f"{header}\n{good}\n\nF2,2000,x,50,150,80,40,100,10,21,100,100,15\n"
+                        "F3,2000,200\n")
+        panel = read_panel_csv(path)
+        assert panel.validation.n_read == 3
+        assert panel.validation.rejected == [
+            ("line 4", "malformed value: could not convert string to float: 'x'"),
+            ("line 5", "too few fields"),
+        ]
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("firm_id,fyear,at\nF1,2000,10\n")
@@ -598,6 +611,14 @@ class TestCsvValidation:
         reader = read_macro_csv if name == "macro.csv" else read_tax_csv
         with pytest.raises(DataValidationError, match=rf"{name}: line 3: too many fields"):
             reader(path)
+
+    def test_tax_error_names_the_physical_line_after_a_blank_line(self, tmp_path):
+        from levquant import read_tax_csv
+
+        path = tmp_path / "tax.csv"
+        path.write_text("year,tax_rate\n2000,0.21\n\n2001,x\n")
+        with pytest.raises(DataValidationError, match=r"tax\.csv: line 4: malformed"):
+            read_tax_csv(path)
 
     def test_duplicate_tax_year_rejected(self, tmp_path):
         from levquant import read_tax_csv
