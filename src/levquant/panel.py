@@ -406,8 +406,18 @@ def _parse_optional(text):
     return _parse_float(text) if text else None
 
 
+_YEARS = range(-(2**63), 2**63)  # the years a panel holds: int64
+
+
+def _parse_year(text):
+    year = int(text)
+    if year not in _YEARS:
+        raise ValueError(f"year {year} outside int64")
+    return year
+
+
 # the parser of each firm-year cell that is not a finite float
-_PANEL_PARSERS = {"firm_id": str.strip, "fyear": int, "mkt_eq": _parse_optional}
+_PANEL_PARSERS = {"firm_id": str.strip, "fyear": _parse_year, "mkt_eq": _parse_optional}
 _FLOAT_COLUMNS = tuple(c for c in PANEL_COLUMNS if c not in _PANEL_PARSERS)
 
 
@@ -425,7 +435,7 @@ def _parse_columns(rows):
     items = dict(zip(_FLOAT_COLUMNS, floats.reshape(len(_FLOAT_COLUMNS), n)))
     items["mkt_eq"] = np.array([_parse_optional(t) for t in cells["mkt_eq"]], dtype=float)
     firm_ids = list(map(str.strip, cells["firm_id"]))
-    years = list(map(int, cells["fyear"]))
+    years = list(map(_parse_year, cells["fyear"]))
     return firm_ids, years, [items[c] for c in PANEL_COLUMNS[2:]]
 
 

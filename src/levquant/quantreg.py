@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -727,6 +729,10 @@ def bootstrap_se(
     than 50% failed resamples at one theta, or 50 failures in a row, is an
     error.
 
+    A large enough call refits contiguous chunks of its draws in forked
+    worker processes, each held to one BLAS thread (``_workers``); the
+    result and any error are those of the in-process loop.
+
     ``refit_group_effects=True``, which also takes a scalar theta, is the
     older spelling of ``penalty=0.0`` that perfbench's tracer test uses.
     """
@@ -755,12 +761,44 @@ def bootstrap_se(
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(n_boot)
     names = list(design.names) + ([] if penalty is None else ["fixed_effects_mean"])
-    rows = np.empty((n_boot, len(thetas), len(names)))
+    work = (design, codes, n_units, penalty, thetas)
+    workers, setters = _workers(n_boot, n_boot * len(thetas) * design.n)
+    if workers < 2:
+        out = _draws(*work, 0, children)
+    else:
+        out = _pooled_draws(work, children, workers, setters)
+    if isinstance(out, DegenerateResampleError):
+        raise out
+    rows, attempts, degenerate, polished = out
+    for t, bad, tried in zip(thetas, degenerate, attempts):
+        if bad > tried / 2.0:
+            raise DegenerateResampleError(
+                f"{bad} of {tried} resamples were degenerate at theta {t}"
+            )
+    ses = np.std(rows, axis=0, ddof=1)
+    return BootstrapResult(
+        std_errors={
+            t: dict(zip(names, (float(v) for v in ses[i]))) for i, t in enumerate(thetas)
+        },
+        replicates=rows,
+        n_boot=n_boot,
+        n_redrawn=int(degenerate.sum()),
+        redrawn_by_theta=dict(zip(thetas, degenerate.tolist())),
+        polished_by_theta=dict(zip(thetas, polished.tolist())),
+    )
+
+
+def _draws(design, codes, n_units, penalty, thetas, first, children):
+    """Replicates ``first`` to ``first + len(children) - 1`` of a
+    ``bootstrap_se`` call, one per seed of ``children``: (rows, attempts,
+    degenerate, polished), the replicates and the per-theta counts, or the
+    ``DegenerateResampleError`` of the first replicate that gave up."""
+    rows = np.empty((len(children), len(thetas), len(design.names) + (penalty is not None)))
     attempts = np.zeros(len(thetas), dtype=int)
     degenerate = np.zeros(len(thetas), dtype=int)
     polished = np.zeros(len(thetas), dtype=int)
-    for b in range(n_boot):
-        rng = np.random.default_rng(children[b])
+    for b, child in enumerate(children):
+        rng = np.random.default_rng(child)
         # the thetas still without replicate b have failed the same draws,
         # so they continue the stream from one point and share the next draw
         pending = list(range(len(thetas)))
@@ -785,26 +823,85 @@ def bootstrap_se(
             if not pending:
                 break
         else:
-            raise DegenerateResampleError(
-                f"replicate {b}: 50 consecutive degenerate resamples"
+            return DegenerateResampleError(
+                f"replicate {first + b}: 50 consecutive degenerate resamples"
                 f" at theta {thetas[pending[0]]}"
             )
-    for t, bad, tried in zip(thetas, degenerate, attempts):
-        if bad > tried / 2.0:
-            raise DegenerateResampleError(
-                f"{bad} of {tried} resamples were degenerate at theta {t}"
-            )
-    ses = np.std(rows, axis=0, ddof=1)
-    return BootstrapResult(
-        std_errors={
-            t: dict(zip(names, (float(v) for v in ses[i]))) for i, t in enumerate(thetas)
-        },
-        replicates=rows,
-        n_boot=n_boot,
-        n_redrawn=int(degenerate.sum()),
-        redrawn_by_theta=dict(zip(thetas, degenerate.tolist())),
-        polished_by_theta=dict(zip(thetas, polished.tolist())),
-    )
+    return rows, attempts, degenerate, polished
+
+
+# Starting and joining a forked pool of 2 took 30-65 ms (2-core VM, Python
+# 3.11) and a refit 1.5-1.8 us per row, so a worker pays for its start from
+# about 17,000-43,000 rows of refits; each one gets at least this many.
+_ROWS_PER_WORKER = 50_000
+_SET_THREADS = tuple(
+    f"{prefix}_set_num_threads{suffix}"
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+
+
+def _workers(n_boot, refit_rows):
+    """The worker processes for ``refit_rows`` rows of refits over
+    ``n_boot`` draws, and the ``_blas_setters`` to call in each; (1, ())
+    where the draws run in this process."""
+    # Python 3.12 warns at os.fork in a process with threads, as OpenBLAS's
+    if sys.version_info >= (3, 12) or not sys.platform.startswith("linux"):
+        return 1, ()
+    workers = min(len(os.sched_getaffinity(0)), refit_rows // _ROWS_PER_WORKER, n_boot)
+    setters = _blas_setters() if workers >= 2 else ()
+    return (workers, setters) if setters else (1, ())
+
+
+def _blas_setters():
+    """(path, thread-count setter) of each OpenBLAS mapped into this process
+    (a numpy and a scipy wheel bring one each); () if there is none, or one
+    without a setter."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {line.split(None, 5)[-1].strip() for line in fh}
+    except OSError:
+        return ()
+    libs = sorted(path for path in mapped if "openblas" in os.path.basename(path))
+    names = [next((n for n in _SET_THREADS if hasattr(ctypes.CDLL(p), n)), None) for p in libs]
+    return () if None in names else tuple(zip(libs, names))
+
+
+def _one_blas_thread(setters):
+    """Pool initializer: one BLAS thread per worker, so that the workers'
+    OpenBLAS thread pools do not oversubscribe the cores."""
+    import ctypes
+
+    for path, name in setters:
+        getattr(ctypes.CDLL(path), name)(1)
+
+
+def _pooled_draws(work, children, workers, setters):
+    """``_draws`` over contiguous chunks of ``children``, one chunk per
+    forked worker, put together as one in-process call returns them."""
+    import multiprocessing
+
+    bounds = np.linspace(0, len(children), workers + 1).astype(int).tolist()
+    chunks = [(*work, lo, children[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    try:
+        pool = multiprocessing.get_context("fork").Pool(workers, _one_blas_thread, (setters,))
+    except OSError:
+        return _draws(*work, 0, children)
+    try:
+        parts = pool.starmap(_draws, chunks, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    for part in parts:
+        if isinstance(part, DegenerateResampleError):
+            return part
+    rows, *counts = zip(*parts)
+    return (np.concatenate(rows), *(sum(c) for c in counts))
 
 
 def _refit(design, codes, mult, penalty):

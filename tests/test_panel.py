@@ -503,6 +503,21 @@ class TestCsvIO:
             ("line 3", "malformed value: non-finite"), ("line 4", "malformed value: non-finite"),
         ]
 
+    def test_year_outside_int64_rejected_with_its_line_number(self, tmp_path):
+        path = tmp_path / "years.csv"
+        header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"
+        items = "200,50,150,80,40,100,10,21,100,100,15"
+        path.write_text(f"{header}\nF1,2000,{items}\nF2,99999999999999999999,{items}\n"
+                        f"F3,-9223372036854775809,{items}\nF4,9223372036854775807,{items}\n")
+        panel = read_panel_csv(path)
+        assert [(r.firm_id, r.fiscal_year) for r in panel.records] == [
+            ("F1", 2000), ("F4", 2**63 - 1),
+        ]
+        assert panel.validation.rejected == [
+            ("line 3", "malformed value: year 99999999999999999999 outside int64"),
+            ("line 4", "malformed value: year -9223372036854775809 outside int64"),
+        ]
+
     def test_every_line_malformed_gives_an_empty_panel(self, tmp_path):
         path = tmp_path / "all_bad.csv"
         header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"

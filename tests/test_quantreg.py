@@ -1,4 +1,8 @@
+import ctypes
 import itertools
+import multiprocessing
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -674,6 +678,135 @@ class TestJointBootstrap:
         assert joint.redrawn_by_theta == {0.15: 0, 0.5: 1, 0.95: 0}
         assert joint.n_redrawn == alone.n_redrawn == 1
         assert clean.n_redrawn == 0
+
+
+def force_workers(monkeypatch, workers):
+    """Make ``bootstrap_se`` split its draws over ``workers`` processes,
+    whatever the cores and the size of the call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(quantreg, "_ROWS_PER_WORKER", 1)
+
+
+def redrawing_case():
+    """A cluster bootstrap in which about a third of the draws lose the
+    one cluster where x1 varies, so their refits fail and are redrawn."""
+    rng = np.random.default_rng(23)
+    cl = np.repeat(np.arange(10), 4)
+    x1 = np.where(cl == 0, rng.normal(size=cl.size), 0.0)
+    X = np.column_stack([np.ones(cl.size), x1, rng.normal(size=cl.size)])
+    design = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=rng.normal(size=cl.size))
+    return design, dict(cluster=cl)
+
+
+def blas_threads(setters):
+    """The thread count that each OpenBLAS of ``setters`` reports in this process."""
+    counts = []
+    for path, name in setters:
+        getter = getattr(ctypes.CDLL(path), name.replace("_set_", "_get_"))
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+def no_pool(method):
+    raise AssertionError("a worker pool was started")
+
+
+class TestPooledBootstrap:
+    """Draws refit in forked workers, one contiguous chunk each, give what
+    the in-process loop gives, and leave no process behind."""
+
+    @pytest.mark.parametrize("mode", ["dummy", "penalized", "row", "redrawn"])
+    def test_every_worker_count_is_bit_identical(self, mode, monkeypatch):
+        design, kwargs = redrawing_case() if mode == "redrawn" else bootstrap_case(mode)
+        results = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            assert quantreg._workers(7, 7 * len(THETAS) * design.n)[0] == workers
+            results.append(bootstrap_se(design, THETAS, n_boot=7, seed=5, **kwargs))
+            assert multiprocessing.active_children() == []
+        serial = results[0]
+        assert (serial.n_redrawn > 0) == (mode == "redrawn")
+        for pooled in results[1:]:
+            assert pooled.replicates.tobytes() == serial.replicates.tobytes()
+            assert pooled.std_errors == serial.std_errors
+            assert pooled.redrawn_by_theta == serial.redrawn_by_theta
+            assert pooled.polished_by_theta == serial.polished_by_theta
+            assert pooled.n_redrawn == serial.n_redrawn
+
+    def test_a_failed_replicate_is_named_by_its_global_index(self, monkeypatch):
+        design, kwargs = bootstrap_case("dummy")
+        # every draw of replicate 4's stream fails, in any process
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(6)[4])
+        doomed = {np.bincount(rng.integers(0, 30, size=30), minlength=30).tobytes()
+                  for _ in range(50)}
+        real = quantreg._refit
+
+        def refit(design, codes, mult, penalty):
+            if mult.tobytes() in doomed:
+                raise DesignError("forced")
+            return real(design, codes, mult, penalty)
+
+        monkeypatch.setattr(quantreg, "_refit", refit)
+        messages = []
+        for workers in (1, 3):  # 3 workers: replicate 4 opens the last chunk
+            force_workers(monkeypatch, workers)
+            with pytest.raises(DegenerateResampleError) as err:
+                bootstrap_se(design, THETAS, n_boot=6, seed=5, **kwargs)
+            messages.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        assert messages == ["replicate 4: 50 consecutive degenerate resamples at theta 0.15"] * 2
+
+    def test_a_pool_that_cannot_start_runs_in_process(self, monkeypatch):
+        design, kwargs = bootstrap_case("penalized")
+        serial = bootstrap_se(design, THETAS, n_boot=5, seed=8, **kwargs)
+
+        class NoFork:
+            def Pool(self, *args):
+                raise OSError("fork refused")
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
+        fallback = bootstrap_se(design, THETAS, n_boot=5, seed=8, **kwargs)
+        assert fallback.replicates.tobytes() == serial.replicates.tobytes()
+        assert fallback.std_errors == serial.std_errors
+
+    def test_each_worker_holds_every_openblas_to_one_thread(self):
+        setters = quantreg._blas_setters()
+        if not setters:
+            pytest.skip("no OpenBLAS is mapped, so bootstrap_se starts no workers")
+        before = blas_threads(setters)
+        with multiprocessing.get_context("fork").Pool(
+            2, quantreg._one_blas_thread, (setters,)
+        ) as pool:
+            counts = pool.map(blas_threads, [setters] * 2, chunksize=1)
+        pool.join()
+        assert counts == [[1] * len(setters)] * 2
+        assert blas_threads(setters) == before  # the parent's pools keep their threads
+
+    def test_a_tiny_call_stays_in_process(self, monkeypatch):
+        # perfbench's tracer test: 3 draws of 40 rows at one theta
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=40)
+        design = DesignMatrix(names=("x",), X=x[:, None], y=x + rng.normal(size=40))
+        bootstrap_se(design, (0.5,), 3, seed=1, cluster=np.repeat(np.arange(8), 5), penalty=0.0)
+        assert quantreg._workers(3, 3 * 40) == (1, ())
+
+    @pytest.mark.parametrize("where", ["python 3.12", "not linux", "no openblas"])
+    def test_runs_in_process_where_workers_cannot_be_held(self, where, monkeypatch):
+        force_workers(monkeypatch, 4)
+        if where == "python 3.12":
+            monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+        elif where == "not linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        else:
+            monkeypatch.setattr(quantreg, "_blas_setters", lambda: ())
+        assert quantreg._workers(40, 10**6) == (1, ())
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        design, kwargs = bootstrap_case("dummy")
+        bootstrap_se(design, THETAS, n_boot=4, seed=5, **kwargs)
 
 
 def grouped_problem(rng, sizes, kx=2, penalized=False):
