@@ -40,7 +40,7 @@ class TargetModelSpec:
     ``penalty`` (0 <= penalty < inf) is the L1 weight on the firm effects of
     every fit, as in ``fit_quantile_fixed_effects``: 0 fits one free effect
     per firm.  A predictor counts once under all its names (``gdp_growth``
-    is ``gdp_rate``)."""
+    is ``gdp_rate``), and the response is never one of them."""
 
     leverage: str = "book"
     determinants: tuple = DEFAULT_DETERMINANTS
@@ -59,6 +59,9 @@ class TargetModelSpec:
         if unknown:
             raise ConfigError(f"unknown variable(s) {', '.join(unknown)}; "
                               f"choose from {', '.join(REGRESSORS)}")
+        if self.response in self.predictors:
+            raise ConfigError(f"{self.response} is the {self.leverage} leverage that the "
+                              "model explains; it cannot be one of its predictors")
         if len({_MACRO_FIELDS.get(v, v) for v in self.predictors}) < len(self.predictors):
             raise ConfigError("determinants and macro_vars must name each variable once "
                               "(gdp_growth and gdp_rate are one variable)")

@@ -112,7 +112,8 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        self.spec(self.kinds[0])  # the model options, checked by TargetModelSpec
+        for kind in self.kinds:  # the model options, checked by TargetModelSpec
+            self.spec(kind)
 
     @property
     def kinds(self):

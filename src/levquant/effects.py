@@ -130,6 +130,20 @@ def _check_within(design, groups, *, need_repeats=False):
     return labels, codes, Xw
 
 
+def _least_squares(kind, names, X, y, dof, **fields):
+    """The least-squares fit of y on X as an ``EffectsFit``: s^2 = e'e / dof,
+    vcov = s^2 (X'X)^-1, and ``sigma_e`` = s^2 unless ``fields``, the fit's
+    other components, sets it."""
+    b, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ b
+    s2 = float(resid @ resid) / dof
+    fields.setdefault("sigma_e", s2)
+    return EffectsFit(
+        kind=kind, names=names, coefficients=dict(zip(names, (float(v) for v in b))),
+        vcov=s2 * np.linalg.inv(X.T @ X), nobs=X.shape[0], df_resid=dof, **fields,
+    )
+
+
 def fit_fixed_effects(design, groups):
     """Within (fixed-effects) estimator.
 
@@ -139,49 +153,24 @@ def fit_fixed_effects(design, groups):
     """
     labels, codes, Xw = _check_within(design, groups, need_repeats=True)
     G = labels.size
-    yw = design.y - _group_means(design.y, codes, G)[codes]
-    n, k = design.n, design.k
-    dof = n - k - G
+    dof = design.n - design.k - G
     if dof <= 0:
         raise DataValidationError(
-            f"too few observations for {k} slopes and {G} group effects"
+            f"too few observations for {design.k} slopes and {G} group effects"
         )
-    b, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
-    resid = yw - Xw @ b
-    sigma_e2 = float(resid @ resid) / dof
-    vcov = sigma_e2 * np.linalg.inv(Xw.T @ Xw)
-    gm = _group_means(design.y - design.X @ b, codes, G)
-    level = float(np.mean(gm))
-    effects = gm - level
-    return EffectsFit(
-        kind=EffectsKind.FixedWithin,
-        names=design.names,
-        coefficients=dict(zip(design.names, (float(v) for v in b))),
-        vcov=vcov,
-        nobs=n,
-        df_resid=dof,
-        group_effects={str(l): float(e) for l, e in zip(labels, effects)},
-        intercept=level,
-        sigma_e=sigma_e2,
-    )
+    yw = design.y - _group_means(design.y, codes, G)[codes]
+    fit = _least_squares(EffectsKind.FixedWithin, design.names, Xw, yw, dof)
+    gm = _group_means(design.y - design.X @ fit.coef_vector(design.names), codes, G)
+    fit.intercept = float(np.mean(gm))
+    fit.group_effects = {str(l): float(e) for l, e in zip(labels, gm - fit.intercept)}
+    return fit
 
 
 def fit_pooled_ols(design):
     """Ordinary least squares ignoring the panel structure."""
     _check_rank_dense(design.X, design.names)
-    n, k = design.n, design.k
-    b, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
-    resid = design.y - design.X @ b
-    dof = n - k
-    sigma2 = float(resid @ resid) / dof
-    return EffectsFit(
-        kind=EffectsKind.PooledOLS,
-        names=design.names,
-        coefficients=dict(zip(design.names, (float(v) for v in b))),
-        vcov=sigma2 * np.linalg.inv(design.X.T @ design.X),
-        nobs=n,
-        df_resid=dof,
-        sigma_e=sigma2,
+    return _least_squares(
+        EffectsKind.PooledOLS, design.names, design.X, design.y, design.n - design.k
     )
 
 
@@ -199,13 +188,11 @@ def fit_random_effects(design, groups):
     n, k = design.n, design.k
     sizes = np.bincount(codes).astype(float)
 
-    slope_idx = [j for j, m in enumerate(design.names) if m != INTERCEPT]
-    slope_names = tuple(design.names[j] for j in slope_idx)
-    fe = fit_fixed_effects(
-        DesignMatrix(names=slope_names, X=design.X[:, slope_idx], y=design.y),
+    slopes = [j for j, m in enumerate(design.names) if m != INTERCEPT]
+    sigma_e2 = fit_fixed_effects(
+        DesignMatrix(tuple(design.names[j] for j in slopes), design.X[:, slopes], design.y),
         groups,
-    )
-    sigma_e2 = fe.sigma_e
+    ).sigma_e
 
     if G <= k:
         raise DataValidationError(
@@ -222,22 +209,10 @@ def fit_random_effects(design, groups):
         sigma_u2 = 0.0
 
     lam = 1.0 - np.sqrt(sigma_e2 / (sizes * sigma_u2 + sigma_e2))
-    Xt = design.X - lam[codes, None] * _group_means(design.X, codes, G)[codes]
-    yt = design.y - lam[codes] * _group_means(design.y, codes, G)[codes]
-    b, *_ = np.linalg.lstsq(Xt, yt, rcond=None)
-    resid = yt - Xt @ b
-    dof = n - k
-    s2 = float(resid @ resid) / dof
-    return EffectsFit(
-        kind=EffectsKind.RandomGLS,
-        names=design.names,
-        coefficients=dict(zip(design.names, (float(v) for v in b))),
-        vcov=s2 * np.linalg.inv(Xt.T @ Xt),
-        nobs=n,
-        df_resid=dof,
-        sigma_u=sigma_u2,
-        sigma_e=sigma_e2,
-        sigma_u_clamped=clamped,
+    return _least_squares(
+        EffectsKind.RandomGLS, design.names,
+        design.X - lam[codes, None] * Xb[codes], design.y - lam[codes] * yb[codes], n - k,
+        sigma_u=sigma_u2, sigma_e=sigma_e2, sigma_u_clamped=clamped,
     )
 
 

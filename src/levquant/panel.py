@@ -409,6 +409,13 @@ def _parse_optional(text):
 _YEARS = range(-(2**63), 2**63)  # the years a panel holds: int64
 
 
+def _parse_firm_id(text):
+    firm = text.strip()
+    if not firm:
+        raise ValueError("empty firm_id")
+    return firm
+
+
 def _parse_year(text):
     year = int(text)
     if year not in _YEARS:
@@ -417,7 +424,7 @@ def _parse_year(text):
 
 
 # the parser of each firm-year cell that is not a finite float
-_PANEL_PARSERS = {"firm_id": str.strip, "fyear": _parse_year, "mkt_eq": _parse_optional}
+_PANEL_PARSERS = {"firm_id": _parse_firm_id, "fyear": _parse_year, "mkt_eq": _parse_optional}
 _FLOAT_COLUMNS = tuple(c for c in PANEL_COLUMNS if c not in _PANEL_PARSERS)
 
 
@@ -435,6 +442,8 @@ def _parse_columns(rows):
     items = dict(zip(_FLOAT_COLUMNS, floats.reshape(len(_FLOAT_COLUMNS), n)))
     items["mkt_eq"] = np.array([_parse_optional(t) for t in cells["mkt_eq"]], dtype=float)
     firm_ids = list(map(str.strip, cells["firm_id"]))
+    if "" in firm_ids:
+        raise ValueError("empty firm_id")
     years = list(map(_parse_year, cells["fyear"]))
     return firm_ids, years, [items[c] for c in PANEL_COLUMNS[2:]]
 
@@ -656,11 +665,14 @@ def _t_two_sided_p(t, df):
     return 2.0 * float(stdtr(df, -abs(t)))
 
 
-def correlation_matrix(panel, variables=None, min_pairs=3):
+_MIN_PAIRS = 3  # the complete pairs a correlation cell needs
+
+
+def correlation_matrix(panel, variables=None):
     """Pairwise-complete Pearson correlations with two-sided p-values.
 
     p comes from t = r * sqrt((n-2)/(1-r^2)) on n-2 degrees of freedom.
-    Cells with fewer than ``min_pairs`` complete pairs or zero variance are
+    Cells with fewer than ``_MIN_PAIRS`` complete pairs or zero variance are
     undefined (NaN).  The diagonal is exactly (r=1, p=0).
     """
     if variables is None:
@@ -675,7 +687,7 @@ def correlation_matrix(panel, variables=None, min_pairs=3):
         xi = cols[i]
         present = ~np.isnan(xi)
         n[i, i] = int(present.sum())
-        if n[i, i] >= min_pairs and np.ptp(xi[present]) > 0.0:
+        if n[i, i] >= _MIN_PAIRS and np.ptp(xi[present]) > 0.0:
             r[i, i] = 1.0
             p[i, i] = 0.0
         for j in range(i + 1, k):
@@ -683,7 +695,7 @@ def correlation_matrix(panel, variables=None, min_pairs=3):
             both = present & ~np.isnan(xj)
             m = int(both.sum())
             n[i, j] = n[j, i] = m
-            if m < min_pairs:
+            if m < _MIN_PAIRS:
                 continue
             a, b = xi[both], xj[both]
             if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:

@@ -618,18 +618,21 @@ def fit_quantile(design, theta, *, _weights=None):
 # ---------------------------------------------------------------------------
 
 
-def fit_quantile_oracle(design, theta, *, cap=200, max_bases=5_000_000):
+_ORACLE_CAP = 200  # the most rows the exact oracle enumerates bases for
+
+
+def fit_quantile_oracle(design, theta, *, max_bases=5_000_000):
     """Exact reference solution by brute-force basis enumeration.
 
     Visits every k-subset of rows as a candidate interpolating basis; an
     optimal quantile-regression vertex interpolates k observations, so the
     minimum over candidates is the global optimum.  Deliberately refuses
-    instances above ``cap`` rows.
+    instances above ``_ORACLE_CAP`` rows.
     """
     theta = _validate_theta(theta)
     n, k = design.n, design.k
-    if n > cap:
-        raise OracleCapError(f"oracle caps at {cap} rows, got {n}")
+    if n > _ORACLE_CAP:
+        raise OracleCapError(f"oracle caps at {_ORACLE_CAP} rows, got {n}")
     n_bases = math.comb(n, k)
     if n_bases > max_bases:
         raise OracleCapError(

@@ -225,14 +225,14 @@ def hausman_csv(result, equation):
 # ---------------------------------------------------------------------------
 
 
-def render_yearly_means(ym, title="Mean variables by fiscal year"):
+def render_yearly_means(ym):
     rows = [["FYEAR"] + [display_label(v) for v in ym.variables]]
     for label, line in zip(ym.row_labels(), ym.values):
         rows.append(
             [label]
             + [NA if math.isnan(v) else f"{v:.6f}" for v in line]
         )
-    return title + "\n" + "\n".join(_table(rows)) + "\n"
+    return "Mean variables by fiscal year\n" + "\n".join(_table(rows)) + "\n"
 
 
 def yearly_means_csv(ym):
@@ -243,7 +243,7 @@ def yearly_means_csv(ym):
     return "\n".join(lines) + "\n"
 
 
-def render_correlation(cm, title="Correlation of variables"):
+def render_correlation(cm):
     labels = [display_label(v) for v in cm.names]
     rows = [["Correlation"] + labels]
     for i, label in enumerate(labels):
@@ -262,7 +262,7 @@ def render_correlation(cm, title="Correlation of variables"):
                     p_cells.append(NA if math.isnan(p) else f"{p:.4f}")
         rows.append([label] + r_cells)
         rows.append(["Probability"] + p_cells)
-    return title + "\n" + "\n".join(_table(rows)) + "\n"
+    return "Correlation of variables\n" + "\n".join(_table(rows)) + "\n"
 
 
 def correlation_csv(cm):
@@ -278,9 +278,9 @@ def correlation_csv(cm):
     return "\n".join(lines) + "\n"
 
 
-def render_validation(report, title="Panel validation report"):
+def render_validation(report):
     lines = [
-        title,
+        "Panel validation report",
         f"rows read:     {report.n_read}",
         f"rows accepted: {report.n_accepted}",
         f"rows rejected: {report.n_rejected}",

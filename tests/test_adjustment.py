@@ -70,6 +70,13 @@ class TestEstimateSpeed:
         with pytest.raises(ConfigError, match="leverage must be"):
             TargetModelSpec(leverage="gross")
 
+    @pytest.mark.parametrize("leverage, response", [("book", "levb"), ("market", "levm")])
+    def test_response_as_a_determinant_rejected(self, leverage, response):
+        with pytest.raises(ConfigError, match=f"{response} is the {leverage} leverage"):
+            TargetModelSpec(leverage=leverage, determinants=("profta", response))
+        other = {"levb": "levm", "levm": "levb"}[response]  # the other kind's leverage is allowed
+        TargetModelSpec(leverage=leverage, determinants=("profta", other))
+
     def test_speed_plus_lag_coefficient_is_one(self):
         panel, _ = synth_panel()
         for res in estimate_speed(panel, SPEC):

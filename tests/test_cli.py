@@ -454,6 +454,8 @@ class TestConfig:
         ["--winsorize", "0.9,0.1"],
         ["--leverage", "foo"],
         ["--bootstrap", "1"],
+        ["--determinants", "profta,levb"],
+        ["--determinants", "profta,levm"],  # only the market kind of leverage = both rejects it
     ])
     def test_bad_flag_value_is_exit_2_before_any_output(
         self, synth_inputs, tmp_path, capsys, flags

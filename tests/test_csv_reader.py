@@ -24,7 +24,13 @@ def _optional(text):
     return _finite(text) if text else None
 
 
-PARSERS = {"firm_id": str.strip, "fyear": int, "mkt_eq": _optional}
+def _firm_id(text):
+    if not text.strip():
+        raise ValueError("empty firm_id")
+    return text.strip()
+
+
+PARSERS = {"firm_id": _firm_id, "fyear": int, "mkt_eq": _optional}
 
 
 def reference_read(path):
@@ -70,7 +76,8 @@ BAD_YEARS = ("20x1", "2001.0", " 2001 ", "2_001", "")
 def random_csv(rng, n_rows, *, repeat=None, extra=None, crlf=False):
     """A firm-year file of ``n_rows`` data lines in shuffled column order,
     with an ``extra`` last column and a ``repeat``ed header name if given, and
-    damaged lines of every kind; the first and the last line are malformed."""
+    damaged lines of every kind; the first and the last line are malformed,
+    and the second has a blank firm id."""
     header = list(PANEL_COLUMNS)
     rng.shuffle(header)
     if extra:  # last, so that a line may leave it out
@@ -85,6 +92,8 @@ def random_csv(rng, n_rows, *, repeat=None, extra=None, crlf=False):
         firm, year = keys[int(rng.integers(len(keys)))] if rng.random() < 0.05 else keys[i]
         values = {c: repr(float(rng.lognormal(3.0, 1.0))) for c in header}
         values["firm_id"] = rng.choice(["", " ", "  "]) + firm + rng.choice(["", " "])
+        if i == 1:  # a blank id, which names no firm
+            values["firm_id"] = "  "
         values["fyear"] = str(year)
         if rng.random() < 0.2:
             values["mkt_eq"] = rng.choice(["", "  "])

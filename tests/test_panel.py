@@ -23,6 +23,8 @@ from levquant import (
     yearly_means,
 )
 
+from levquant.panel import RAW_ITEMS
+
 from conftest import ingest_records
 
 
@@ -58,6 +60,11 @@ class TestIngest:
         assert panel.validation.n_rejected == 0
         assert panel.firms == ("A", "B")
         assert panel.year_span == (2000, 2002)
+
+    def test_year_span_of_an_empty_panel_is_none(self):
+        panel = ingest_panel([], [], {name: [] for name in RAW_ITEMS})
+        assert len(panel) == 0
+        assert panel.year_span is None
 
     def test_duplicate_rejected(self):
         panel = ingest_records([record(), record()])
@@ -156,6 +163,13 @@ class TestDeriveVariables:
         panel = ingest_records([record(year=2000), record(year=2001)])
         with pytest.raises(DataValidationError, match="not derived yet"):
             panel.variable("levb")
+
+    def test_rows_are_none_before_derivation(self):
+        panel = ingest_records([record(year=2000), record(year=2001)])
+        assert panel.rows is None
+        assert len(derive_variables(
+            panel, macro_for([2000, 2001]), {2000: 0.21, 2001: 0.21}
+        ).rows) == 2
 
     def test_unknown_variable_named(self):
         with pytest.raises(KeyError, match="unknown variable 'leverage'"):
@@ -449,6 +463,16 @@ class TestCorrelation:
         assert math.isnan(cm.r[0, 1])
         assert math.isnan(cm.r[1, 1])
 
+    def test_underflowing_sum_of_squares_undefined(self):
+        # a non-zero range whose squared deviations (~1e-401) underflow to 0
+        profta = [0.0, 1e-200, 0.0, 1e-200, 0.0]
+        panel = build_variable_panel({"levb": [0.1, 0.2, 0.3, 0.4, 0.6], "profta": profta})
+        assert np.ptp(panel.variable("profta")) > 0.0
+        cm = correlation_matrix(panel, variables=("levb", "profta"))
+        assert math.isnan(cm.r[0, 1]) and math.isnan(cm.r[1, 0])
+        assert math.isnan(cm.p[0, 1])
+        assert cm.n[0, 1] == 5
+
 
 class TestCsvIO:
     def test_round_trip(self, tmp_path):
@@ -528,6 +552,22 @@ class TestCsvIO:
         assert panel.validation.n_read == 3 and panel.validation.n_accepted == 0
         assert [line for line, _ in panel.validation.rejected] == ["line 2", "line 3", "line 4"]
         assert panel.validation.flagged == []
+
+    @pytest.mark.parametrize("other", ["F3,2003", "F3,20x3"])
+    def test_blank_firm_id_rejected_with_its_line_number(self, tmp_path, other):
+        # "F3,20x3" sends the block down the row-by-row parse before the ids are seen
+        path = tmp_path / "blank_ids.csv"
+        header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"
+        items = "200,50,150,80,40,100,10,21,100,100,15"
+        path.write_text(f"{header}\nF1,2000,{items}\n,2001,{items}\n  ,2002,{items}\n"
+                        f"{other},{items}\n")
+        panel = read_panel_csv(path)
+        assert panel.validation.rejected[:2] == [
+            ("line 3", "malformed value: empty firm_id"),
+            ("line 4", "malformed value: empty firm_id"),
+        ]
+        assert "" not in panel.firm_labels.tolist()
+        assert [r.fiscal_year for r in panel.records] == [2000] + [2003] * (other == "F3,2003")
 
     def test_reject_names_the_physical_line_after_a_blank_line(self, tmp_path):
         path = tmp_path / "blank.csv"

@@ -771,6 +771,34 @@ class TestPooledBootstrap:
         assert fallback.replicates.tobytes() == serial.replicates.tobytes()
         assert fallback.std_errors == serial.std_errors
 
+    def test_unreadable_memory_maps_run_in_process(self, monkeypatch):
+        design, kwargs = bootstrap_case("dummy")
+        serial = bootstrap_se(design, THETAS, n_boot=5, seed=8, **kwargs)
+
+        def unreadable(path, *args, **options):
+            raise PermissionError(f"cannot read {path}")
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(quantreg, "open", unreadable, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert quantreg._blas_setters() == ()
+        assert quantreg._workers(5, 5 * len(THETAS) * design.n) == (1, ())
+        fallback = bootstrap_se(design, THETAS, n_boot=5, seed=8, **kwargs)
+        assert fallback.replicates.tobytes() == serial.replicates.tobytes()
+
+    def test_a_worker_error_reaches_the_caller_and_ends_the_pool(self, monkeypatch):
+        design, kwargs = bootstrap_case("penalized")
+
+        def refit(design, codes, mult, penalty):
+            raise RuntimeError("refit broke")
+
+        force_workers(monkeypatch, 2)
+        assert quantreg._workers(4, 4 * len(THETAS) * design.n)[0] == 2
+        monkeypatch.setattr(quantreg, "_refit", refit)
+        with pytest.raises(RuntimeError, match="refit broke"):
+            bootstrap_se(design, THETAS, n_boot=4, seed=8, **kwargs)
+        assert multiprocessing.active_children() == []
+
     def test_each_worker_holds_every_openblas_to_one_thread(self):
         setters = quantreg._blas_setters()
         if not setters:
