@@ -17,9 +17,9 @@ import numpy as np
 
 from .effects import _fe_problem, fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
-from .panel import (
-    _MACRO_FIELDS, MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule, _shift_year,
-    complete_rows, design_from_panel,
+from .panel import (  # lag_leverage is re-exported: levquant.adjustment.lag_leverage
+    _LEVERAGE_VAR, _MACRO_FIELDS, MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule,
+    complete_rows, design_from_panel, lag_leverage,
 )
 from .quantreg import QuantileFit
 
@@ -28,7 +28,6 @@ DEFAULT_DETERMINANTS = (
     "liqta", "mbratio", "ndts", "profta", "sizeat", "growthat", "invta",
 )
 
-_LEVERAGE_VAR = {"book": "levb", "market": "levm"}
 # a regime is estimated only with this many complete design rows per coefficient
 _MIN_ROWS_PER_COEF = 10
 
@@ -82,7 +81,7 @@ class TargetModelSpec:
         return tuple(self.determinants) + tuple(self.macro_vars)
 
     @property
-    def lag(self):  # the previous-year leverage column that lag_leverage adds
+    def lag(self):  # the previous-year leverage column of a derived panel
         return self.response + "_lag"
 
 
@@ -97,20 +96,6 @@ class AdjustmentResult:
     regime: Regime | None = None
     out_of_range: bool = False
     fit: QuantileFit = field(default=None, repr=False)
-
-
-def lag_leverage(panel, kind="book"):
-    """Attach each row's previous-year leverage of the given kind.
-
-    The lag exists only when the same firm has the immediately preceding
-    fiscal year with that leverage present; firm-first years and post-gap
-    years carry no lag and drop out of adjustment designs.
-    """
-    if kind not in _LEVERAGE_VAR:
-        raise ConfigError(f"leverage must be 'book' or 'market', got {kind!r}")
-    var = _LEVERAGE_VAR[kind]
-    lag = _shift_year(panel.firm_codes, panel.years, panel.variable(var))
-    return panel._with_columns({var + "_lag": lag})
 
 
 def _fit_speed(design, firms, spec, theta, problem):
@@ -133,12 +118,10 @@ def _fit_speed(design, firms, spec, theta, problem):
 def estimate_speed(panel, spec):
     """Per-quantile adjustment speeds for one leverage kind.
 
-    The panel is lagged internally if needed.  ``speed = 1 - lag
-    coefficient`` holds exactly by construction; a lag coefficient outside
-    [0, 1] is reported with ``out_of_range`` set rather than clipped.
+    Each row's lag is the one ``derive_variables`` attached.  ``speed = 1 -
+    lag coefficient`` holds exactly by construction; a lag coefficient
+    outside [0, 1] is reported with ``out_of_range`` set, not clipped.
     """
-    if np.isnan(panel.variable(spec.lag)).all():
-        panel = lag_leverage(panel, spec.leverage)
     design, firms, _ = design_from_panel(
         panel, spec.response, spec.predictors + (spec.lag,)
     )
@@ -156,13 +139,13 @@ def estimate_speed_by_regime(panel, spec):
     """Adjustment speeds per macroeconomic regime.
 
     Each row belongs to the regime of its year t (the adjustment year) under
-    ``spec.regime_split``; the lag is taken on the full panel first, so a
-    regime-boundary row keeps its previous-year leverage.  A regime with
-    fewer than 10 complete design rows (response, lag and every predictor
-    present) per coefficient, or whose rows leave the design degenerate, is
-    skipped and its reason reported in ``RegimeSpeeds.skipped``.
+    ``spec.regime_split``: a mask over the derived rows, which keep the lags
+    taken on the full panel, so a regime-boundary row keeps its
+    previous-year leverage.  A regime with fewer than 10 complete design
+    rows (response, lag and every predictor present) per coefficient, or
+    whose rows leave the design degenerate, is skipped and its reason
+    reported in ``RegimeSpeeds.skipped``.
     """
-    panel = lag_leverage(panel, spec.leverage)
     recession = spec.regime_split.is_recession(panel.variable("gdp_growth"))
     regressors = spec.predictors + (spec.lag,)
     complete = complete_rows(panel, spec.response, regressors)

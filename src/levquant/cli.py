@@ -105,7 +105,7 @@ class RunConfig:
             (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
             (0.0 < self.significance < 1.0,
              f"significance must lie in (0, 1), got {self.significance}"),
-            (self.tax_rate > 0.0, f"tax_rate must be positive, got {self.tax_rate}"),
+            (0.0 < self.tax_rate < np.inf, f"tax_rate {self.tax_rate} is not in (0, inf)"),
             (self.winsorize is None or 0.0 <= self.winsorize[0] < self.winsorize[1] <= 1.0,
              f"winsorize limits must satisfy 0 <= lo < hi <= 1, got {self.winsorize}"),
         )

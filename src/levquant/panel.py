@@ -47,8 +47,9 @@ VARIABLES = (
 MACRO_VARIABLES = ("inflation", "gdp_rate")
 # the constant tax rate of a run or a synthetic panel without a per-year table
 DEFAULT_TAX_RATE = 0.21
-# the MacroYear field behind each macro variable name (gdp_growth is an alias)
+# the row column behind each macro variable name (gdp_rate is gdp_growth)
 _MACRO_FIELDS = {"inflation": "inflation", "gdp_rate": "gdp_growth", "gdp_growth": "gdp_growth"}
+_LEVERAGE_VAR = {"book": "levb", "market": "levm"}  # the leverage variable of each kind
 # the names a regression can take as predictors: derived and macro variables
 REGRESSORS = VARIABLES + tuple(_MACRO_FIELDS)
 
@@ -63,6 +64,10 @@ class RegimeRule:
     """Year is a recession iff gdp growth falls below the threshold."""
 
     threshold: float = 0.0
+
+    def __post_init__(self):  # +-inf are allowed: every year a recession, or none
+        if math.isnan(self.threshold):
+            raise ConfigError("regime threshold is NaN: no gdp growth compares with it")
 
     def is_recession(self, gdp_growth):  # a scalar or an array of gdp growth
         return np.asarray(gdp_growth) < self.threshold
@@ -161,6 +166,21 @@ def _shift_year(firm, year, values):
     return out
 
 
+def lag_leverage(panel, kind="book"):
+    """Attach each row's previous-year leverage of the given kind, taken
+    within the rows of ``panel``; ``derive_variables`` attaches both kinds.
+
+    The lag exists only when the same firm has the immediately preceding
+    fiscal year with that leverage present; firm-first years and post-gap
+    years carry no lag and drop out of adjustment designs.
+    """
+    if kind not in _LEVERAGE_VAR:
+        raise ConfigError(f"leverage must be 'book' or 'market', got {kind!r}")
+    var = _LEVERAGE_VAR[kind]
+    lag = _shift_year(panel.firm_codes, panel.years, panel.variable(var))
+    return panel._with_columns({var + "_lag": lag})
+
+
 def _absent_as_none(column):
     return [None if math.isnan(v) else v for v in column.tolist()]
 
@@ -171,14 +191,13 @@ class Panel:
     Records are the accepted raw statements, one float column per raw item.
     ``derive_variables`` adds rows: the usable records (positive total
     assets, book debt not negative) with one float column per derived
-    variable and leverage lag, NaN where absent, plus the joined ``macro``
-    series.  ``firm_codes`` (indexing the sorted ``firm_labels``) and
+    variable, leverage lag and macro series of the row's year, NaN where
+    absent.  ``firm_codes`` (indexing the sorted ``firm_labels``) and
     ``years`` describe the rows, or the records before derivation.
     ``records`` and ``rows`` are tuple views.
     """
 
-    def __init__(self, firm_labels, firm_codes, years, items, *, columns=None,
-                 macro=None, validation):
+    def __init__(self, firm_labels, firm_codes, years, items, *, columns=None, validation):
         self.firm_labels = _frozen(firm_labels)
         self._record_firm = _frozen(firm_codes)
         self._record_year = _frozen(years)
@@ -186,7 +205,6 @@ class Panel:
         self._columns = None if columns is None else {
             k: _frozen(v) for k, v in columns.items()
         }
-        self.macro = None if macro is None else dict(macro)
         self.validation = validation
         if columns is None:
             self.firm_codes, self.years = self._record_firm, self._record_year
@@ -242,15 +260,11 @@ class Panel:
             )
 
     def variable(self, name):
-        """Read-only column of a derived (or macro, resolved by year)
-        variable as a float array with NaN for absent values."""
+        """Read-only column of a derived, lag or macro variable as a float
+        array with NaN for absent values."""
         self._need_rows()
-        if name in _MACRO_FIELDS:
-            years, inverse = np.unique(self.years, return_inverse=True)
-            per_year = [getattr(self.macro[y], _MACRO_FIELDS[name]) for y in years.tolist()]
-            return np.asarray(per_year, dtype=float)[inverse]
         try:
-            return self._columns[name]
+            return self._columns[_MACRO_FIELDS.get(name, name)]
         except KeyError:
             raise KeyError(
                 f"unknown variable {name!r}; available: "
@@ -258,16 +272,14 @@ class Panel:
                 f"{', '.join(MACRO_VARIABLES)}"
             ) from None
 
-    def _with_columns(self, columns, macro=None):
+    def _with_columns(self, columns):
         return Panel(
             self.firm_labels, self._record_firm, self._record_year, self._items,
-            columns={**(self._columns or {}), **columns},
-            macro=self.macro if macro is None else macro,
-            validation=self.validation,
+            columns={**(self._columns or {}), **columns}, validation=self.validation,
         )
 
     def subset(self, keep_mask):
-        """New panel restricted to the derived rows where ``keep_mask`` is
+        """New panel of the derived rows, lags included, where ``keep_mask`` is
         true (records of the surviving firm-years are kept alongside)."""
         self._need_rows()
         keep = np.asarray(keep_mask, dtype=bool)
@@ -275,8 +287,7 @@ class Panel:
         return Panel(
             self.firm_labels, self._record_firm[recs], self._record_year[recs],
             {k: v[recs] for k, v in self._items.items()},
-            columns={k: v[keep] for k, v in self._columns.items()},
-            macro=self.macro, validation=self.validation,
+            columns={k: v[keep] for k, v in self._columns.items()}, validation=self.validation,
         )
 
 
@@ -291,12 +302,13 @@ def ingest_panel(firm_ids, fiscal_years, items):
     ``firm_ids`` and ``fiscal_years`` hold one entry per statement;
     ``items`` maps each raw item name (the FirmYearRecord fields from
     ``total_assets`` on) to a column of the same length, NaN or None where a
-    value is absent.  Duplicate (firm, year) keys are rejected (first
-    occurrence wins); unusable records (non-positive total assets or
-    negative book debt) stay in the panel but are flagged and excluded from
-    derived variables.  Both lists are in input order.
+    value is absent.  Ids are stripped; an empty id or a duplicate (firm,
+    year) key is rejected (first occurrence wins); unusable records
+    (non-positive total assets or negative book debt) stay in the panel but
+    are flagged and excluded from derived variables.  Both lists are in
+    input order.
     """
-    firm_ids = np.asarray(firm_ids, dtype=str)
+    firm_ids = np.char.strip(np.asarray(firm_ids, dtype=str))
     years = np.asarray(fiscal_years, dtype=np.int64)
     try:
         raw = {name: np.asarray(items[name], dtype=float) for name in RAW_ITEMS}
@@ -312,14 +324,17 @@ def ingest_panel(firm_ids, fiscal_years, items):
     same = (sorted_codes[1:] == sorted_codes[:-1]) & (sorted_years[1:] == sorted_years[:-1])
     first = np.ones(n, dtype=bool)  # per statement: no earlier one has its key
     first[order[1:][same]] = False
+    blank = firm_ids == ""
+    first &= ~blank  # a blank id is rejected, never kept as a key
     keep = order[first[order]]  # the first occurrences, sorted by key
     fails = [~meets(raw) for meets, _ in _USABLE_IF]
     reasons = np.select(fails, [reason for _, reason in _USABLE_IF], "")
     flagged = np.flatnonzero(first & (reasons != ""))
+    rejected = np.flatnonzero(~first)
+    why = np.where(blank[rejected], "empty firm_id", "duplicate (firm_id, fiscal_year)")
     report = ValidationReport(
         n_read=n, n_accepted=len(keep),
-        rejected=[(key, "duplicate (firm_id, fiscal_year)")
-                  for key in _keys(firm_ids, years, np.flatnonzero(~first))],
+        rejected=list(zip(_keys(firm_ids, years, rejected), why.tolist())),
         flagged=list(zip(_keys(firm_ids, years, flagged), reasons[flagged].tolist())),
     )
     raw = {name: column[keep] for name, column in raw.items()}
@@ -554,17 +569,17 @@ def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
     """Attach all derivable regression variables to a panel's usable rows.
 
     ``macro`` is a year -> MacroYear mapping that must cover every usable
-    year.  ``tax_rate_by_year`` is a year -> rate mapping that must cover
-    every usable year.  Lag-dependent variables
-    (growth, investment) require the immediately preceding fiscal year for
-    the same firm; a gap breaks the chain.  Idempotent: re-running on its
-    own output reproduces it.
+    year; its series become row columns.  ``tax_rate_by_year`` is a year ->
+    rate mapping that must cover every usable year, each rate in (0, inf).
+    Lag-dependent variables (growth, investment, both leverage lags) need
+    the same firm's immediately preceding fiscal year; a gap breaks the
+    chain.  Idempotent: re-running on its own output reproduces it.
     """
     raw = panel._items
     usable = panel._usable
     years = panel._record_year[usable]
     # checked year by year in row order, so the first bad row names the error
-    rate_by_year = {}
+    per_year = {}  # year -> (tax rate, inflation, gdp growth)
     for year in dict.fromkeys(years.tolist()):
         if year not in macro:
             raise DataValidationError(f"no macro data for year {year}")
@@ -572,11 +587,12 @@ def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
             rate = tax_rate_by_year[year]
         except KeyError:
             raise ConfigError(f"no tax rate for year {year}") from None
-        if rate <= 0.0:
-            raise ConfigError(f"tax rate must be positive, got {rate}")
-        rate_by_year[year] = rate
+        if not 0.0 < rate < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"tax rate must be positive and finite, got {rate}")
+        per_year[year] = (rate, macro[year].inflation, macro[year].gdp_growth)
     distinct, inverse = np.unique(years, return_inverse=True)
-    tax_rate = np.asarray([rate_by_year[y] for y in distinct.tolist()])[inverse]
+    table = np.array([per_year[y] for y in distinct.tolist()], dtype=float).reshape(-1, 3)
+    tax_rate, inflation, gdp_growth = table[inverse].T
 
     # growth and investment read the preceding record, usable or not
     keys = (panel._record_firm, panel._record_year)
@@ -603,8 +619,8 @@ def derive_variables(panel, macro, tax_rate_by_year, winsorize=None):
         }
     if winsorize is not None:
         _winsorize(columns, winsorize)
-    columns["levb_lag"] = columns["levm_lag"] = np.full(len(years), nan)
-    return panel._with_columns(columns, macro=macro)
+    columns["inflation"], columns["gdp_growth"] = inflation, gdp_growth
+    return lag_leverage(lag_leverage(panel._with_columns(columns), "book"), "market")
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,16 @@ class TestRegimeRule:
             Regime.Growth, Regime.Recession, Regime.Recession, Regime.Growth,
         ]
 
+    def test_nan_threshold_rejected(self):
+        # gdp growth < NaN is false for every year: all growth, without notice
+        with pytest.raises(ConfigError, match="regime threshold is NaN"):
+            RegimeRule(threshold=float("nan"))
+
+    def test_infinite_thresholds_mean_one_regime(self):
+        gdp = np.array(self.GDP)
+        assert RegimeRule(threshold=np.inf).is_recession(gdp).all()
+        assert not RegimeRule(threshold=-np.inf).is_recession(gdp).any()
+
 
 def regime_macro_path(rng, n_years, block=4):
     path = []
@@ -154,9 +164,9 @@ class TestSpeedByRegime:
         }
 
     def test_single_regime_panel_matches_unsplit(self):
-        panel, _ = synth_panel(n_firms=50, t_max=8, seed=3)  # default macro may recess
+        panel, truth = synth_panel(n_firms=50, t_max=8, seed=3)  # default macro may recess
         all_growth = all(
-            m.gdp_growth > 0 for m in panel.macro.values()
+            m.gdp_growth > 0 for m in truth.macro.values()
         )
         if not all_growth:
             # force an all-growth panel via explicit macro path
@@ -173,6 +183,21 @@ class TestSpeedByRegime:
         assert got.speed == plain[0].speed  # bit-for-bit
         assert got.lag_coefficient == plain[0].lag_coefficient
         assert Regime.Recession not in by_regime.results
+
+    def test_each_regime_is_the_fit_of_its_subset(self):
+        # a regime is a mask over the derived rows, and a subset keeps their
+        # full-panel lags, so fitting it directly uses the same rows: the
+        # lag of a row after a year of the other regime is kept
+        panel, _ = generate_panel(SynthConfig(n_firms=100, t_max=15, seed=3))
+        spec = replace(SPEC, regime_split=RegimeRule(threshold=2.0))
+        out = estimate_speed_by_regime(panel, spec)
+        assert not out.skipped
+        recession = spec.regime_split.is_recession(panel.variable("gdp_growth"))
+        for regime, mask in ((Regime.Growth, ~recession), (Regime.Recession, recession)):
+            alone = estimate_speed(panel.subset(mask), spec)
+            got = out.results[regime]
+            assert [r.n_used for r in alone] == [r.n_used for r in got]
+            assert [r.speed for r in alone] == [r.speed for r in got]  # bit-for-bit
 
     def test_two_regime_recovery(self):
         rng = np.random.default_rng(12)
@@ -301,14 +326,14 @@ class TestSpeedByRegime:
     def test_firm_order_invariance(self):
         from levquant import derive_variables
 
-        panel, _ = synth_panel(n_firms=40, t_max=8, seed=24)
+        panel, truth = synth_panel(n_firms=40, t_max=8, seed=24)
         res = estimate_speed(panel, SPEC)[0]
         rng = np.random.default_rng(0)
         records = list(panel.records)
         rng.shuffle(records)
         reordered = derive_variables(
-            ingest_records(records), panel.macro,
-            {y: 0.21 for y in panel.macro},
+            ingest_records(records), truth.macro,
+            {y: 0.21 for y in truth.macro},
         )
         res2 = estimate_speed(reordered, SPEC)[0]
         assert res.speed == res2.speed

@@ -456,6 +456,8 @@ class TestConfig:
         ["--bootstrap", "1"],
         ["--determinants", "profta,levb"],
         ["--determinants", "profta,levm"],  # only the market kind of leverage = both rejects it
+        ["--regime-threshold", "nan"],
+        ["--tax-rate", "inf"],
     ])
     def test_bad_flag_value_is_exit_2_before_any_output(
         self, synth_inputs, tmp_path, capsys, flags

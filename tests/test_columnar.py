@@ -70,14 +70,17 @@ def reference(records):
     return out
 
 
-def lagged_panel(records):
+def derived_panel(records):
     years = sorted({r.fiscal_year for r in records})
     macro = {
         y: MacroYear(year=y, inflation=2.0, gdp_growth=1.0)
         for y in years
     }
-    panel = derive_variables(ingest_records(records), macro, {y: 0.21 for y in years})
-    return lag_leverage(lag_leverage(panel, "book"), "market")
+    return derive_variables(ingest_records(records), macro, {y: 0.21 for y in years})
+
+
+def lagged_panel(records):
+    return lag_leverage(lag_leverage(derived_panel(records), "book"), "market")
 
 
 def test_lag_dependent_columns_match_per_row_reference():
@@ -100,6 +103,16 @@ def test_lag_dependent_columns_match_per_row_reference():
     assert want["A", 2003][2] is not None and want["A", 2003][3] is None
     assert want["B", 2004] == (None, None, None, None)
     assert want["B", 2007] == (None, None, None, None)
+
+
+def test_derived_rows_carry_the_lags_lag_leverage_recomputes():
+    derived = derived_panel(unbalanced_records())
+    relagged = lag_leverage(lag_leverage(derived, "book"), "market")
+    for name in ("levb_lag", "levm_lag"):
+        lags = derived.variable(name)
+        assert not np.isnan(lags).all()
+        np.testing.assert_array_equal(lags, relagged.variable(name), err_msg=name)
+    assert derived.rows == relagged.rows
 
 
 def test_panel_arrays_reject_in_place_writes():

@@ -72,6 +72,20 @@ class TestIngest:
         assert panel.validation.n_rejected == 1
         assert "duplicate" in panel.validation.rejected[0][1]
 
+    def test_blank_firm_ids_rejected_and_ids_stripped(self):
+        # two blank ids must not become one firm whose statements are chained
+        items = {name: [100.0] * 4 for name in RAW_ITEMS}
+        panel = ingest_panel(["", "  ", " A ", ""], [2001, 2002, 2001, 2001], items)
+        assert panel.firms == ("A",)
+        assert [r.firm_id for r in panel.records] == ["A"]
+        assert panel.validation.n_read == 4
+        assert panel.validation.n_accepted == 1
+        assert panel.validation.rejected == [
+            (("", 2001), "empty firm_id"),
+            (("", 2002), "empty firm_id"),
+            (("", 2001), "empty firm_id"),
+        ]
+
     def test_zero_assets_flagged_and_excluded_from_derivation(self):
         recs = [record(), record(year=2001, at=0.0)]
         panel = ingest_records(recs)
@@ -266,6 +280,13 @@ class TestDeriveVariables:
         with pytest.raises(ConfigError, match="tax rate must be positive"):
             derive_variables(panel, macro_for([2000]), {2000: rate})
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_tax_rate_is_config_error(self, rate):
+        # an infinite rate drops txt/tax_rate from ndts; a NaN one empties it
+        panel = ingest_records([record()])
+        with pytest.raises(ConfigError, match="tax rate must be positive and finite"):
+            derive_variables(panel, macro_for([2000]), {2000: rate})
+
     @pytest.mark.parametrize("limits", [(0.9, 0.1), (0.5, 0.5), (-0.1, 0.9), (0.1, 1.5)])
     def test_bad_winsorization_limits_are_config_error(self, limits):
         with pytest.raises(ConfigError, match="bad winsorization limits"):
@@ -286,7 +307,7 @@ class TestDeriveVariables:
 
     def test_idempotent(self):
         panel = simple_panel()
-        again = derive_variables(panel, panel.macro, {2000: 0.21, 2001: 0.21})
+        again = derive_variables(panel, macro_for([2000, 2001]), {2000: 0.21, 2001: 0.21})
         assert again.rows == panel.rows
 
     def test_row_count_identity(self):
@@ -322,7 +343,7 @@ class TestDeriveVariables:
             for r in panel.records
         ]
         scaled = derive_variables(
-            ingest_records(scaled_recs), panel.macro, {2000: 0.21, 2001: 0.21}
+            ingest_records(scaled_recs), macro_for([2000, 2001]), {2000: 0.21, 2001: 0.21}
         )
         for a, b in zip(panel.rows, scaled.rows):
             for ratio in ("levb", "levm", "profta", "liqta", "mbratio"):
@@ -624,6 +645,22 @@ class TestDesignFromPanel:
         assert design.n == 2
         assert years.tolist() == [2000, 2001]
 
+    def test_macro_series_are_row_columns(self):
+        years = (2000, 2001, 2002)
+        recs = [record(firm=f, year=y) for f in ("A", "B") for y in years]
+        macro = {
+            y: MacroYear(year=y, inflation=1.0 + i, gdp_growth=-1.5 + i)
+            for i, y in enumerate(years)
+        }
+        panel = derive_variables(ingest_records(recs), macro, dict.fromkeys(years, 0.21))
+        row_years = panel.years.tolist()
+        gdp = [macro[y].gdp_growth for y in row_years]
+        np.testing.assert_array_equal(panel.variable("gdp_rate"), gdp)
+        np.testing.assert_array_equal(panel.variable("gdp_growth"), gdp)
+        np.testing.assert_array_equal(
+            panel.variable("inflation"), [macro[y].inflation for y in row_years]
+        )
+
     def test_macro_variables_resolve_by_year(self):
         panel = self._three_year_panel()
         design, _, _ = design_from_panel(panel, "levb", ("profta", "inflation"),
@@ -633,8 +670,10 @@ class TestDesignFromPanel:
 
 
     def test_no_complete_rows_is_error(self):
-        # one firm-year per firm: no row has its lag before lags are formed
-        panel = self._three_year_panel()
+        # one firm-year per firm: no row has a lag
+        years = [2000, 2001, 2002]
+        recs = [record(firm=firm, year=year) for firm, year in zip("ABC", years)]
+        panel = derive_variables(ingest_records(recs), macro_for(years), {y: 0.21 for y in years})
         with pytest.raises(DataValidationError, match="no complete rows for levb ~ levb_lag"):
             design_from_panel(panel, "levb", ("levb_lag",))
 
