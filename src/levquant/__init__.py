@@ -14,6 +14,7 @@ from .adjustment import (
     TargetModelSpec,
     estimate_speed,
     estimate_speed_by_regime,
+    fit_quantiles,
     lag_leverage,
 )
 from .effects import (

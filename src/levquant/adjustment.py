@@ -98,21 +98,18 @@ class AdjustmentResult:
     fit: QuantileFit = field(default=None, repr=False)
 
 
-def _fit_speed(design, firms, spec, theta, problem):
-    fit = fit_quantile_fixed_effects(
-        design, firms, theta, penalty=spec.penalty, _problem=problem
-    )
-    lam = fit.coefficients[spec.lag]
-    return AdjustmentResult(
-        theta=theta,
-        leverage=spec.leverage,
-        lag_coefficient=lam,
-        speed=1.0 - lam,
-        pseudo_r2=fit.pseudo_r2,
-        n_used=design.n,
-        out_of_range=not (0.0 <= lam <= 1.0),
-        fit=fit,
-    )
+def fit_quantiles(panel, spec, predictors):
+    """``(design, firms, {theta: fit})``: the quantile fixed-effects fits of
+    ``spec.response`` on ``predictors`` at every theta of ``spec``, with its
+    penalty, through one theta-free problem built for all of them."""
+    design, firms, _ = design_from_panel(panel, spec.response, predictors)
+    problem = _fe_problem(design, firms, spec.penalty) if spec.thetas else None
+    return design, firms, {
+        theta: fit_quantile_fixed_effects(
+            design, firms, theta, penalty=spec.penalty, _problem=problem
+        )
+        for theta in spec.thetas
+    }
 
 
 def estimate_speed(panel, spec):
@@ -122,11 +119,13 @@ def estimate_speed(panel, spec):
     lag coefficient`` holds exactly by construction; a lag coefficient
     outside [0, 1] is reported with ``out_of_range`` set, not clipped.
     """
-    design, firms, _ = design_from_panel(
-        panel, spec.response, spec.predictors + (spec.lag,)
-    )
-    problem = _fe_problem(design, firms, spec.penalty) if spec.thetas else None
-    return [_fit_speed(design, firms, spec, th, problem) for th in spec.thetas]
+    design, _, fits = fit_quantiles(panel, spec, spec.predictors + (spec.lag,))
+    results = []
+    for theta, fit in fits.items():
+        lam = fit.coefficients[spec.lag]
+        results.append(AdjustmentResult(theta, spec.leverage, lam, 1.0 - lam, fit.pseudo_r2,
+                                        design.n, out_of_range=not 0.0 <= lam <= 1.0, fit=fit))
+    return results
 
 
 @dataclass

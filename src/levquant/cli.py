@@ -18,12 +18,9 @@ import numpy as np
 from . import reports
 from .adjustment import (
     DEFAULT_DETERMINANTS, DEFAULT_THETAS, TargetModelSpec, estimate_speed,
-    estimate_speed_by_regime,
+    estimate_speed_by_regime, fit_quantiles,
 )
-from .effects import (
-    DEFAULT_SIGNIFICANCE, _fe_problem, fit_fixed_effects, fit_quantile_fixed_effects,
-    fit_random_effects, hausman_test,
-)
+from .effects import DEFAULT_SIGNIFICANCE, fit_fixed_effects, fit_random_effects, hausman_test
 from .errors import ConfigError
 from .panel import (
     DEFAULT_TAX_RATE,
@@ -279,14 +276,7 @@ def stage_qreg(ctx):
     out = []
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
-        design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
-        problem = _fe_problem(design, firms, spec.penalty)
-        fits = {
-            theta: fit_quantile_fixed_effects(
-                design, firms, theta, penalty=spec.penalty, _problem=problem
-            )
-            for theta in spec.thetas
-        }
+        design, firms, fits = fit_quantiles(ctx.panel, spec, spec.predictors)
         if cfg.bootstrap:
             std_errors = bootstrap_se(
                 design, spec.thetas, cfg.bootstrap, seed=ctx._boot_seed(kind),

@@ -281,12 +281,12 @@ def fit_quantile_fixed_effects(
     The fit's objective, pseudo-R^2 and sign counts stay unweighted.
     ``_problem`` is ``_fe_problem(design, groups, penalty)``, built once by
     a caller that fits several theta on one design (the bootstrap refits,
-    the qreg stage, ``estimate_speed``) and passed to each of those fits.
+    ``adjustment.fit_quantiles``) and passed to each of those fits.
     """
     theta = _validate_theta(theta)
     if not 0.0 <= penalty < np.inf:  # NaN fails both comparisons
         raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {penalty}")
-    labels, codes, ops, y = _problem or _fe_problem(design, groups, penalty)
+    labels, codes, ops = _problem or _fe_problem(design, groups, penalty)
     weights = np.ones(design.n) if _weights is None else _weights
     p = weights * theta
     q = weights * (1.0 - theta)
@@ -296,7 +296,7 @@ def fit_quantile_fixed_effects(
         p = np.concatenate([p, penalty * group_weights])
         q = np.concatenate([q, penalty * group_weights])
 
-    fit, effects = _solve_pinball(ops, y, theta, p, q, design.names, data_rows=design.n)
+    fit, effects = _solve_pinball(ops, theta, p, q, design.names, data_rows=design.n)
     fit.group_effects = dict(zip(labels, effects.tolist()))
     fit.solver_meta["penalty"] = penalty
     return fit
@@ -312,8 +312,8 @@ def _fe_problem(design, groups, penalty):
     G = labels.size
     labels = [str(label) for label in labels]
     if penalty == 0.0:
-        return labels, codes, _GroupedOps(design.X, codes, G), design.y
+        return labels, codes, _GroupedOps(design.X, design.y, codes, G)
     X_ext = np.vstack([design.X, np.zeros((G, design.k))])
     codes_ext = np.concatenate([codes, np.arange(G)])
     y_ext = np.concatenate([design.y, np.zeros(G)])
-    return labels, codes, _GroupedOps(X_ext, codes_ext, G), y_ext
+    return labels, codes, _GroupedOps(X_ext, y_ext, codes_ext, G)

@@ -156,12 +156,12 @@ class QuantileFit:
 def check_loss(residuals, theta):
     """Asymmetric absolute loss: theta * r for r >= 0, (1-theta) * |r| for r < 0."""
     theta = _validate_theta(theta)
-    return _weighted_pinball(np.asarray(residuals, dtype=float), theta, 1.0 - theta)
+    return float(_weighted_pinball(np.asarray(residuals, dtype=float), theta, 1.0 - theta))
 
 
 def _weighted_pinball(r, p, q):
-    # per-row generalization: p_i * r+ + q_i * r-
-    return float(np.sum(np.where(r >= 0.0, p * r, -q * r)))
+    # per-row generalization, summed over the last axis: p_i * r+ + q_i * r-
+    return np.sum(np.where(r >= 0.0, p * r, -q * r), axis=-1)
 
 
 def _koenker_machado(objective, y, theta):
@@ -180,10 +180,11 @@ def _koenker_machado(objective, y, theta):
 
 
 class _DenseOps:
-    """A = X^T for a plain dense design."""
+    """A = X^T for a plain dense design, with its response y."""
 
-    def __init__(self, X):
+    def __init__(self, X, y):
         self.X = X
+        self.y = y
         self.ncols = X.shape[1]
         self.start = None  # the interior point's start, see _start
 
@@ -199,14 +200,14 @@ class _DenseOps:
     def sparse(self):
         return scipy.sparse.csr_matrix(self.X)
 
-    def vertex(self, r, y):
+    def vertex(self, r):
         # the basic solution through the k smallest residuals
         idx = np.argsort(np.abs(r), kind="stable")[: self.ncols]
-        return _solve_square(self.X[idx], y[idx])
+        return _solve_square(self.X[idx], self.y[idx])
 
 
 class _GroupedOps:
-    """Design [X | G] where G is a one-indicator-per-row group block.
+    """Design [X | G], G a one-indicator-per-row group block, and response y.
 
     Exploits the diagonal structure of the indicator block so Newton steps
     cost O(n * kx^2) instead of O(n * (kx + n_groups)^2), and a vertex
@@ -215,8 +216,9 @@ class _GroupedOps:
     one operator serves one fit at a time.
     """
 
-    def __init__(self, X, codes, n_groups):
+    def __init__(self, X, y, codes, n_groups):
         self.X = X
+        self.y = y
         # X * d, X @ nu and X^T v run along the rows of the kx x n copy
         self.XT = np.ascontiguousarray(X.T)
         self.codes = codes
@@ -285,16 +287,16 @@ class _GroupedOps:
         rest = near[np.argsort(absr[near], kind="stable")[: self.kx]]
         return per_group, rest
 
-    def vertex(self, r, y):
+    def vertex(self, r):
         # each group's pinned row fixes its effect, a_g = y_p - x_p'b; an
         # extra row j minus the pinned row of its group leaves
         # (x_j - x_p)'b = y_j - y_p, a kx x kx system
         pinned, rest = self.polish_rows(r)
         base = pinned[self.codes[rest]]
-        b = _solve_square(self.X[rest] - self.X[base], y[rest] - y[base])
+        b = _solve_square(self.X[rest] - self.X[base], self.y[rest] - self.y[base])
         if b is None:
             return None
-        cand = np.concatenate([b, y[pinned] - self.X[pinned] @ b])
+        cand = np.concatenate([b, self.y[pinned] - self.X[pinned] @ b])
         return cand if np.isfinite(cand).all() else None
 
 
@@ -363,25 +365,23 @@ def _check_rank_dense(X, names, norms=None):
 # ---------------------------------------------------------------------------
 
 
-def _start(ops, y):
+def _start(ops):
     """The interior point's first iterate: nu, A nu and the dual slacks z,
     w.  It depends on neither theta nor the row weights, so it is computed
-    once per operator and response and kept on ``ops`` for the fits at
-    every theta."""
-    if ops.start is not None and ops.start[0] is y:
-        return ops.start[1:]
-    c = -y
-    nu = ops.factor(np.ones(y.size))(ops.rmatvec(c))
-    Anu = ops.matvec(nu)
-    rho = c - Anu
-    delta = 0.1 * float(np.mean(np.abs(rho))) + 1e-10
-    z = np.maximum(rho, 0.0) + delta
-    w = z - rho  # keeps the dual residual exactly zero at the start
-    ops.start = (y, nu, Anu, z, w)
-    return nu, Anu, z, w
+    once per operator and kept on ``ops`` for the fits at every theta."""
+    if ops.start is None:
+        c = -ops.y
+        nu = ops.factor(np.ones(c.size))(ops.rmatvec(c))
+        Anu = ops.matvec(nu)
+        rho = c - Anu
+        delta = 0.1 * float(np.mean(np.abs(rho))) + 1e-10
+        z = np.maximum(rho, 0.0) + delta
+        w = z - rho  # keeps the dual residual exactly zero at the start
+        ops.start = (nu, Anu, z, w)
+    return ops.start
 
 
-def _interior_point(ops, y, p, q):
+def _interior_point(ops, p, q):
     """Mehrotra predictor-corrector on the dual box LP.
 
     Solves min sum_i p_i*(r_i)+ + q_i*(r_i)- over coefficients, via its dual
@@ -390,12 +390,12 @@ def _interior_point(ops, y, p, q):
     vector is ``-nu``.  The primal slack is s = p + q - a, so its direction
     is -da and is never formed.
     """
-    n = y.size
-    c = -y
+    c = -ops.y
+    n = c.size
     b = ops.rmatvec(q)
     a = q.astype(float).copy()
     s = p.astype(float).copy()
-    nu, Anu, z, w = (v.copy() for v in _start(ops, y))
+    nu, Anu, z, w = (v.copy() for v in _start(ops))
     # work arrays of this call alone, so fits on one operator share none
     za, ws, d, rhs2, da, dz, dw, g_z, g_w, tmp = np.empty((10, n))
 
@@ -495,7 +495,7 @@ def _capped_step(most):
     return 1.0 if most <= 0.9995 else 0.9995 / most
 
 
-def _polish_vertex(ops, y, beta, p, q):
+def _polish_vertex(ops, beta, p, q):
     """Snap an interior solution to the best nearby basic (vertex) solution.
 
     Quantile-regression optima occur at coefficient vectors interpolating k
@@ -503,30 +503,30 @@ def _polish_vertex(ops, y, beta, p, q):
     (``ops.vertex``) sharpens the interior iterate to an exact vertex.
     Kept only when it does not worsen the objective.
     """
-    r = y - ops.matvec(beta)
+    r = ops.y - ops.matvec(beta)
     loss = _weighted_pinball(r, p, q)
-    cand = ops.vertex(r, y)
+    cand = ops.vertex(r)
     if cand is None:
         return beta, r, loss, False
-    r_cand = y - ops.matvec(cand)
+    r_cand = ops.y - ops.matvec(cand)
     loss_cand = _weighted_pinball(r_cand, p, q)
     if loss_cand <= loss + 1e-9 * (1.0 + loss):
         return cand, r_cand, loss_cand, True
     return beta, r, loss, False
 
 
-def _highs(ops, y, p, q):
+def _highs(ops, p, q):
     """Exact solve of the pinball LP by HiGHS: min p'u + q'v subject to
     A b + u - v = y, u, v >= 0.  Raises ConvergenceError unless HiGHS
     reports an optimal solution."""
     import scipy.optimize  # a slow import that only this fallback needs
 
-    n, k = y.size, ops.ncols
+    n, k = ops.y.size, ops.ncols
     eye = scipy.sparse.identity(n, format="csr")
     res = scipy.optimize.linprog(
         np.concatenate([np.zeros(k), p, q]),
         A_eq=scipy.sparse.hstack([ops.sparse(), eye, -eye], format="csr"),
-        b_eq=y,
+        b_eq=ops.y,
         bounds=[(None, None)] * k + [(0.0, None)] * (2 * n),
         method="highs",
     )
@@ -545,13 +545,13 @@ def _unconditional_objective(y, theta):
     return check_loss(y - qv, theta)
 
 
-def _solve_pinball(ops, y, theta, p, q, names, data_rows=None):
+def _solve_pinball(ops, theta, p, q, names, data_rows=None):
     """The fit minimizing the weighted pinball loss, its coefficients named
     by ``names``, and the solution entries beyond them (group effects).  The
     fit's statistics count only the first ``data_rows`` rows (default all).
     When the interior point fails, HiGHS solves the LP exactly."""
     try:
-        nu, iterations, gap, converged = _interior_point(ops, y, p, q)
+        nu, iterations, gap, converged = _interior_point(ops, p, q)
     except scipy.linalg.LinAlgError:
         nu, iterations, gap, converged = None, 0, math.inf, False
     if converged:
@@ -559,12 +559,12 @@ def _solve_pinball(ops, y, theta, p, q, names, data_rows=None):
     else:
         # iterations and gap stay those of the failed interior point
         try:
-            algorithm, beta = "highs", _highs(ops, y, p, q)
+            algorithm, beta = "highs", _highs(ops, p, q)
         except ConvergenceError as err:
             err.diagnostics.update(iterations=iterations, duality_gap=gap)
             raise
-    beta, r, _, polished = _polish_vertex(ops, y, beta, p, q)
-    r, y = r[:data_rows], y[:data_rows]
+    beta, r, _, polished = _polish_vertex(ops, beta, p, q)
+    r, y = r[:data_rows], ops.y[:data_rows]
     objective = check_loss(r, theta)
     ztol = 1e-8 * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
     fit = QuantileFit(
@@ -607,7 +607,7 @@ def fit_quantile(design, theta, *, _weights=None):
     weights = np.ones(design.n) if _weights is None else _weights
     _check_rank_dense(design.X, design.names)
     fit, _ = _solve_pinball(
-        _DenseOps(design.X), design.y, theta, weights * theta, weights * (1.0 - theta),
+        _DenseOps(design.X, design.y), theta, weights * theta, weights * (1.0 - theta),
         design.names,
     )
     return fit
@@ -659,10 +659,7 @@ def fit_quantile_oracle(design, theta, *, max_bases=5_000_000):
         betas = betas[finite]
         if betas.size == 0:
             continue
-        resid = y[None, :] - betas @ X.T
-        losses = np.sum(
-            np.where(resid >= 0.0, theta * resid, (theta - 1.0) * resid), axis=1
-        )
+        losses = _weighted_pinball(y[None, :] - betas @ X.T, theta, 1.0 - theta)
         j = int(np.argmin(losses))
         if losses[j] < best_obj:
             best_obj = float(losses[j])

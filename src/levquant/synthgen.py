@@ -18,7 +18,8 @@ import scipy.linalg
 from .adjustment import TargetModelSpec, estimate_speed, estimate_speed_by_regime
 from .errors import ConfigError, ConvergenceError, DataValidationError, DesignError
 from .panel import (
-    DEFAULT_TAX_RATE, RAW_ITEMS, MacroYear, Regime, RegimeRule, derive_variables, ingest_panel,
+    _YEARS, DEFAULT_TAX_RATE, RAW_ITEMS, MacroYear, Regime, RegimeRule, derive_variables,
+    ingest_panel,
 )
 
 _BURN_IN = 10
@@ -44,8 +45,10 @@ class ErrorSpec:
     def __post_init__(self):
         if self.kind not in ("normal", "student", "heteroskedastic"):
             raise ConfigError(f"unknown error kind {self.kind!r}")
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if not self.df > 0.0:
+            raise ConfigError(f"df must be positive, got {self.df}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,13 @@ class SynthConfig:
             raise ConfigError("need t_max >= 3 to form lags")
         if not (0.0 <= self.attrition < 1.0):
             raise ConfigError("attrition must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # every simulated year, burn-in included, is a panel year: an int64
+        first, last = self.start_year - _BURN_IN, self.start_year + self.t_max - 1
+        if not (_YEARS.start <= first and last < _YEARS.stop):
+            raise ConfigError(f"simulated years {first} to {last} (burn-in included) "
+                              "must lie inside int64")
         drivable = {"profta", "liqta", "sizeat", "growthat", "invta", "ndts"}
         bad = set(self.beta) - drivable
         if bad:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levquant import adjustment, effects
 from levquant import (
     ConfigError,
     Regime,
@@ -11,8 +12,10 @@ from levquant import (
     SynthConfig,
     TargetModelSpec,
     derive_variables,
+    design_from_panel,
     estimate_speed,
     estimate_speed_by_regime,
+    fit_quantiles,
     generate_panel,
     lag_leverage,
 )
@@ -112,6 +115,46 @@ class TestEstimateSpeed:
         )
         results = estimate_speed(panel, spec)
         assert [r.theta for r in results] == [0.25, 0.5, 0.75]
+
+
+class TestFitQuantiles:
+    @pytest.mark.parametrize("penalty", [0.0, 0.5], ids=["free", "penalized"])
+    def test_fits_equal_separate_fits_bit_for_bit(self, penalty, monkeypatch):
+        # one theta-free problem serves every theta, and each fit has the
+        # bits of a fit of that theta alone
+        panel, _ = synth_panel(n_firms=40, t_max=8, seed=5)
+        spec = replace(SPEC, thetas=(0.15, 0.5, 0.95), penalty=penalty)
+        predictors = spec.predictors + (spec.lag,)
+        built = []
+
+        def counted(design, groups, penalty):
+            built.append(design)
+            return effects._fe_problem(design, groups, penalty)
+
+        monkeypatch.setattr(adjustment, "_fe_problem", counted)
+        design, firms, fits = fit_quantiles(panel, spec, predictors)
+        assert len(built) == 1 and built[0] is design
+        want_design, want_firms, _ = design_from_panel(panel, spec.response, predictors)
+        assert design.names == want_design.names
+        assert design.X.tobytes() == want_design.X.tobytes()
+        assert design.y.tobytes() == want_design.y.tobytes()
+        assert list(firms) == list(want_firms)
+        assert list(fits) == list(spec.thetas)
+        for theta, fit in fits.items():
+            alone = effects.fit_quantile_fixed_effects(design, firms, theta, penalty=penalty)
+            assert fit.coefficients == alone.coefficients
+            assert fit.group_effects == alone.group_effects
+            assert fit.residuals.tobytes() == alone.residuals.tobytes()
+            assert fit.solver_meta == alone.solver_meta
+
+    def test_speeds_are_the_lag_coefficients_of_the_fits(self):
+        panel, _ = synth_panel(n_firms=40, t_max=8, seed=5)
+        spec = replace(SPEC, thetas=(0.25, 0.75))
+        design, _, fits = fit_quantiles(panel, spec, spec.predictors + (spec.lag,))
+        for res, (theta, fit) in zip(estimate_speed(panel, spec), fits.items()):
+            assert res.theta == theta and res.n_used == design.n
+            assert res.lag_coefficient == fit.coefficients[spec.lag]
+            assert res.fit.residuals.tobytes() == fit.residuals.tobytes()
 
 
 class TestRegimeRule:

@@ -554,7 +554,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flags", [
         ["--delta", "1.5"], ["--delta", "abc"], ["--attrition", "1"],
-        ["--delta", "0.6,0.3,0.1"],
+        ["--delta", "0.6,0.3,0.1"], ["--sigma", "nan"], ["--sigma", "inf"], ["--seed", "-1"],
+        ["--start-year", "99999999999999999999"],
     ])
     def test_config_error_is_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "synth3"

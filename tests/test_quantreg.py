@@ -850,7 +850,7 @@ def grouped_problem(rng, sizes, kx=2, penalized=False):
         X = np.vstack([X, np.zeros((G, kx))])
         codes = np.concatenate([codes, np.arange(G)])
         y = np.concatenate([y, np.zeros(G)])
-    return _GroupedOps(X, codes, len(sizes)), y
+    return _GroupedOps(X, y, codes, len(sizes)), y
 
 
 def dense_rows(ops, idx):
@@ -901,18 +901,18 @@ class TestSolverPieces:
             pinned, rest = ops.polish_rows(r)
             idx = np.concatenate([pinned, rest])
             want = scipy.linalg.solve(dense_rows(ops, idx), y[idx])
-            assert_allclose(ops.vertex(r, y), want, rtol=0, atol=1e-10)
+            assert_allclose(ops.vertex(r), want, rtol=0, atol=1e-10)
 
     def test_singular_reduced_system_gives_no_vertex(self):
         # the extra row repeats the x of its group's pinned row, so the
         # reduced 1 x 1 system (x_j - x_p) b = y_j - y_p is singular
-        ops = _GroupedOps(np.array([[1.0], [1.0], [3.0]]), np.array([0, 0, 1]), 2)
         y = np.array([0.0, 1.0, 2.0])
-        assert ops.vertex(np.array([0.0, 0.1, 0.0]), y) is None
+        ops = _GroupedOps(np.array([[1.0], [1.0], [3.0]]), y, np.array([0, 0, 1]), 2)
+        assert ops.vertex(np.array([0.0, 0.1, 0.0])) is None
 
     def test_one_factorization_serves_both_solves(self):
         rng = np.random.default_rng(42)
-        dense = _DenseOps(rng.normal(size=(30, 3)))
+        dense = _DenseOps(rng.normal(size=(30, 3)), np.zeros(30))  # factor reads no response
         grouped, _ = grouped_problem(rng, [4, 6, 1, 9], kx=3, penalized=True)
         for ops in (dense, grouped):
             n = ops.X.shape[0]
@@ -994,11 +994,11 @@ class TestSolverPieces:
         weights = rng.integers(1, 4, size=len(sizes))[ops.codes].astype(float)
 
         def fit(ops, theta):
-            return _interior_point(ops, y, weights * theta, weights * (1.0 - theta))
+            return _interior_point(ops, weights * theta, weights * (1.0 - theta))
 
         for theta in (0.15, 0.95, 0.5, 0.15):
             nu, iterations, gap, converged = fit(ops, theta)
-            fresh = fit(_GroupedOps(ops.X, ops.codes, len(sizes)), theta)
+            fresh = fit(_GroupedOps(ops.X, y, ops.codes, len(sizes)), theta)
             assert converged and fresh[3]
             assert nu.tobytes() == fresh[0].tobytes()
             assert (iterations, gap) == fresh[1:3]
@@ -1027,7 +1027,7 @@ class TestSolverPieces:
                 # penalty rows stay appended after them
                 n_data = sum(sizes)
                 perm = np.concatenate([rng.permutation(n_data), np.arange(n_data, ops.X.shape[0])])
-                ops = _GroupedOps(ops.X[perm], ops.codes[perm], len(sizes))
+                ops = _GroupedOps(ops.X[perm], ops.y[perm], ops.codes[perm], len(sizes))
                 n = perm.size
                 for r in (
                     rng.normal(size=n),
@@ -1065,7 +1065,7 @@ class TestSolverPieces:
         p = np.full(y.size, 0.5)
         tracemalloc.start()
         try:
-            _polish_vertex(ops, y, beta, p, p)
+            _polish_vertex(ops, beta, p, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

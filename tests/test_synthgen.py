@@ -55,6 +55,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             make()
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ErrorSpec(sigma=math.nan), "sigma must be nonnegative and finite"),
+        (lambda: ErrorSpec(sigma=math.inf), "sigma must be nonnegative and finite"),
+        (lambda: ErrorSpec(kind="student", df=0.0), "df must be positive"),
+        (lambda: ErrorSpec(kind="student", df=math.nan), "df must be positive"),
+        (lambda: SynthConfig(seed=-1), "seed must be non-negative"),
+        # the first burn-in year and the last emitted year bound the horizon
+        (lambda: SynthConfig(start_year=-(2**63) + 9), "must lie inside int64"),
+        (lambda: SynthConfig(start_year=2**63 - 14), "must lie inside int64"),
+        (lambda: SynthConfig(start_year=10**20), "must lie inside int64"),
+    ], ids=["nan sigma", "inf sigma", "zero df", "nan df", "negative seed",
+            "burn-in before int64", "last year after int64", "huge start year"])
+    def test_value_that_would_fail_in_generation_rejected(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    def test_years_at_the_int64_bounds_accepted(self):
+        first = SynthConfig(n_firms=2, t_max=3, start_year=-(2**63) + 10)
+        last = SynthConfig(n_firms=2, t_max=3, start_year=2**63 - 3)
+        for config in (first, last):
+            panel, truth = generate_panel(config)
+            assert sorted(truth.macro) == [config.start_year + i for i in range(3)]
+            assert len(panel.rows) == 6
+
 
 class TestGeneratePanel:
     def test_deterministic_for_seed(self):
