@@ -62,6 +62,7 @@ from .quantreg import (
     BootstrapResult,
     DesignMatrix,
     QuantileFit,
+    bootstrap_many,
     bootstrap_se,
     check_loss,
     fit_quantile,

@@ -37,7 +37,7 @@ from .panel import (
     write_tax_csv,
     yearly_means,
 )
-from .quantreg import DEFAULT_BOOTSTRAP, bootstrap_se
+from .quantreg import DEFAULT_BOOTSTRAP, bootstrap_many
 from .synthgen import ErrorSpec, SynthConfig, generate_panel, write_ground_truth
 
 ENV_CONFIG = "LEVQUANT_CONFIG"
@@ -273,17 +273,22 @@ def stage_hausman(ctx):
 
 def stage_qreg(ctx):
     cfg = ctx.cfg
-    out = []
-    for kind in cfg.kinds:
-        spec = cfg.spec(kind)
-        design, firms, fits = fit_quantiles(ctx.panel, spec, spec.predictors)
-        if cfg.bootstrap:
-            std_errors = bootstrap_se(
-                design, spec.thetas, cfg.bootstrap, seed=ctx._boot_seed(kind),
-                cluster=firms, penalty=spec.penalty,
-            ).std_errors
+    specs = {kind: cfg.spec(kind) for kind in cfg.kinds}
+    fitted = {kind: fit_quantiles(ctx.panel, s, s.predictors) for kind, s in specs.items()}
+    if cfg.bootstrap:
+        # every kind's draws are refit on one worker pool; the kinds' specs
+        # share their thetas and penalty
+        first = specs[cfg.kinds[0]]
+        results = bootstrap_many(
+            [(design, firms, ctx._boot_seed(kind)) for kind, (design, firms, _) in fitted.items()],
+            first.thetas, cfg.bootstrap, penalty=first.penalty,
+        )
+        for (_, _, fits), result in zip(fitted.values(), results):
             for theta, fit in fits.items():
-                fit.std_errors = std_errors[theta]
+                fit.std_errors = result.std_errors[theta]
+    out = []
+    for kind, spec in specs.items():
+        _, _, fits = fitted[kind]
         table = (spec.thetas, fits, spec.predictors)
         out.append((
             f"quantile_{kind}.txt",

@@ -363,7 +363,7 @@ def _read_csv(path, columns):
     and (line number, problem) for each row whose count does not.  Line
     numbers are physical lines; as in csv.DictReader, blank lines are
     skipped and a name the header repeats means its last column."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in columns if c not in header]

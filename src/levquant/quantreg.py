@@ -10,6 +10,7 @@ and refuses large instances.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -676,7 +677,7 @@ def fit_quantile_oracle(design, theta, *, max_bases=5_000_000):
 
 @dataclass
 class BootstrapResult:
-    """The replicates and standard errors of one ``bootstrap_se`` call.
+    """The replicates and standard errors of one bootstrap problem.
 
     ``replicates`` is (n_boot, thetas, estimates) and ``std_errors`` maps
     each theta to its name -> standard error dict.  ``n_redrawn`` counts
@@ -698,7 +699,7 @@ _REFIT_ERRORS = (DesignError, ConvergenceError, scipy.linalg.LinAlgError)
 
 def bootstrap_se(
     design, thetas, n_boot=DEFAULT_BOOTSTRAP, seed=0, cluster=None, *, penalty=None,
-    refit_group_effects=False,
+    refit_group_effects=False, _pending=None,
 ):
     """Pairs-bootstrap standard errors of quantile fits at each theta of
     the tuple ``thetas``.
@@ -732,14 +733,60 @@ def bootstrap_se(
     A large enough call refits contiguous chunks of its draws in forked
     worker processes, each held to one BLAS thread (``_workers``); the
     result and any error are those of the in-process loop.
+    ``bootstrap_many`` runs several problems on one such pool and collects
+    each problem's chunks in one call of this function, with ``_pending``
+    (private to it) the problem's checked work and chunk results.
 
     ``refit_group_effects=True``, which also takes a scalar theta, is the
     older spelling of ``penalty=0.0`` that perfbench's tracer test uses.
     """
-    from . import effects
-
+    if _pending is not None:
+        return _result(*_pending)
     if refit_group_effects:
         thetas, penalty = tuple(np.ravel(thetas)), 0.0 if penalty is None else penalty
+    with _pooled_draws([(design, cluster, seed)], thetas, n_boot, penalty) as (pending,):
+        return _result(*pending)
+
+
+def bootstrap_many(problems, thetas, n_boot=DEFAULT_BOOTSTRAP, *, penalty=None):
+    """The ``bootstrap_se`` of each ``(design, cluster, seed)`` of
+    ``problems`` at the same ``thetas``, ``n_boot`` and ``penalty``: a list
+    of ``BootstrapResult`` in problem order, each bit-identical to a
+    ``bootstrap_se`` call on its problem alone.
+
+    Every problem is checked before the first draw.  The draws of all
+    problems share one pool of forked workers, sized by their refit rows
+    together (``_workers``): each problem's draws are cut into contiguous
+    chunks, and the chunks are dealt out in problem order, so a worker
+    that has finished its part of one problem refits the next problem's
+    draws while the others still run.  The first error in problem order,
+    then draw order, is raised; a failed replicate is named by its index
+    within its problem.
+    """
+    problems = list(problems)
+    with _pooled_draws(problems, thetas, n_boot, penalty) as pending:
+        # one bootstrap_se call per problem, which waits for that problem's
+        # chunks alone, so perfbench's span tracer times every problem
+        return [
+            bootstrap_se(design, thetas, n_boot, seed, cluster, penalty=penalty, _pending=p)
+            for (design, cluster, seed), p in zip(problems, pending)
+        ]
+
+
+@contextlib.contextmanager
+def _pooled_draws(problems, thetas, n_boot, penalty):
+    """Checks ``thetas``, ``n_boot`` and every ``(design, cluster, seed)``
+    of ``problems`` before the first draw, then yields one (work, parts)
+    per problem: its ``_draws`` arguments and an iterator over the results
+    of its contiguous chunks, in draw order.  The chunks of all problems
+    run in problem order on one forked pool, or lazily in this process
+    where there are fewer than two workers or the pool cannot start.  The
+    pool is joined on exit; on an error, it is terminated once every
+    chunk has finished."""
+    import multiprocessing
+
+    from . import effects
+
     if np.ndim(thetas) != 1:
         raise ValueError(f"thetas must be a tuple of quantiles, got {thetas!r}")
     thetas = tuple(_validate_theta(t) for t in thetas)
@@ -747,41 +794,78 @@ def bootstrap_se(
         raise ValueError(f"need one or more distinct thetas, got {thetas}")
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replications")
-    if cluster is None:
-        if penalty is not None:
-            raise ValueError("a penalty needs cluster labels: they are the effects' groups")
-        codes = np.arange(design.n)  # the row bootstrap: one unit per row
-    elif penalty is None:
-        _, codes = effects._group_codes(cluster, design.n)
-    else:
-        _, codes, _ = effects._check_within(design, cluster)
-    n_units = int(codes.max()) + 1
+    jobs = []
+    for design, cluster, seed in problems:
+        if cluster is None:
+            if penalty is not None:
+                raise ValueError("a penalty needs cluster labels: they are the effects' groups")
+            codes = np.arange(design.n)  # the row bootstrap: one unit per row
+        elif penalty is None:
+            _, codes = effects._group_codes(cluster, design.n)
+        else:
+            _, codes, _ = effects._check_within(design, cluster)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        jobs.append(((design, codes, int(codes.max()) + 1, penalty, thetas), seed.spawn(n_boot)))
 
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    children = seed.spawn(n_boot)
-    names = list(design.names) + ([] if penalty is None else ["fixed_effects_mean"])
-    work = (design, codes, n_units, penalty, thetas)
-    workers, setters = _workers(n_boot, n_boot * len(thetas) * design.n)
-    if workers < 2:
-        out = _draws(*work, 0, children)
+    refit_rows = n_boot * len(thetas) * sum(work[0].n for work, _ in jobs)
+    workers, setters = _workers(n_boot * len(jobs), refit_rows)
+    bounds = np.linspace(0, n_boot, min(workers, n_boot) + 1).astype(int).tolist()
+    chunks = [
+        [(*work, lo, children[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        for work, children in jobs
+    ]
+    pool = None
+    if workers >= 2:
+        try:
+            pool = multiprocessing.get_context("fork").Pool(workers, _one_blas_thread, (setters,))
+        except OSError:
+            pass
+    if pool is None:
+        yield [(work, itertools.starmap(_draws, c)) for (work, _), c in zip(jobs, chunks)]
+        return
+    # submitted in problem order, one chunk per task
+    sent = [[pool.apply_async(_draws, chunk) for chunk in c] for c in chunks]
+    try:
+        yield [(work, (r.get() for r in s)) for (work, _), s in zip(jobs, sent)]
+    except BaseException as err:
+        if isinstance(err, Exception):
+            # terminate kills a worker still in a task, which can leave a
+            # pool lock held, and terminate then waits on it for ever
+            for r in itertools.chain.from_iterable(sent):
+                r.wait()
+        pool.terminate()
+        raise
     else:
-        out = _pooled_draws(work, children, workers, setters)
-    if isinstance(out, DegenerateResampleError):
-        raise out
-    rows, attempts, degenerate, polished = out
+        pool.close()
+    finally:
+        pool.join()
+
+
+def _result(work, parts):
+    """The ``BootstrapResult`` of one problem from the ``_draws`` of its
+    chunks, or the first error among them."""
+    design, _, _, penalty, thetas = work
+    parts = list(parts)
+    for part in parts:
+        if isinstance(part, DegenerateResampleError):
+            raise part
+    rows, *counts = zip(*parts)
+    rows = np.concatenate(rows)
+    attempts, degenerate, polished = (sum(c) for c in counts)
     for t, bad, tried in zip(thetas, degenerate, attempts):
         if bad > tried / 2.0:
             raise DegenerateResampleError(
                 f"{bad} of {tried} resamples were degenerate at theta {t}"
             )
+    names = list(design.names) + ([] if penalty is None else ["fixed_effects_mean"])
     ses = np.std(rows, axis=0, ddof=1)
     return BootstrapResult(
         std_errors={
             t: dict(zip(names, (float(v) for v in ses[i]))) for i, t in enumerate(thetas)
         },
         replicates=rows,
-        n_boot=n_boot,
+        n_boot=len(rows),
         n_redrawn=int(degenerate.sum()),
         redrawn_by_theta=dict(zip(thetas, degenerate.tolist())),
         polished_by_theta=dict(zip(thetas, polished.tolist())),
@@ -789,8 +873,8 @@ def bootstrap_se(
 
 
 def _draws(design, codes, n_units, penalty, thetas, first, children):
-    """Replicates ``first`` to ``first + len(children) - 1`` of a
-    ``bootstrap_se`` call, one per seed of ``children``: (rows, attempts,
+    """Replicates ``first`` to ``first + len(children) - 1`` of one
+    bootstrap problem, one per seed of ``children``: (rows, attempts,
     degenerate, polished), the replicates and the per-theta counts, or the
     ``DegenerateResampleError`` of the first replicate that gave up."""
     rows = np.empty((len(children), len(thetas), len(design.names) + (penalty is not None)))
@@ -840,14 +924,14 @@ _SET_THREADS = tuple(
 )
 
 
-def _workers(n_boot, refit_rows):
+def _workers(n_draws, refit_rows):
     """The worker processes for ``refit_rows`` rows of refits over
-    ``n_boot`` draws, and the ``_blas_setters`` to call in each; (1, ())
+    ``n_draws`` draws, and the ``_blas_setters`` to call in each; (1, ())
     where the draws run in this process."""
     # Python 3.12 warns at os.fork in a process with threads, as OpenBLAS's
     if sys.version_info >= (3, 12) or not sys.platform.startswith("linux"):
         return 1, ()
-    workers = min(len(os.sched_getaffinity(0)), refit_rows // _ROWS_PER_WORKER, n_boot)
+    workers = min(len(os.sched_getaffinity(0)), refit_rows // _ROWS_PER_WORKER, n_draws)
     setters = _blas_setters() if workers >= 2 else ()
     return (workers, setters) if setters else (1, ())
 
@@ -875,33 +959,6 @@ def _one_blas_thread(setters):
 
     for path, name in setters:
         getattr(ctypes.CDLL(path), name)(1)
-
-
-def _pooled_draws(work, children, workers, setters):
-    """``_draws`` over contiguous chunks of ``children``, one chunk per
-    forked worker, put together as one in-process call returns them."""
-    import multiprocessing
-
-    bounds = np.linspace(0, len(children), workers + 1).astype(int).tolist()
-    chunks = [(*work, lo, children[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    try:
-        pool = multiprocessing.get_context("fork").Pool(workers, _one_blas_thread, (setters,))
-    except OSError:
-        return _draws(*work, 0, children)
-    try:
-        parts = pool.starmap(_draws, chunks, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
-    for part in parts:
-        if isinstance(part, DegenerateResampleError):
-            return part
-    rows, *counts = zip(*parts)
-    return (np.concatenate(rows), *(sum(c) for c in counts))
 
 
 def _refit(design, codes, mult, penalty):

@@ -10,6 +10,7 @@ per-year order, so attrition only removes rows from a seed's panel.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +50,8 @@ class ErrorSpec:
             raise ConfigError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not self.df > 0.0:
             raise ConfigError(f"df must be positive, got {self.df}")
+        if not -np.inf < self.het_coef < np.inf:
+            raise ConfigError(f"het_coef must be finite, got {self.het_coef}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_firms", "t_max", "start_year", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            # a numpy integer becomes a Python int, so the year check cannot wrap
+            object.__setattr__(self, name, operator.index(value))
         deltas = self.delta if isinstance(self.delta, tuple) else (self.delta,)
         for d in deltas:
             # 0 (no adjustment at all) is degenerate but valid for testing

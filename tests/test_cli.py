@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import multiprocessing.pool
 import os
 import re
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ from levquant.cli import (
 )
 from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
 from levquant.panel import design_from_panel
+from levquant import quantreg
 from levquant.quantreg import bootstrap_se
 
 THETAS = ("0.15", "0.35", "0.5", "0.75", "0.95")
@@ -142,6 +144,32 @@ class TestReplicate:
         for kind in ("book", "market"):
             single = rows_at_median(alone, kind)
             assert single and single == rows_at_median(out, kind)
+
+    def test_both_kinds_bootstrap_on_one_pool(self, bundle, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(quantreg, "_ROWS_PER_WORKER", 1)
+        if quantreg._workers(2, 2)[0] < 2:
+            pytest.skip("the bootstrap cannot hold a worker to one BLAS thread here")
+        pools = []
+        start = multiprocessing.pool.Pool.__init__
+
+        def counted(pool, *args, **kwargs):
+            pools.append(args)
+            start(pool, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
+        cfg_path, _ = bundle
+        both = tmp_path / "both"
+        assert main(["qreg", "--config", str(cfg_path), "--leverage", "both",
+                     "--out", str(both)]) == 0
+        assert len(pools) == 1
+        for kind in ("book", "market"):
+            alone = tmp_path / kind
+            assert main(["qreg", "--config", str(cfg_path), "--leverage", kind,
+                         "--out", str(alone)]) == 0
+            name = f"quantile_{kind}.csv"
+            assert (alone / name).read_bytes() == (both / name).read_bytes()
+        assert len(pools) == 3
 
     def test_empty_input_fails_at_ingest(self, synth_inputs, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from levquant import DataValidationError, ingest_panel, read_panel_csv
+from levquant import (
+    DataValidationError, ingest_panel, read_macro_csv, read_panel_csv, read_tax_csv,
+)
 from levquant import panel as panel_module
 from levquant.panel import PANEL_COLUMNS, RAW_ITEMS
 
@@ -188,3 +190,21 @@ def test_schema_errors_match_the_per_row_reading(tmp_path, text):
     with pytest.raises(DataValidationError) as got:
         read_panel_csv(path)
     assert str(got.value) == str(want.value)
+
+
+def test_a_byte_order_mark_reads_like_the_file_without_it(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark
+    rng = np.random.default_rng(7)
+    texts = {
+        "panel": random_csv(rng, 40, extra="note"),
+        "macro": "year,cpi_inflation,gdp_growth\n2000,2.5,3.0\n2001,1.5,-0.5\n",
+        "tax": "year,tax_rate\n2000,0.35\n2001,0.3\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.csv").write_text(text, newline="")
+        (tmp_path / f"{name}_bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert_same_panel(
+        read_panel_csv(tmp_path / "panel_bom.csv"), read_panel_csv(tmp_path / "panel.csv")
+    )
+    for name, read in (("macro", read_macro_csv), ("tax", read_tax_csv)):
+        assert read(tmp_path / f"{name}_bom.csv") == read(tmp_path / f"{name}.csv")

@@ -3,6 +3,7 @@ import itertools
 import multiprocessing
 import os
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from levquant import (
     DesignError,
     DesignMatrix,
     OracleCapError,
+    bootstrap_many,
     bootstrap_se,
     check_loss,
     fit_quantile,
@@ -708,6 +710,21 @@ def blas_threads(setters):
     return counts
 
 
+_DRAWS = quantreg._draws
+
+
+def slow_later_chunks(*args):
+    """A ``_draws`` whose first chunk fails at once and whose later chunks
+    refit after 0.3 s, each leaving a mark in ``$FINISHED_CHUNKS``."""
+    first = args[5]
+    if first == 0:
+        raise RuntimeError("first chunk broke")
+    time.sleep(0.3)
+    out = _DRAWS(*args)
+    open(os.path.join(os.environ["FINISHED_CHUNKS"], f"chunk{first}"), "w").close()
+    return out
+
+
 def no_pool(method):
     raise AssertionError("a worker pool was started")
 
@@ -757,6 +774,60 @@ class TestPooledBootstrap:
             assert multiprocessing.active_children() == []
         assert messages == ["replicate 4: 50 consecutive degenerate resamples at theta 0.15"] * 2
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_problem_of_one_call_equals_the_problem_alone(self, workers, monkeypatch):
+        row, _ = bootstrap_case("row")
+        redrawn, kwargs = redrawing_case()
+        problems = [(row, None, 5), (redrawn, kwargs["cluster"], 6)]
+        alone = [bootstrap_se(d, THETAS, n_boot=7, seed=s, cluster=c) for d, c, s in problems]
+        assert alone[1].n_redrawn > 0
+        force_workers(monkeypatch, workers)
+        assert quantreg._workers(14, 7 * len(THETAS) * (row.n + redrawn.n))[0] == workers
+        results = bootstrap_many(problems, THETAS, 7)
+        assert multiprocessing.active_children() == []
+        assert len(results) == 2
+        for got, want in zip(results, alone):
+            assert got.replicates.tobytes() == want.replicates.tobytes()
+            assert got.std_errors == want.std_errors
+            assert got.redrawn_by_theta == want.redrawn_by_theta
+            assert got.polished_by_theta == want.polished_by_theta
+            assert got.n_redrawn == want.n_redrawn
+
+    def test_a_failed_replicate_is_named_within_its_problem(self, monkeypatch):
+        design, kwargs = bootstrap_case("dummy")
+        # every draw of the second problem's replicate 4 fails, in any process
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(6)[4])
+        doomed = {np.bincount(rng.integers(0, 30, size=30), minlength=30).tobytes()
+                  for _ in range(50)}
+        real = quantreg._refit
+
+        def refit(design, codes, mult, penalty):
+            if mult.tobytes() in doomed:
+                raise DesignError("forced")
+            return real(design, codes, mult, penalty)
+
+        monkeypatch.setattr(quantreg, "_refit", refit)
+        problems = [(design, kwargs["cluster"], 9), (design, kwargs["cluster"], 5)]
+        for workers in (1, 3):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(DegenerateResampleError) as err:
+                bootstrap_many(problems, THETAS, 6, penalty=kwargs["penalty"])
+            assert str(err.value) == (
+                "replicate 4: 50 consecutive degenerate resamples at theta 0.15"
+            )
+            assert multiprocessing.active_children() == []
+
+    def test_every_problem_is_checked_before_the_first_draw(self, monkeypatch):
+        design, kwargs = bootstrap_case("dummy")
+
+        def no_draw(*args):
+            raise AssertionError("a draw was refit")
+
+        monkeypatch.setattr(quantreg, "_refit", no_draw)
+        with pytest.raises(ValueError, match="a penalty needs cluster labels"):
+            bootstrap_many([(design, kwargs["cluster"], 1), (design, None, 2)], THETAS, 4,
+                           penalty=kwargs["penalty"])
+
     def test_a_pool_that_cannot_start_runs_in_process(self, monkeypatch):
         design, kwargs = bootstrap_case("penalized")
         serial = bootstrap_se(design, THETAS, n_boot=5, seed=8, **kwargs)
@@ -798,6 +869,19 @@ class TestPooledBootstrap:
         with pytest.raises(RuntimeError, match="refit broke"):
             bootstrap_se(design, THETAS, n_boot=4, seed=8, **kwargs)
         assert multiprocessing.active_children() == []
+
+    def test_an_error_lets_the_other_chunks_finish_before_the_pool_ends(
+            self, monkeypatch, tmp_path):
+        # a worker killed mid-task could leave a pool lock held, and the
+        # terminate that ends the pool would wait for it forever
+        design, kwargs = bootstrap_case("penalized")
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(quantreg, "_draws", slow_later_chunks)
+        monkeypatch.setenv("FINISHED_CHUNKS", str(tmp_path))
+        with pytest.raises(RuntimeError, match="first chunk broke"):
+            bootstrap_se(design, THETAS, n_boot=4, seed=8, **kwargs)
+        assert multiprocessing.active_children() == []
+        assert os.listdir(tmp_path) == ["chunk2"]
 
     def test_each_worker_holds_every_openblas_to_one_thread(self):
         setters = quantreg._blas_setters()

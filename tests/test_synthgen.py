@@ -50,7 +50,9 @@ class TestConfigValidation:
         (lambda: ErrorSpec(sigma=-0.1), "sigma must be nonnegative"),
         (lambda: SynthConfig(n_firms=0), "at least one firm"),
         (lambda: SynthConfig(gamma={"gdp_growth": 0.1}), "unknown macro names in gamma"),
-    ], ids=["negative sigma", "no firms", "unknown gamma name"])
+        (lambda: SynthConfig(seed=True), "seed must be an int"),
+        (lambda: SynthConfig(n_firms=True), "n_firms must be an int"),
+    ], ids=["negative sigma", "no firms", "unknown gamma name", "bool seed", "bool n_firms"])
     def test_bad_value_rejected(self, make, message):
         with pytest.raises(ConfigError, match=message):
             make()
@@ -65,8 +67,16 @@ class TestConfigValidation:
         (lambda: SynthConfig(start_year=-(2**63) + 9), "must lie inside int64"),
         (lambda: SynthConfig(start_year=2**63 - 14), "must lie inside int64"),
         (lambda: SynthConfig(start_year=10**20), "must lie inside int64"),
+        (lambda: ErrorSpec(kind="heteroskedastic", het_coef=math.nan), "het_coef must be finite"),
+        (lambda: ErrorSpec(kind="heteroskedastic", het_coef=math.inf), "het_coef must be finite"),
+        (lambda: SynthConfig(start_year=2000.5), "start_year must be an int"),
+        (lambda: SynthConfig(n_firms=2.5), "n_firms must be an int"),
+        (lambda: SynthConfig(t_max=4.5), "t_max must be an int"),
+        (lambda: SynthConfig(seed=1.5), "seed must be an int"),
     ], ids=["nan sigma", "inf sigma", "zero df", "nan df", "negative seed",
-            "burn-in before int64", "last year after int64", "huge start year"])
+            "burn-in before int64", "last year after int64", "huge start year",
+            "nan het_coef", "inf het_coef", "fractional start year", "fractional n_firms",
+            "fractional t_max", "fractional seed"])
     def test_value_that_would_fail_in_generation_rejected(self, make, message):
         with pytest.raises(ConfigError, match=message):
             make()
@@ -78,6 +88,18 @@ class TestConfigValidation:
             panel, truth = generate_panel(config)
             assert sorted(truth.macro) == [config.start_year + i for i in range(3)]
             assert len(panel.rows) == 6
+
+    def test_numpy_integers_accepted_as_ints(self):
+        plain = SynthConfig(n_firms=3, t_max=4, start_year=2000, seed=7)
+        numpy = SynthConfig(n_firms=np.int64(3), t_max=np.int32(4), start_year=np.int64(2000),
+                            seed=np.uint8(7))
+        assert numpy == plain
+        names = ("n_firms", "t_max", "start_year", "seed")
+        assert all(type(getattr(numpy, n)) is int for n in names)
+        assert generate_panel(numpy)[0].rows == generate_panel(plain)[0].rows
+        # a Python int does not wrap where an int64 sum would
+        with pytest.raises(ConfigError, match="must lie inside int64"):
+            SynthConfig(t_max=np.int64(3), start_year=np.int64(2**63 - 2))
 
 
 class TestGeneratePanel:
