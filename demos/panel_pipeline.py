@@ -45,10 +45,7 @@ print(render_correlation(correlation_matrix(panel)))
 # specification test: fixed vs random effects on the leverage level equation
 design, firms, _ = design_from_panel(panel, "levb", determinants + macro_vars)
 fe = fit_fixed_effects(design, firms)
-design_i, firms_i, _ = design_from_panel(
-    panel, "levb", determinants + macro_vars, intercept=True
-)
-re = fit_random_effects(design_i, firms_i)
+re = fit_random_effects(design, firms, fe)
 print(render_hausman(hausman_test(fe, re), "book_leverage"))
 
 # per-quantile coefficient table (no bootstrap here, so sterrors print NA)

@@ -256,10 +256,7 @@ def stage_hausman(ctx):
         spec = ctx.cfg.spec(kind)
         design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
         fe = fit_fixed_effects(design, firms)
-        design_i, firms_i, _ = design_from_panel(
-            ctx.panel, spec.response, spec.predictors, intercept=True
-        )
-        re = fit_random_effects(design_i, firms_i)
+        re = fit_random_effects(design, firms, fe)
         result = hausman_test(fe, re, significance=ctx.cfg.significance)
         equation = f"{kind}_leverage"
         out.append(

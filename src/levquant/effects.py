@@ -13,7 +13,6 @@ from scipy.special import chdtrc
 from .errors import ConfigError, DataValidationError, DesignError
 from .quantreg import (
     INTERCEPT,
-    DesignMatrix,
     _check_rank_dense,
     _GroupedOps,
     _solve_pinball,
@@ -174,31 +173,28 @@ def fit_pooled_ols(design):
     )
 
 
-def fit_random_effects(design, groups):
+def fit_random_effects(design, groups, within):
     """Feasible GLS by quasi-demeaning with Swamy-Arora variance components.
 
-    lambda_g = 1 - sqrt(sigma_e^2 / (T_g sigma_u^2 + sigma_e^2)).  A negative
-    sigma_u^2 estimate is clamped to zero (flagged), making the fit collapse
-    to pooled OLS exactly.  The design must include an intercept column.
+    ``within`` is ``fit_fixed_effects(design, groups)``, whose sigma_e^2 the
+    fit reuses (any other fit raises ``DesignError``); the fit adds its own
+    intercept column to ``design``.  lambda_g = 1 - sqrt(sigma_e^2 / (T_g
+    sigma_u^2 + sigma_e^2)).  A negative sigma_u^2 estimate is clamped to
+    zero (flagged), making the fit collapse to pooled OLS exactly.
     """
-    if INTERCEPT not in design.names:
-        raise ConfigError("random-effects design must include an intercept column")
+    if (within.kind, within.names, within.nobs) != (EffectsKind.FixedWithin, design.names, design.n):
+        raise DesignError("random-effects fit needs the within fit of its own design")
     labels, codes = _group_codes(groups, design.n)
     G = labels.size
-    n, k = design.n, design.k
+    X = np.column_stack([np.ones(design.n), design.X])
+    n, k = X.shape
     sizes = np.bincount(codes).astype(float)
-
-    slopes = [j for j, m in enumerate(design.names) if m != INTERCEPT]
-    sigma_e2 = fit_fixed_effects(
-        DesignMatrix(tuple(design.names[j] for j in slopes), design.X[:, slopes], design.y),
-        groups,
-    ).sigma_e
-
+    sigma_e2 = within.sigma_e
     if G <= k:
         raise DataValidationError(
             f"variance components not estimable: {G} groups for {k} coefficients"
         )
-    Xb = _group_means(design.X, codes, G)
+    Xb = _group_means(X, codes, G)
     yb = _group_means(design.y, codes, G)
     bb, *_ = np.linalg.lstsq(Xb, yb, rcond=None)
     rb = yb - Xb @ bb
@@ -210,8 +206,8 @@ def fit_random_effects(design, groups):
 
     lam = 1.0 - np.sqrt(sigma_e2 / (sizes * sigma_u2 + sigma_e2))
     return _least_squares(
-        EffectsKind.RandomGLS, design.names,
-        design.X - lam[codes, None] * Xb[codes], design.y - lam[codes] * yb[codes], n - k,
+        EffectsKind.RandomGLS, (INTERCEPT,) + design.names,
+        X - lam[codes, None] * Xb[codes], design.y - lam[codes] * yb[codes], n - k,
         sigma_u=sigma_u2, sigma_e=sigma_e2, sigma_u_clamped=clamped,
     )
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .errors import ConfigError, DataValidationError
-from .quantreg import INTERCEPT, DesignMatrix
+from .quantreg import DesignMatrix
 from .reports import _csv_float
 
 # CSV column tables, shared by each schema's reader and writer; the firm-year
@@ -302,14 +302,23 @@ def ingest_panel(firm_ids, fiscal_years, items):
     ``firm_ids`` and ``fiscal_years`` hold one entry per statement;
     ``items`` maps each raw item name (the FirmYearRecord fields from
     ``total_assets`` on) to a column of the same length, NaN or None where a
-    value is absent.  Ids are stripped; an empty id or a duplicate (firm,
+    value is absent.  A year that is not an integer within int64 raises
+    ``DataValidationError``.  Ids are stripped; an empty id or a duplicate (firm,
     year) key is rejected (first occurrence wins); unusable records
     (non-positive total assets or negative book debt) stay in the panel but
     are flagged and excluded from derived variables.  Both lists are in
     input order.
     """
     firm_ids = np.char.strip(np.asarray(firm_ids, dtype=str))
-    years = np.asarray(fiscal_years, dtype=np.int64)
+    years = np.asarray(fiscal_years)
+    if years.dtype.kind != "i":  # the int64 cast would truncate, wrap or invent a year
+        value = years.astype(float)
+        bad = ~((value == np.trunc(value)) & (-(2.0**63) <= value) & (value < 2.0**63))
+        if bad.any():
+            raise DataValidationError(
+                f"fiscal_years: {value[bad][0].item()} is not an integral int64 year"
+            )
+    years = years.astype(np.int64, copy=False)
     try:
         raw = {name: np.asarray(items[name], dtype=float) for name in RAW_ITEMS}
     except KeyError as err:
@@ -404,7 +413,7 @@ def _read_years(path, columns, parse):
             if isinstance(row, str):  # a field count's problem
                 raise DataValidationError(f"{path}: line {lineno}: {row}")
             try:
-                year = int(row[0])
+                year = _parse_year(row[0])
                 value = parse(*row[1:])
             except ValueError as err:
                 raise DataValidationError(
@@ -456,9 +465,7 @@ def _parse_columns(rows):
         raise ValueError("non-finite")
     items = dict(zip(_FLOAT_COLUMNS, floats.reshape(len(_FLOAT_COLUMNS), n)))
     items["mkt_eq"] = np.array([_parse_optional(t) for t in cells["mkt_eq"]], dtype=float)
-    firm_ids = list(map(str.strip, cells["firm_id"]))
-    if "" in firm_ids:
-        raise ValueError("empty firm_id")
+    firm_ids = list(map(_parse_firm_id, cells["firm_id"]))
     years = list(map(_parse_year, cells["fyear"]))
     return firm_ids, years, [items[c] for c in PANEL_COLUMNS[2:]]
 
@@ -749,7 +756,7 @@ def complete_rows(panel, response, predictors):
     return _present(*(panel.variable(v) for v in (response, *predictors)))
 
 
-def design_from_panel(panel, response, predictors, *, intercept=False):
+def design_from_panel(panel, response, predictors):
     """Listwise-complete design for a panel regression.
 
     Returns the DesignMatrix, the firm label per row, and the fiscal year
@@ -762,11 +769,7 @@ def design_from_panel(panel, response, predictors, *, intercept=False):
             f"no complete rows for {response} ~ {' + '.join(predictors)}"
         )
     X = np.column_stack([c[keep] for c in cols])
-    names = tuple(predictors)
-    if intercept:
-        X = np.column_stack([np.ones(X.shape[0]), X])
-        names = (INTERCEPT,) + names
     firms = panel.firm_labels[panel.firm_codes[keep]]
     years = panel.years[keep]
-    design = DesignMatrix(names=names, X=X, y=yv[keep])
+    design = DesignMatrix(names=tuple(predictors), X=X, y=yv[keep])
     return design, firms, years

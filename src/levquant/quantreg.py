@@ -134,12 +134,13 @@ class QuantileFit:
     def p_values(self):
         """Two-sided normal p-values of the estimates against zero, one per
         name in ``std_errors`` (None without them).  A zero standard error
-        gives 0.0."""
+        gives 0.0, or NaN (no test) when the estimate is exactly zero too."""
         if self.std_errors is None:
             return None
         est = self.estimates
         return {
-            name: float(2.0 * ndtr(-(abs(est[name]) / se))) if se > 0 else 0.0
+            name: float(2.0 * ndtr(-(abs(est[name]) / se))) if se > 0
+            else (math.nan if est[name] == 0 else 0.0)
             for name, se in self.std_errors.items()
         }
 

@@ -19,7 +19,8 @@ from levquant.cli import (
 )
 from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
 from levquant.panel import design_from_panel
-from levquant import quantreg
+from levquant import cli, effects, quantreg
+from levquant import panel as panel_module
 from levquant.quantreg import bootstrap_se
 
 THETAS = ("0.15", "0.35", "0.5", "0.75", "0.95")
@@ -256,6 +257,34 @@ class TestTableShapes:
             "H_1 : Fixed effect model is appropriate.",
         ):
             assert needle in text
+
+    def test_hausman_stage_builds_one_design_and_one_within_fit_per_kind(
+        self, bundle, tmp_path, monkeypatch
+    ):
+        # the random-effects fit reuses the within fit's design and sigma_e
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (cli, effects):
+            counted(module, "fit_fixed_effects")
+        for module in (cli, panel_module):
+            counted(module, "design_from_panel")
+        cfg_path, out = bundle
+        stage = tmp_path / "hausman"
+        assert main(["hausman", "--config", str(cfg_path), "--leverage", "both",
+                     "--out", str(stage)]) == 0
+        assert sorted(calls) == ["design_from_panel"] * 2 + ["fit_fixed_effects"] * 2
+        for kind in ("book", "market"):
+            name = f"hausman_{kind}.csv"
+            assert (stage / name).read_bytes() == (out / name).read_bytes()
 
     def test_no_blank_cells(self, bundle):
         _, out = bundle

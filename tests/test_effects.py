@@ -153,32 +153,62 @@ def re_design(rng, n_groups=40, t=5, k=2, sigma_u=0.7, sigma_e=0.4, seed_beta=No
     X = rng.normal(size=(n, k))
     u = rng.normal(size=n_groups) * sigma_u
     y = 1.0 + X @ beta + u[groups] + rng.normal(size=n) * sigma_e
-    names = ("intercept",) + tuple(f"x{j}" for j in range(1, k + 1))
-    d = DesignMatrix(names=names, X=np.column_stack([np.ones(n), X]), y=y)
+    d = DesignMatrix(names=tuple(f"x{j}" for j in range(1, k + 1)), X=X, y=y)
     return d, groups
 
 
+def with_intercept(d):  # the random-effects fit's columns: an intercept, then d's
+    return DesignMatrix(
+        names=("intercept",) + d.names, X=np.column_stack([np.ones(d.n), d.X]), y=d.y
+    )
+
+
+def fit_re(d, groups):
+    return fit_random_effects(d, groups, fit_fixed_effects(d, groups))
+
+
 class TestRandomEffects:
-    def test_requires_intercept(self):
-        rng = np.random.default_rng(7)
-        d, groups, _ = panel_design(rng)
-        with pytest.raises(ConfigError):
-            fit_random_effects(d, groups)
+    def test_rejects_the_within_fit_of_another_design(self):
+        d, groups = re_design(np.random.default_rng(7))
+        within = fit_fixed_effects(d, groups)
+        rows = groups < 30
+        others = [
+            (DesignMatrix(d.names[:1], d.X[:, :1], d.y), groups),  # other names
+            (DesignMatrix(d.names, d.X[rows], d.y[rows]), groups[rows]),  # other rows
+        ]
+        for other, other_groups in others:
+            with pytest.raises(DesignError, match="within fit of its own design"):
+                fit_random_effects(other, other_groups, within)
+        with pytest.raises(DesignError, match="within fit of its own design"):
+            fit_random_effects(d, groups, fit_pooled_ols(d))  # not a within fit
+
+    def test_rejects_an_intercept_column(self):
+        # no within fit has an intercept column, so none matches this design
+        d, groups = re_design(np.random.default_rng(7))
+        with pytest.raises(DesignError, match="within fit of its own design"):
+            fit_random_effects(with_intercept(d), groups, fit_fixed_effects(d, groups))
+
+    def test_adds_its_own_intercept(self):
+        d, groups = re_design(np.random.default_rng(12))
+        re = fit_re(d, groups)
+        assert re.names == ("intercept",) + d.names
+        assert re.sigma_e == fit_fixed_effects(d, groups).sigma_e
+        assert re.nobs == d.n
 
     def test_needs_more_groups_than_coefficients(self):
         d, groups = re_design(np.random.default_rng(7), n_groups=3, t=4)
         with pytest.raises(DataValidationError, match="variance components not estimable"):
-            fit_random_effects(d, groups)
+            fit_re(d, groups)
 
     def test_clamped_equals_pooled(self):
         # huge within noise, no real group effect: sigma_u^2 goes negative
         rng = np.random.default_rng(8)
         d, groups = re_design(rng, n_groups=12, t=3, sigma_u=0.0, sigma_e=5.0)
-        fit = fit_random_effects(d, groups)
+        fit = fit_re(d, groups)
         if not fit.sigma_u_clamped:
             pytest.skip("variance estimate not negative for this draw")
-        pooled = fit_pooled_ols(d)
-        for m in d.names:
+        pooled = fit_pooled_ols(with_intercept(d))
+        for m in pooled.names:
             assert fit.coefficients[m] == pytest.approx(
                 pooled.coefficients[m], abs=1e-12
             )
@@ -186,17 +216,9 @@ class TestRandomEffects:
     def test_sigma_e_to_zero_approaches_fixed_effects(self):
         rng = np.random.default_rng(9)
         d, groups = re_design(rng, n_groups=25, t=6, sigma_u=1.0, sigma_e=1e-4)
-        re = fit_random_effects(d, groups)
-        slopes = [m for m in d.names if m != "intercept"]
-        fe = fit_fixed_effects(
-            DesignMatrix(
-                names=tuple(slopes),
-                X=d.X[:, [d.names.index(m) for m in slopes]],
-                y=d.y,
-            ),
-            groups,
-        )
-        for m in slopes:
+        re = fit_re(d, groups)
+        fe = fit_fixed_effects(d, groups)
+        for m in d.names:
             assert re.coefficients[m] == pytest.approx(
                 fe.coefficients[m], abs=1e-4
             )
@@ -209,7 +231,7 @@ class TestRandomEffects:
             d, groups = re_design(
                 rng, n_groups=40, t=5, sigma_u=sigma_u, sigma_e=sigma_e
             )
-            fit = fit_random_effects(d, groups)
+            fit = fit_re(d, groups)
             got_u.append(fit.sigma_u)
             got_e.append(fit.sigma_e)
         assert abs(np.mean(got_u) - sigma_u**2) <= 0.2 * sigma_u**2
@@ -218,17 +240,18 @@ class TestRandomEffects:
     def test_kind_markers(self):
         rng = np.random.default_rng(11)
         d, groups = re_design(rng)
-        assert fit_random_effects(d, groups).kind is EffectsKind.RandomGLS
-        assert fit_pooled_ols(d).kind is EffectsKind.PooledOLS
+        assert fit_re(d, groups).kind is EffectsKind.RandomGLS
+        assert fit_pooled_ols(with_intercept(d)).kind is EffectsKind.PooledOLS
 
     def test_re_lies_on_quasi_demeaning_path(self):
         # balanced panel: pooled OLS is the lambda=0 end of the path, the
         # within estimator the lambda=1 end, and the RE fit sits at its
         # estimated lambda in between
         rng = np.random.default_rng(30)
-        d, groups = re_design(rng, n_groups=30, t=4, sigma_u=0.8, sigma_e=0.5)
-        re = fit_random_effects(d, groups)
+        slopes, groups = re_design(rng, n_groups=30, t=4, sigma_u=0.8, sigma_e=0.5)
+        re = fit_re(slopes, groups)
         assert not re.sigma_u_clamped
+        d = with_intercept(slopes)
 
         def path_slopes(lam):
             labels, codes = np.unique(groups, return_inverse=True)
@@ -255,17 +278,9 @@ class TestRandomEffects:
         for m in d.names:
             assert at_zero[m] == pytest.approx(pooled.coefficients[m], abs=1e-10)
 
-        slopes = [m for m in d.names if m != "intercept"]
-        fe = fit_fixed_effects(
-            DesignMatrix(
-                names=tuple(slopes),
-                X=d.X[:, [d.names.index(m) for m in slopes]],
-                y=d.y,
-            ),
-            groups,
-        )
+        fe = fit_fixed_effects(slopes, groups)
         at_one = path_slopes(1.0)
-        for m in slopes:
+        for m in slopes.names:
             assert at_one[m] == pytest.approx(fe.coefficients[m], abs=1e-10)
 
 

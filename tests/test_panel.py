@@ -161,6 +161,23 @@ class TestIngest:
         with pytest.raises(DataValidationError, match="raw item 'depreciation' missing"):
             ingest_panel(["A", "B"], [2000, 2000], items)
 
+    @pytest.mark.parametrize("years", [
+        [2001.0, 2001.9],  # was truncated to a duplicate of (A, 2001)
+        [2001.5, 2002.7],  # was truncated to 2001 and 2002
+        [2001.0, float("nan")],  # was cast to year -2**63
+        [2001.0, float("inf")],
+        [2001.0, 1e19],  # outside int64
+    ])
+    def test_years_must_be_integral(self, years):
+        items = {name: [100.0, 100.0] for name in FirmYearRecord._fields[2:]}
+        with pytest.raises(DataValidationError, match="is not an integral int64 year"):
+            ingest_panel(["A", "A"], years, items)
+
+    def test_integral_float_years_are_kept(self):
+        items = {name: [100.0, 100.0] for name in FirmYearRecord._fields[2:]}
+        panel = ingest_panel(["A", "A"], np.array([2002.0, 2001.0]), items)
+        assert panel.years.tolist() == [2001, 2002]
+
     def test_negative_book_debt_never_reaches_the_rows(self):
         # shocks this large drive book leverage below zero in some years
         cfg = SynthConfig(n_firms=20, t_max=6, error=ErrorSpec(sigma=0.2), seed=13)
@@ -663,10 +680,9 @@ class TestDesignFromPanel:
 
     def test_macro_variables_resolve_by_year(self):
         panel = self._three_year_panel()
-        design, _, _ = design_from_panel(panel, "levb", ("profta", "inflation"),
-                                         intercept=True)
-        assert design.names == ("intercept", "profta", "inflation")
-        assert_allclose(design.X[:, 2], [1.0, 2.0, 3.0])
+        design, _, _ = design_from_panel(panel, "levb", ("profta", "inflation"))
+        assert design.names == ("profta", "inflation")
+        assert_allclose(design.X[:, 1], [1.0, 2.0, 3.0])
 
 
     def test_no_complete_rows_is_error(self):
@@ -684,6 +700,22 @@ class TestCsvValidation:
         path.write_text("year,cpi_inflation,gdp_growth\n2000,2.1,2.1\n2001,x,1.0\n")
         with pytest.raises(DataValidationError, match=r"macro\.csv: line 3: malformed"):
             read_macro_csv(path)
+
+    @pytest.mark.parametrize("name,text", [
+        ("macro.csv", "year,cpi_inflation,gdp_growth\n2000,2.1,2.1\n99999999999999999999,1,1\n"),
+        ("tax.csv", "year,tax_rate\n2000,0.21\n99999999999999999999,0.25\n"),
+    ])
+    def test_year_outside_int64_names_path_and_line(self, tmp_path, name, text):
+        # the years of every input file parse as the firm-year reader's do
+        from levquant import read_tax_csv
+
+        path = tmp_path / name
+        path.write_text(text)
+        reader = read_macro_csv if name == "macro.csv" else read_tax_csv
+        with pytest.raises(DataValidationError, match=(
+            rf"{name}: line 3: malformed value: year 99999999999999999999 outside int64"
+        )):
+            reader(path)
 
     def test_malformed_tax_year_names_path_and_line(self, tmp_path):
         from levquant import read_tax_csv

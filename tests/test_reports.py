@@ -98,3 +98,23 @@ def test_quantile_table_reads_estimates_and_p_values_from_the_fit():
         "fixed_effects_mean,0.5,1.5,0.0,0.0",
     ]
     assert fit.p_values["profta"] == pytest.approx(0.01359, abs=1e-5)
+
+
+def test_zero_estimate_with_zero_standard_error_is_not_tested():
+    # a heavy penalty shrinks every effect to exactly 0 in every draw: 0 / 0
+    # tests nothing, so the cell gets no stars and the CSV no p-value
+    fit = quantile_fit(
+        group_effects={"a": 0.0, "b": -0.0},
+        std_errors={"profta": 0.0, "fixed_effects_mean": 0.0},
+    )
+    assert math.isnan(fit.p_values["fixed_effects_mean"])
+    assert fit.p_values["profta"] == 0.0  # a nonzero estimate keeps p = 0
+    text = render_quantile_table("BOOK", (0.5,), {0.5: fit}, ("profta",))
+    assert [line.split() for line in text.splitlines()][2:6] == [
+        ["PROFITABILITY", "0.1234***"],
+        ["sterrors", "0.0000"],
+        ["FIXED_EFFECTS", "0.0000"],
+        ["sterrors", "0.0000"],
+    ]
+    rows = quantile_table_csv((0.5,), {0.5: fit}, ("profta",)).splitlines()[1:3]
+    assert rows == ["profta,0.5,0.1234,0.0,0.0", "fixed_effects_mean,0.5,0.0,0.0,"]
