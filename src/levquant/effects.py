@@ -254,9 +254,7 @@ def hausman_test(fe, re, significance=DEFAULT_SIGNIFICANCE):
     return HausmanResult(stat, df, p, choice, deficient)
 
 
-def fit_quantile_fixed_effects(
-    design, groups, theta, *, penalty=0.0, _weights=None, _problem=None
-):
+def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _problem=None):
     """Quantile regression with firm fixed effects.
 
     ``penalty`` is the L1 weight lambda on the effects (Koenker 2004,
@@ -270,46 +268,34 @@ def fit_quantile_fixed_effects(
 
     An intercept column is rejected: the group effects absorb it.
 
-    ``_weights`` is private to ``bootstrap_se``: it scales row i's check
-    loss by ``_weights[i]``.  The rows of a group share one weight, which
-    also scales the group's penalty row, so a group entered once with
-    weight m has the optimum of m copies of it, each with its own effect.
-    The fit's objective, pseudo-R^2 and sign counts stay unweighted.
-    ``_problem`` is ``_fe_problem(design, groups, penalty)``, built once by
-    a caller that fits several theta on one design (the bootstrap refits,
-    ``adjustment.fit_quantiles``) and passed to each of those fits.
+    ``_problem`` is ``_fe_problem(design, groups, penalty, weights)``, built
+    once by a caller that fits several theta on one design (the bootstrap
+    refits, ``adjustment.fit_quantiles``) and passed to each of those fits.
     """
     theta = _validate_theta(theta)
     if not 0.0 <= penalty < np.inf:  # NaN fails both comparisons
         raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {penalty}")
-    labels, codes, ops = _problem or _fe_problem(design, groups, penalty)
-    weights = np.ones(design.n) if _weights is None else _weights
-    p = weights * theta
-    q = weights * (1.0 - theta)
-    if penalty > 0.0:
-        group_weights = np.empty(len(labels))
-        group_weights[codes] = weights
-        p = np.concatenate([p, penalty * group_weights])
-        q = np.concatenate([q, penalty * group_weights])
-
-    fit, effects = _solve_pinball(ops, theta, p, q, design.names, data_rows=design.n)
+    labels, ops = _problem or _fe_problem(design, groups, penalty)
+    fit, effects = _solve_pinball(ops, theta, design.names)
     fit.group_effects = dict(zip(labels, effects.tolist()))
     fit.solver_meta["penalty"] = penalty
     return fit
 
 
-def _fe_problem(design, groups, penalty):
+def _fe_problem(design, groups, penalty, weights=None):
     """The part of a quantile fixed-effects fit that does not depend on
-    theta or row weights: the group labels (as the ``str`` keys of
-    ``group_effects``) and codes, the within-rank check, and the grouped
-    design operator with its response, extended by one zero-response
-    penalty row per group when ``penalty > 0``."""
+    theta: the group labels (as the ``str`` keys of ``group_effects``), the
+    within-rank check, and the grouped design operator with its response
+    and row ``weights`` (default ones), which scale each row's check loss.
+    The rows of a group share one weight m, so a group entered once with
+    weight m has the optimum of m copies of it, each with its own effect;
+    when ``penalty > 0`` the group's penalty row weighs ``penalty * m``.
+    The fit's objective, pseudo-R^2 and sign counts stay unweighted."""
     labels, codes, _ = _check_within(design, groups)
-    G = labels.size
-    labels = [str(label) for label in labels]
-    if penalty == 0.0:
-        return labels, codes, _GroupedOps(design.X, design.y, codes, G)
-    X_ext = np.vstack([design.X, np.zeros((G, design.k))])
-    codes_ext = np.concatenate([codes, np.arange(G)])
-    y_ext = np.concatenate([design.y, np.zeros(G)])
-    return labels, codes, _GroupedOps(X_ext, y_ext, codes_ext, G)
+    pen = None
+    if penalty != 0.0:
+        pen = np.empty(labels.size)
+        pen[codes] = 1.0 if weights is None else weights
+        pen *= penalty
+    ops = _GroupedOps(design.X, design.y, codes, labels.size, weights, pen)
+    return [str(label) for label in labels], ops

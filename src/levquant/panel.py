@@ -303,12 +303,15 @@ def ingest_panel(firm_ids, fiscal_years, items):
     ``items`` maps each raw item name (the FirmYearRecord fields from
     ``total_assets`` on) to a column of the same length, NaN or None where a
     value is absent.  A year that is not an integer within int64 raises
-    ``DataValidationError``.  Ids are stripped; an empty id or a duplicate (firm,
-    year) key is rejected (first occurrence wins); unusable records
+    ``DataValidationError``.  Ids are stripped; an empty, None or NaN id or a
+    duplicate (firm, year) key is rejected (first occurrence wins); unusable records
     (non-positive total assets or negative book debt) stay in the panel but
     are flagged and excluded from derived variables.  Both lists are in
     input order.
     """
+    if not (isinstance(firm_ids, np.ndarray) and firm_ids.dtype.kind == "U"):
+        # str() names a None or NaN id "None" or "nan": it is blank instead
+        firm_ids = ["" if i is None or i != i else i for i in firm_ids]
     firm_ids = np.char.strip(np.asarray(firm_ids, dtype=str))
     years = np.asarray(fiscal_years)
     if years.dtype.kind != "i":  # the int64 cast would truncate, wrap or invent a year
@@ -501,7 +504,8 @@ def read_panel_csv(path):
             column.append(values)
         parse_rejects += [(f"line {lineno}", problem) for lineno, problem in rejects]
     panel = ingest_panel(
-        firm_ids, years, {name: np.concatenate(c) for name, c in zip(RAW_ITEMS, items)}
+        np.array(firm_ids, dtype=str), years,
+        {name: np.concatenate(c) for name, c in zip(RAW_ITEMS, items)},
     )
     panel.validation.n_read += len(parse_rejects)
     panel.validation.rejected = parse_rejects + panel.validation.rejected
@@ -524,8 +528,10 @@ def read_tax_csv(path):
 
 
 def _write_csv(path, columns, lines):
-    with open(path, "w") as fh:
-        fh.write("\n".join([",".join(columns), *(",".join(c) for c in lines)]) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(lines)
 
 
 def write_panel_csv(panel, path):

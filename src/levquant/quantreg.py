@@ -182,11 +182,14 @@ def _koenker_machado(objective, y, theta):
 
 
 class _DenseOps:
-    """A = X^T for a plain dense design, with its response y."""
+    """A = X^T for a plain dense design, with its response y and the
+    weight w of each row's check loss (default ones)."""
 
-    def __init__(self, X, y):
+    def __init__(self, X, y, w=None):
         self.X = X
         self.y = y
+        self.w = np.ones(y.size) if w is None else w
+        self.pen = None  # no penalty rows
         self.ncols = X.shape[1]
         self.start = None  # the interior point's start, see _start
 
@@ -209,7 +212,9 @@ class _DenseOps:
 
 
 class _GroupedOps:
-    """Design [X | G], G a one-indicator-per-row group block, and response y.
+    """Design [X | G], G a one-indicator-per-row group block, response y
+    and the weight w of each row's check loss (default ones).  ``pen``
+    appends one zero-response penalty row per group, row g of weight pen[g].
 
     Exploits the diagonal structure of the indicator block so Newton steps
     cost O(n * kx^2) instead of O(n * (kx + n_groups)^2), and a vertex
@@ -218,7 +223,13 @@ class _GroupedOps:
     one operator serves one fit at a time.
     """
 
-    def __init__(self, X, y, codes, n_groups):
+    def __init__(self, X, y, codes, n_groups, w=None, pen=None):
+        self.w = np.ones(y.size) if w is None else w
+        self.pen = pen
+        if pen is not None:
+            X = np.vstack([X, np.zeros((n_groups, X.shape[1]))])
+            y = np.concatenate([y, np.zeros(n_groups)])
+            codes = np.concatenate([codes, np.arange(n_groups)])
         self.X = X
         self.y = y
         # X * d, X @ nu and X^T v run along the rows of the kx x n copy
@@ -547,11 +558,16 @@ def _unconditional_objective(y, theta):
     return check_loss(y - qv, theta)
 
 
-def _solve_pinball(ops, theta, p, q, names, data_rows=None):
-    """The fit minimizing the weighted pinball loss, its coefficients named
-    by ``names``, and the solution entries beyond them (group effects).  The
-    fit's statistics count only the first ``data_rows`` rows (default all).
-    When the interior point fails, HiGHS solves the LP exactly."""
+def _solve_pinball(ops, theta, names):
+    """The fit at ``theta`` of the LP that ``ops`` holds, its coefficients
+    named by ``names``, and the solution entries beyond them (group
+    effects).  Data row i weighs theta * w_i above the fit and (1 - theta)
+    * w_i below it, penalty row g ``pen[g]`` on both sides; the fit's
+    statistics count the data rows alone.  When the interior point fails,
+    HiGHS solves the LP exactly."""
+    p, q = ops.w * theta, ops.w * (1.0 - theta)
+    if ops.pen is not None:
+        p, q = np.concatenate([p, ops.pen]), np.concatenate([q, ops.pen])
     try:
         nu, iterations, gap, converged = _interior_point(ops, p, q)
     except scipy.linalg.LinAlgError:
@@ -566,7 +582,7 @@ def _solve_pinball(ops, theta, p, q, names, data_rows=None):
             err.diagnostics.update(iterations=iterations, duality_gap=gap)
             raise
     beta, r, _, polished = _polish_vertex(ops, beta, p, q)
-    r, y = r[:data_rows], ops.y[:data_rows]
+    r, y = r[: ops.w.size], ops.y[: ops.w.size]
     objective = check_loss(r, theta)
     ztol = 1e-8 * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
     fit = QuantileFit(
@@ -589,7 +605,7 @@ def _solve_pinball(ops, theta, p, q, names, data_rows=None):
     return fit, beta[len(names):]
 
 
-def fit_quantile(design, theta, *, _weights=None):
+def fit_quantile(design, theta):
     """Fit a linear conditional-quantile model by check-loss minimization.
 
     Parameters
@@ -600,18 +616,10 @@ def fit_quantile(design, theta, *, _weights=None):
     Returns
     -------
     QuantileFit with coefficients named after the design columns.
-
-    ``_weights`` is private to ``bootstrap_se``: it scales row i's check
-    loss by ``_weights[i]``; the fit's objective, pseudo-R^2 and sign
-    counts stay unweighted.
     """
     theta = _validate_theta(theta)
-    weights = np.ones(design.n) if _weights is None else _weights
     _check_rank_dense(design.X, design.names)
-    fit, _ = _solve_pinball(
-        _DenseOps(design.X, design.y), theta, weights * theta, weights * (1.0 - theta),
-        design.names,
-    )
+    fit, _ = _solve_pinball(_DenseOps(design.X, design.y), theta, design.names)
     return fit
 
 
@@ -845,12 +853,8 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
 
 def _result(work, parts):
     """The ``BootstrapResult`` of one problem from the ``_draws`` of its
-    chunks, or the first error among them."""
+    chunks; the first chunk to fail raises its error."""
     design, _, _, penalty, thetas = work
-    parts = list(parts)
-    for part in parts:
-        if isinstance(part, DegenerateResampleError):
-            raise part
     rows, *counts = zip(*parts)
     rows = np.concatenate(rows)
     attempts, degenerate, polished = (sum(c) for c in counts)
@@ -876,8 +880,8 @@ def _result(work, parts):
 def _draws(design, codes, n_units, penalty, thetas, first, children):
     """Replicates ``first`` to ``first + len(children) - 1`` of one
     bootstrap problem, one per seed of ``children``: (rows, attempts,
-    degenerate, polished), the replicates and the per-theta counts, or the
-    ``DegenerateResampleError`` of the first replicate that gave up."""
+    degenerate, polished), the replicates and the per-theta counts.  The
+    first replicate that gives up raises ``DegenerateResampleError``."""
     rows = np.empty((len(children), len(thetas), len(design.names) + (penalty is not None)))
     attempts = np.zeros(len(thetas), dtype=int)
     degenerate = np.zeros(len(thetas), dtype=int)
@@ -908,7 +912,7 @@ def _draws(design, codes, n_units, penalty, thetas, first, children):
             if not pending:
                 break
         else:
-            return DegenerateResampleError(
+            raise DegenerateResampleError(
                 f"replicate {first + b}: 50 consecutive degenerate resamples"
                 f" at theta {thetas[pending[0]]}"
             )
@@ -976,9 +980,11 @@ def _refit(design, codes, mult, penalty):
     weights = mult[codes[idx]].astype(float)
     sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
     if penalty is None:
+        _check_rank_dense(sub.X, sub.names)
+        ops = _DenseOps(sub.X, sub.y, weights)
 
         def refit(theta):
-            fit = fit_quantile(sub, theta, _weights=weights)
+            fit, _ = _solve_pinball(ops, theta, sub.names)
             return list(fit.coefficients.values()), fit.solver_meta["polished"]
 
         return refit
@@ -986,14 +992,14 @@ def _refit(design, codes, mult, penalty):
     from . import effects
 
     groups = codes[idx]
-    problem = effects._fe_problem(sub, groups, penalty)
+    problem = effects._fe_problem(sub, groups, penalty, weights)
     # group effects come in ascending unit order, as mult[mult > 0] does
     unit_weights = mult[mult > 0]
 
     def refit(theta):
         # looked up at call time, so a wrapper installed on the module sees it
         fit = effects.fit_quantile_fixed_effects(
-            sub, groups, theta, penalty=penalty, _weights=weights, _problem=problem
+            sub, groups, theta, penalty=penalty, _problem=problem
         )
         effect = np.fromiter(fit.group_effects.values(), dtype=float)
         vals = [*fit.coefficients.values(), float(np.average(effect, weights=unit_weights))]

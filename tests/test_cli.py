@@ -17,7 +17,9 @@ from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
     simulate_config,
 )
-from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
+from levquant.effects import (
+    _fe_problem, fit_quantile_fixed_effects, hausman_decision, hausman_test,
+)
 from levquant.panel import design_from_panel
 from levquant import cli, effects, quantreg
 from levquant import panel as panel_module
@@ -320,10 +322,8 @@ class TestConfiguredEstimator:
             mult = np.bincount(picks, minlength=n_firms)
             idx = np.flatnonzero(mult[codes])
             sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-            fit = fit_quantile_fixed_effects(
-                sub, codes[idx], 0.5, penalty=0.5,
-                _weights=mult[codes[idx]].astype(float),
-            )
+            problem = _fe_problem(sub, codes[idx], 0.5, mult[codes[idx]].astype(float))
+            fit = fit_quantile_fixed_effects(sub, codes[idx], 0.5, penalty=0.5, _problem=problem)
             effects = [fit.group_effects[str(g)] for g in np.flatnonzero(mult)]
             draws.append(
                 [fit.coefficients[m] for m in predictors]

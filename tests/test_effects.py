@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -423,7 +424,8 @@ class TestQuantileFixedEffects:
             y = X @ [1.2, -0.5] + rng.normal(size=len(sizes))[codes] + rng.normal(size=codes.size)
             w = rng.integers(1, 4, size=codes.size)
             d = DesignMatrix(names=("x1", "x2"), X=X, y=y)
-            fit = fit_quantile_fixed_effects(d, codes, theta, _weights=w.astype(float))
+            problem = _fe_problem(d, codes, 0.0, w.astype(float))
+            fit = fit_quantile_fixed_effects(d, codes, theta, _problem=problem)
             obj = quantreg._weighted_pinball(fit.residuals, w * theta, w * (1.0 - theta))
             dup = np.repeat(np.arange(codes.size), w)
             dummies = (codes[dup, None] == np.arange(len(sizes))).astype(float)
@@ -489,19 +491,40 @@ class TestQuantileFixedEffects:
         rng = np.random.default_rng(22)
         d, groups, _ = panel_design(rng, n=90, n_groups=9)
         weights = rng.integers(1, 4, size=9)[groups].astype(float)
-        problem = _fe_problem(d, groups, penalty)
+        problem = _fe_problem(d, groups, penalty, weights)
         for theta in (0.15, 0.5, 0.95):
             shared, alone = (
-                fit_quantile_fixed_effects(
-                    d, groups, theta, penalty=penalty, _weights=weights, _problem=prob
-                )
-                for prob in (problem, None)
+                fit_quantile_fixed_effects(d, groups, theta, penalty=penalty, _problem=prob)
+                for prob in (problem, _fe_problem(d, groups, penalty, weights))
             )
             assert shared.coefficients == alone.coefficients
             assert shared.group_effects == alone.group_effects
             assert shared.residuals.tobytes() == alone.residuals.tobytes()
             assert shared.solver_meta == alone.solver_meta
-        assert problem[2].start is not None
+        assert problem[1].start is not None
+
+    def test_weighted_penalized_problem_owns_its_penalty_weights(self):
+        # a group of weight m gets penalty row weight lambda * m, and the
+        # weighted fits keep the bits of the per-theta weighting they replace
+        # (sha256 prefixes of the coefficient and effect bytes)
+        rng = np.random.default_rng(23)
+        d, groups, _ = panel_design(rng, n=90, n_groups=9)
+        m = rng.integers(1, 4, size=9)
+        labels, ops = _fe_problem(d, groups, 0.5, m[groups].astype(float))
+        assert ops.pen.tobytes() == (0.5 * m).tobytes()
+        assert ops.w.tobytes() == m[groups].astype(float).tobytes()
+        assert ops.X.shape == (d.n + 9, d.k)
+        want = {
+            0.15: "e79eda13893ea01c1d4350045da61708",
+            0.5: "9964db1303e6a359a5c6d443ffbb580b",
+            0.95: "84504dfc68bc62cddbc5755b6e8b604e",
+        }
+        for theta, digest in want.items():
+            fit = fit_quantile_fixed_effects(d, groups, theta, penalty=0.5, _problem=(labels, ops))
+            h = hashlib.sha256(np.fromiter(fit.coefficients.values(), dtype=float).tobytes())
+            h.update(np.fromiter(fit.group_effects.values(), dtype=float).tobytes())
+            assert h.hexdigest()[:32] == digest
+            assert fit.n == d.n
 
     @pytest.mark.parametrize("labels", [
         np.array(["a", "b", "c"]),

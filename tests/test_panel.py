@@ -86,6 +86,17 @@ class TestIngest:
             (("", 2001), "empty firm_id"),
         ]
 
+    @pytest.mark.parametrize("missing", [None, float("nan"), np.float64("nan")],
+                             ids=["none", "nan", "numpy-nan"])
+    @pytest.mark.parametrize("container", [list, lambda ids: np.array(ids, dtype=object)],
+                             ids=["list", "object-array"])
+    def test_none_and_nan_firm_ids_rejected(self, missing, container):
+        # str() would name them "None" and "nan", a firm of their own
+        items = {name: [100.0] * 3 for name in RAW_ITEMS}
+        panel = ingest_panel(container(["A", missing, "B"]), [2001, 2001, 2001], items)
+        assert panel.firms == ("A", "B")
+        assert panel.validation.rejected == [(("", 2001), "empty firm_id")]
+
     def test_zero_assets_flagged_and_excluded_from_derivation(self):
         recs = [record(), record(year=2001, at=0.0)]
         panel = ingest_records(recs)
@@ -521,6 +532,18 @@ class TestCsvIO:
         write_panel_csv(panel, path)
         back = read_panel_csv(path)
         assert back.records == panel.records
+
+    def test_round_trip_quotes_ids_with_commas_quotes_and_newlines(self, tmp_path):
+        from levquant import write_panel_csv
+
+        ids = ["Acme, Inc", 'The "B" Co', "C\nD", "plain"]
+        panel = ingest_records([record(firm=f) for f in ids])
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        back = read_panel_csv(path)
+        assert back.validation.rejected == []
+        assert back.records == panel.records
+        assert sorted(back.firms) == sorted(ids)
 
     def test_malformed_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

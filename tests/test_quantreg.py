@@ -1,6 +1,6 @@
 import ctypes
 import itertools
-import multiprocessing
+import multiprocessing.pool
 import os
 import sys
 import time
@@ -27,7 +27,7 @@ from levquant import (
     fit_quantile,
     fit_quantile_oracle,
 )
-from levquant.effects import fit_quantile_fixed_effects
+from levquant.effects import _fe_problem, fit_quantile_fixed_effects
 from levquant import effects, quantreg
 from levquant.quantreg import (
     _check_rank_dense,
@@ -37,6 +37,7 @@ from levquant.quantreg import (
     _interior_point,
     _polish_vertex,
     _primal_steplen,
+    _solve_pinball,
     _solve_square,
     _steplen,
 )
@@ -541,12 +542,13 @@ class TestWeightedRefit:
             sub = DesignMatrix(names=design.names, X=design.X[keep], y=design.y[keep])
             if mode in ("dummy", "penalized"):
                 ref = fit_quantile_fixed_effects(dup, copy, theta, penalty=PENALTY[mode])
+                problem = _fe_problem(sub, codes[keep], PENALTY[mode], w)
                 fit = fit_quantile_fixed_effects(
-                    sub, codes[keep], theta, penalty=PENALTY[mode], _weights=w
+                    sub, codes[keep], theta, penalty=PENALTY[mode], _problem=problem
                 )
             else:
                 ref = fit_quantile(dup, theta)
-                fit = fit_quantile(sub, theta, _weights=w)
+                fit, _ = _solve_pinball(_DenseOps(sub.X, sub.y, w), theta, sub.names)
             ref_obj = ref.objective
             obj = quantreg._weighted_pinball(fit.residuals, w * theta, w * (1.0 - theta))
             if mode == "penalized":
@@ -581,6 +583,25 @@ class TestWeightedRefit:
             assert p_values[name] == pytest.approx(want, rel=1e-12)
         fit.std_errors = dict(std_errors, x1=0.0)
         assert fit.p_values["x1"] == 0.0
+
+    @pytest.mark.parametrize("mode", ["row", "cluster"])
+    def test_dense_refit_checks_rank_once_per_draw(self, mode, monkeypatch):
+        # the rank check and the operator are built once per draw and serve
+        # every theta, as a fixed-effects refit's problem does
+        design, firms = grouped_panel(55)
+        X = np.column_stack([np.ones(design.n), design.X])
+        design = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _check_rank_dense(*args)
+
+        monkeypatch.setattr(quantreg, "_check_rank_dense", counted)
+        cluster = firms if mode == "cluster" else None
+        out = bootstrap_se(design, (0.25, 0.5, 0.9), n_boot=3, seed=0, cluster=cluster)
+        assert out.n_redrawn == 0
+        assert len(calls) == 3
 
 
 THETAS = (0.15, 0.5, 0.95)
@@ -773,6 +794,25 @@ class TestPooledBootstrap:
             messages.append(str(err.value))
             assert multiprocessing.active_children() == []
         assert messages == ["replicate 4: 50 consecutive degenerate resamples at theta 0.15"] * 2
+
+    def test_a_pooled_give_up_is_raised_in_the_worker(self, monkeypatch):
+        # the worker raises the error, and the pool re-raises it in the
+        # caller with the worker's traceback as its cause
+        design, kwargs = bootstrap_case("dummy")
+        real, parent = quantreg._refit, os.getpid()
+
+        def refit(design, codes, mult, penalty):
+            if os.getpid() != parent:
+                raise DesignError("forced")
+            return real(design, codes, mult, penalty)
+
+        monkeypatch.setattr(quantreg, "_refit", refit)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(DegenerateResampleError, match="^replicate 0: 50 consecutive") as err:
+            bootstrap_se(design, THETAS, n_boot=4, seed=5, **kwargs)
+        assert isinstance(err.value.__cause__, multiprocessing.pool.RemoteTraceback)
+        assert "raise DegenerateResampleError(" in str(err.value.__cause__)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_each_problem_of_one_call_equals_the_problem_alone(self, workers, monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from levquant import synthgen
-from levquant.reports import render_recovery
+from levquant.panel import MACRO_COLUMNS, PANEL_COLUMNS
+from levquant.reports import _csv_float, render_recovery
 
 from levquant import (
     ConfigError,
@@ -253,6 +254,26 @@ class TestRoundTrip:
             assert m.gdp_growth == truth.macro[y].gdp_growth
         rates = read_tax_csv(tmp_path / "tax.csv")
         assert all(v == cfg.tax_rate for v in rates.values())
+
+    def test_simulated_files_are_written_unquoted(self, tmp_path):
+        # ids without a comma, quote or line break keep the bytes of the
+        # plain comma join, which the csv module's writer gives them
+        def plain(columns, lines):
+            return "\n".join([",".join(columns), *(",".join(c) for c in lines)]) + "\n"
+
+        cfg = SynthConfig(n_firms=15, t_max=8, attrition=0.1, seed=11)
+        panel, truth = generate_panel(cfg)
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        write_macro_csv(truth.macro, tmp_path / "macro.csv")
+        records = [
+            (r.firm_id, str(r.fiscal_year), *map(_csv_float, r[2:])) for r in panel.records
+        ]
+        macro = [
+            (str(y), _csv_float(m.inflation), _csv_float(m.gdp_growth))
+            for y, m in sorted(truth.macro.items())
+        ]
+        assert (tmp_path / "panel.csv").read_text() == plain(PANEL_COLUMNS, records)
+        assert (tmp_path / "macro.csv").read_text() == plain(MACRO_COLUMNS, macro)
 
     def test_unrepresentable_market_leverage_leaves_market_equity_empty(self, tmp_path):
         # shocks this large push market leverage outside (0, 1) in some years
