@@ -55,13 +55,13 @@ fits = {
 print(render_quantile_table("BOOK LEVERAGE", thetas, fits, determinants + macro_vars))
 
 # adjustment speeds; truth is 0.55 at every quantile
-results = {}
+results = []
 for kind in ("market", "book"):
     spec = TargetModelSpec(
         leverage=kind, determinants=determinants, thetas=thetas,
         regime_split=RegimeRule(),
     )
-    results[kind] = estimate_speed(panel, spec)
+    results += estimate_speed(panel, spec)
 print(render_speed_table(results, thetas))
-median_book = [r for r in results["book"] if r.theta == 0.5][0]
+median_book = [r for r in results if r.leverage == "book" and r.theta == 0.5][0]
 print(f"true speed 0.55, estimated at the median: {median_book.speed:.3f}")

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effects import _fe_problem, fit_quantile_fixed_effects
 from .errors import ConfigError, DataValidationError, DesignError
 from .panel import (  # lag_leverage is re-exported: levquant.adjustment.lag_leverage
     _LEVERAGE_VAR, _MACRO_FIELDS, MACRO_VARIABLES, REGRESSORS, Regime, RegimeRule,
     complete_rows, design_from_panel, lag_leverage,
 )
-from .quantreg import QuantileFit
+from .quantreg import QuantileFit, _check_penalty, _fe_problem, fit_quantile_fixed_effects
 
 DEFAULT_THETAS = (0.15, 0.35, 0.5, 0.75, 0.95)
 DEFAULT_DETERMINANTS = (
@@ -69,8 +68,7 @@ class TargetModelSpec:
                 raise ConfigError(f"quantile {th} outside (0, 1)")
         if len(set(self.thetas)) < len(self.thetas):
             raise ConfigError("thetas must name each quantile once")
-        if not 0.0 <= self.penalty < np.inf:  # NaN fails both comparisons
-            raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {self.penalty}")
+        _check_penalty(self.penalty)
 
     @property
     def response(self):  # the leverage variable the model explains

@@ -299,38 +299,28 @@ def stage_qreg(ctx):
 
 def stage_speed(ctx):
     cfg = ctx.cfg
-    overall = {}
-    by_regime = {}
-    notes = []
+    overall, by_regime, notes = [], [], []
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
-        overall[kind] = estimate_speed(ctx.panel, spec)
+        overall += estimate_speed(ctx.panel, spec)
         regimes = estimate_speed_by_regime(ctx.panel, spec)
-        for regime, results in regimes.results.items():
-            by_regime.setdefault(regime, {})[kind] = results
+        by_regime += sum(regimes.results.values(), [])  # growth, then recession
         for regime, reason in regimes.skipped.items():
             notes.append(f"{kind} / {regime.value}: skipped ({reason})")
-
-    text = reports.render_speed_table(overall, cfg.theta)
-    regime_text = []
-    regime_rows = {}
-    for regime in sorted(by_regime, key=lambda r: r.value):
-        regime_text.append(
-            reports.render_speed_table(
-                by_regime[regime],
-                cfg.theta,
-                title=f"ADJUSTMENT SPEED ({regime.value})",
-            )
+    regime_text = [
+        reports.render_speed_table(
+            [r for r in by_regime if r.regime is regime], cfg.theta,
+            title=f"ADJUSTMENT SPEED ({regime.value})",
         )
-        for kind, results in by_regime[regime].items():
-            regime_rows.setdefault(kind, []).extend(results)
+        for regime in sorted({r.regime for r in by_regime}, key=lambda r: r.value)
+    ]
     if notes:
         regime_text.append("\n".join(notes) + "\n")
     return [
-        ("speed.txt", text, "text"),
+        ("speed.txt", reports.render_speed_table(overall, cfg.theta), "text"),
         ("speed.csv", reports.speed_table_csv(overall), "delimited"),
         ("speed_by_regime.txt", "\n".join(regime_text), "text"),
-        ("speed_by_regime.csv", reports.speed_table_csv(regime_rows), "delimited"),
+        ("speed_by_regime.csv", reports.speed_table_csv(by_regime), "delimited"),
     ]
 
 

@@ -1,5 +1,5 @@
-"""Fixed- and random-effects estimators, the Hausman test, and
-fixed-effects handling inside quantile fits."""
+"""Linear fixed- and random-effects estimators and the Hausman test.
+``fit_quantile_fixed_effects`` is ``quantreg``'s, re-exported here."""
 from __future__ import annotations
 
 import enum
@@ -10,13 +10,10 @@ import numpy as np
 import scipy.linalg
 from scipy.special import chdtrc
 
-from .errors import ConfigError, DataValidationError, DesignError
-from .quantreg import (
-    INTERCEPT,
-    _check_rank_dense,
-    _GroupedOps,
-    _solve_pinball,
-    _validate_theta,
+from .errors import DataValidationError, DesignError
+from .quantreg import (  # fit_quantile_fixed_effects is re-exported
+    INTERCEPT, _check_rank_dense, _check_within, _group_codes, _group_means,
+    fit_quantile_fixed_effects,
 )
 
 DEFAULT_SIGNIFICANCE = 0.05  # the Hausman test level of a run and of hausman_test
@@ -72,14 +69,6 @@ class HausmanResult:
     rank_deficient: bool = False
 
 
-def _group_codes(groups, n):
-    groups = np.asarray(groups)
-    if groups.shape[0] != n:
-        raise DataValidationError("every row needs a group label")
-    labels, codes = np.unique(groups, return_inverse=True)
-    return labels, codes
-
-
 def within_transform(matrix, groups):
     """Subtract group means from each column; total function.
 
@@ -89,44 +78,6 @@ def within_transform(matrix, groups):
     M = np.asarray(matrix, dtype=float)
     labels, codes = _group_codes(groups, M.shape[0])
     return M - _group_means(M, codes, labels.size)[codes]
-
-
-def _group_means(M, codes, n_groups):
-    counts = np.bincount(codes, minlength=n_groups).astype(float)
-    if M.ndim == 1:
-        return np.bincount(codes, weights=M, minlength=n_groups) / counts
-    out = np.empty((n_groups, M.shape[1]))
-    for j in range(M.shape[1]):
-        out[:, j] = np.bincount(codes, weights=M[:, j], minlength=n_groups) / counts
-    return out
-
-
-def _check_within(design, groups, *, need_repeats=False):
-    """The checks every fixed-effects fit makes of its design: no intercept
-    column (the group effects absorb it), a group label on every row, and
-    variation within groups in every column, measured on the group-demeaned
-    X by the column norms before demeaning.  Returns the group labels, the
-    row codes and the demeaned X.  ``need_repeats`` first rejects groups
-    that are all singletons, which leave a within fit no data."""
-    if INTERCEPT in design.names:
-        raise DesignError(
-            "fixed-effects design must not include an intercept column; "
-            "it is absorbed by the group effects",
-            columns=[INTERCEPT],
-        )
-    labels, codes = _group_codes(groups, design.n)
-    if need_repeats and codes.size == labels.size:
-        raise DataValidationError("no within variation: all groups are singletons")
-    Xw = design.X - _group_means(design.X, codes, labels.size)[codes]
-    try:
-        _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))
-    except DesignError as err:
-        raise DesignError(
-            "no within-group variation (time-invariant or collinear after "
-            f"demeaning): {', '.join(err.columns)}",
-            columns=err.columns,
-        ) from None
-    return labels, codes, Xw
 
 
 def _least_squares(kind, names, X, y, dof, **fields):
@@ -252,50 +203,3 @@ def hausman_test(fe, re, significance=DEFAULT_SIGNIFICANCE):
     df = rank if deficient else k
     p, choice = hausman_decision(stat, df, significance)
     return HausmanResult(stat, df, p, choice, deficient)
-
-
-def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _problem=None):
-    """Quantile regression with firm fixed effects.
-
-    ``penalty`` is the L1 weight lambda on the effects (Koenker 2004,
-    "Quantile regression for longitudinal data").  At 0 each group gets one
-    free effect: one indicator column per group, fit jointly with the slopes
-    (the indicator block is handled with specialized linear algebra, so
-    large group counts stay cheap).  Above 0 the effects are shrunk by
-    ``penalty * sum |a_i|``: one zero-response penalty row per group enters
-    the same LP with symmetric weights.  A negative or non-finite penalty
-    raises ``ConfigError``.
-
-    An intercept column is rejected: the group effects absorb it.
-
-    ``_problem`` is ``_fe_problem(design, groups, penalty, weights)``, built
-    once by a caller that fits several theta on one design (the bootstrap
-    refits, ``adjustment.fit_quantiles``) and passed to each of those fits.
-    """
-    theta = _validate_theta(theta)
-    if not 0.0 <= penalty < np.inf:  # NaN fails both comparisons
-        raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {penalty}")
-    labels, ops = _problem or _fe_problem(design, groups, penalty)
-    fit, effects = _solve_pinball(ops, theta, design.names)
-    fit.group_effects = dict(zip(labels, effects.tolist()))
-    fit.solver_meta["penalty"] = penalty
-    return fit
-
-
-def _fe_problem(design, groups, penalty, weights=None):
-    """The part of a quantile fixed-effects fit that does not depend on
-    theta: the group labels (as the ``str`` keys of ``group_effects``), the
-    within-rank check, and the grouped design operator with its response
-    and row ``weights`` (default ones), which scale each row's check loss.
-    The rows of a group share one weight m, so a group entered once with
-    weight m has the optimum of m copies of it, each with its own effect;
-    when ``penalty > 0`` the group's penalty row weighs ``penalty * m``.
-    The fit's objective, pseudo-R^2 and sign counts stay unweighted."""
-    labels, codes, _ = _check_within(design, groups)
-    pen = None
-    if penalty != 0.0:
-        pen = np.empty(labels.size)
-        pen[codes] = 1.0 if weights is None else weights
-        pen *= penalty
-    ops = _GroupedOps(design.X, design.y, codes, labels.size, weights, pen)
-    return [str(label) for label in labels], ops

@@ -528,8 +528,13 @@ def read_tax_csv(path):
 
 
 def _write_csv(path, columns, lines):
+    # the writer quotes a cell holding a comma, a quote or a newline, but not
+    # a bare carriage return, which a reader takes for a line end: a file
+    # with one has every cell quoted
+    lines = list(lines)
+    quoting = csv.QUOTE_ALL if any("\r" in c for line in lines for c in line) else csv.QUOTE_MINIMAL
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         writer.writerow(columns)
         writer.writerows(lines)
 

@@ -1,4 +1,4 @@
-"""Conditional-quantile linear models fit by check-loss minimization.
+"""Conditional-quantile linear models fit by check-loss minimization, firm effects included.
 
 The production solver is a Frisch-Newton interior point method on the
 bounded-variable dual LP (Mehrotra predictor-corrector), finished by a
@@ -24,7 +24,9 @@ import scipy.sparse
 from scipy.special import ndtr
 
 from .errors import (
+    ConfigError,
     ConvergenceError,
+    DataValidationError,
     DegenerateResampleError,
     DesignError,
     OracleCapError,
@@ -624,6 +626,108 @@ def fit_quantile(design, theta):
 
 
 # ---------------------------------------------------------------------------
+# quantile regression with group (firm) fixed effects
+# ---------------------------------------------------------------------------
+
+
+def _group_codes(groups, n):
+    groups = np.asarray(groups)
+    if groups.shape[0] != n:
+        raise DataValidationError("every row needs a group label")
+    labels, codes = np.unique(groups, return_inverse=True)
+    return labels, codes
+
+
+def _group_means(M, codes, n_groups):
+    counts = np.bincount(codes, minlength=n_groups).astype(float)
+    if M.ndim == 1:
+        return np.bincount(codes, weights=M, minlength=n_groups) / counts
+    out = np.empty((n_groups, M.shape[1]))
+    for j in range(M.shape[1]):
+        out[:, j] = np.bincount(codes, weights=M[:, j], minlength=n_groups) / counts
+    return out
+
+
+def _check_within(design, groups, *, need_repeats=False):
+    """The checks every fixed-effects fit makes of its design: no intercept
+    column (the group effects absorb it), a group label on every row, and
+    variation within groups in every column, measured on the group-demeaned
+    X by the column norms before demeaning.  Returns the group labels, the
+    row codes and the demeaned X.  ``need_repeats`` first rejects groups
+    that are all singletons, which leave a within fit no data."""
+    if INTERCEPT in design.names:
+        raise DesignError(
+            "fixed-effects design must not include an intercept column; "
+            "it is absorbed by the group effects",
+            columns=[INTERCEPT],
+        )
+    labels, codes = _group_codes(groups, design.n)
+    if need_repeats and codes.size == labels.size:
+        raise DataValidationError("no within variation: all groups are singletons")
+    Xw = design.X - _group_means(design.X, codes, labels.size)[codes]
+    try:
+        _check_rank_dense(Xw, design.names, np.linalg.norm(design.X, axis=0))
+    except DesignError as err:
+        raise DesignError(
+            "no within-group variation (time-invariant or collinear after "
+            f"demeaning): {', '.join(err.columns)}",
+            columns=err.columns,
+        ) from None
+    return labels, codes, Xw
+
+
+def _check_penalty(penalty):
+    if not 0.0 <= penalty < np.inf:  # NaN fails both comparisons
+        raise ConfigError(f"penalty must satisfy 0 <= penalty < inf, got {penalty}")
+
+
+def fit_quantile_fixed_effects(design, groups, theta, *, penalty=0.0, _problem=None):
+    """Quantile regression with firm fixed effects.
+
+    ``penalty`` is the L1 weight lambda on the effects (Koenker 2004,
+    "Quantile regression for longitudinal data").  At 0 each group gets one
+    free effect: one indicator column per group, fit jointly with the slopes
+    (the indicator block is handled with specialized linear algebra, so
+    large group counts stay cheap).  Above 0 the effects are shrunk by
+    ``penalty * sum |a_i|``: one zero-response penalty row per group enters
+    the same LP with symmetric weights.  A negative or non-finite penalty
+    raises ``ConfigError``.
+
+    An intercept column is rejected: the group effects absorb it.
+
+    ``_problem`` is ``_fe_problem(design, groups, penalty, weights)``, built
+    once by a caller that fits several theta on one design (the bootstrap
+    refits, ``adjustment.fit_quantiles``) and passed to each of those fits.
+    """
+    theta = _validate_theta(theta)
+    _check_penalty(penalty)
+    labels, ops = _problem or _fe_problem(design, groups, penalty)
+    fit, effects = _solve_pinball(ops, theta, design.names)
+    fit.group_effects = dict(zip(labels, effects.tolist()))
+    fit.solver_meta["penalty"] = penalty
+    return fit
+
+
+def _fe_problem(design, groups, penalty, weights=None):
+    """The part of a quantile fixed-effects fit that does not depend on
+    theta: the group labels (as the ``str`` keys of ``group_effects``), the
+    within-rank check, and the grouped design operator with its response
+    and row ``weights`` (default ones), which scale each row's check loss.
+    The rows of a group share one weight m, so a group entered once with
+    weight m has the optimum of m copies of it, each with its own effect;
+    when ``penalty > 0`` the group's penalty row weighs ``penalty * m``.
+    The fit's objective, pseudo-R^2 and sign counts stay unweighted."""
+    labels, codes, _ = _check_within(design, groups)
+    pen = None
+    if penalty != 0.0:
+        pen = np.empty(labels.size)
+        pen[codes] = 1.0 if weights is None else weights
+        pen *= penalty
+    ops = _GroupedOps(design.X, design.y, codes, labels.size, weights, pen)
+    return [str(label) for label in labels], ops
+
+
+# ---------------------------------------------------------------------------
 # exact small-instance oracle
 # ---------------------------------------------------------------------------
 
@@ -724,7 +828,7 @@ def bootstrap_se(
     every drawn firm gets one effect (its penalty row also weighted by m),
     and adds the multiplicity-weighted mean effect (``"fixed_effects_mean"``)
     to the design's estimates.  A penalty needs cluster labels, and a
-    design its point fit rejects raises that fit's ``DesignError`` before
+    penalty or design its point fit rejects raises that fit's error before
     the first draw.  Replicate seeds derive from ``seed``, so the same seed
     gives bit-identical results in every run.
 
@@ -794,8 +898,6 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
     chunk has finished."""
     import multiprocessing
 
-    from . import effects
-
     if np.ndim(thetas) != 1:
         raise ValueError(f"thetas must be a tuple of quantiles, got {thetas!r}")
     thetas = tuple(_validate_theta(t) for t in thetas)
@@ -803,6 +905,8 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
         raise ValueError(f"need one or more distinct thetas, got {thetas}")
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replications")
+    if penalty is not None:
+        _check_penalty(penalty)
     jobs = []
     for design, cluster, seed in problems:
         if cluster is None:
@@ -810,9 +914,9 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
                 raise ValueError("a penalty needs cluster labels: they are the effects' groups")
             codes = np.arange(design.n)  # the row bootstrap: one unit per row
         elif penalty is None:
-            _, codes = effects._group_codes(cluster, design.n)
+            _, codes = _group_codes(cluster, design.n)
         else:
-            _, codes, _ = effects._check_within(design, cluster)
+            _, codes, _ = _check_within(design, cluster)
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         jobs.append(((design, codes, int(codes.max()) + 1, penalty, thetas), seed.spawn(n_boot)))
@@ -989,16 +1093,14 @@ def _refit(design, codes, mult, penalty):
 
         return refit
 
-    from . import effects
-
     groups = codes[idx]
-    problem = effects._fe_problem(sub, groups, penalty, weights)
+    problem = _fe_problem(sub, groups, penalty, weights)
     # group effects come in ascending unit order, as mult[mult > 0] does
     unit_weights = mult[mult > 0]
 
     def refit(theta):
-        # looked up at call time, so a wrapper installed on the module sees it
-        fit = effects.fit_quantile_fixed_effects(
+        # a global looked up at call time, so a wrapper bound to it sees the refit
+        fit = fit_quantile_fixed_effects(
             sub, groups, theta, penalty=penalty, _problem=problem
         )
         effect = np.fromiter(fit.group_effects.values(), dtype=float)

@@ -130,14 +130,14 @@ def quantile_table_csv(thetas, fits, variables):
 # ---------------------------------------------------------------------------
 
 
-def render_speed_table(results_by_kind, thetas, title="ADJUSTMENT SPEED"):
+def render_speed_table(results, thetas, title="ADJUSTMENT SPEED"):
     """SPEED / R-squared row pairs per leverage kind, columns by quantile."""
     rows = [[title, "QUANTILES"] + [""] * (len(thetas) - 1)]
     rows.append([""] + [fmt_theta(t) for t in thetas])
     for kind in ("market", "book"):
-        if kind not in results_by_kind:
+        by_theta = {r.theta: r for r in results if r.leverage == kind}
+        if not by_theta:
             continue
-        by_theta = {r.theta: r for r in results_by_kind[kind]}
         speed_cells, r2_cells = [], []
         for t in thetas:
             res = by_theta.get(t)
@@ -151,15 +151,15 @@ def render_speed_table(results_by_kind, thetas, title="ADJUSTMENT SPEED"):
         rows.append([f"SPEED {kind.upper()}"] + speed_cells)
         rows.append(["R-squared"] + r2_cells)
     lines = _table(rows)
-    if any(r.out_of_range for rs in results_by_kind.values() for r in rs):
+    if any(r.out_of_range for r in results):
         lines.append("! lag coefficient outside [0, 1]; speed reported unclipped")
     return "\n".join(lines) + "\n"
 
 
-def speed_table_csv(results_by_kind):
+def speed_table_csv(results):
     lines = ["leverage,regime,theta,speed,lag_coefficient,pseudo_r2,n_used,out_of_range"]
     for kind in ("market", "book"):
-        for res in results_by_kind.get(kind, ()):
+        for res in (r for r in results if r.leverage == kind):
             regime = res.regime.value if res.regime is not None else ""
             lines.append(
                 f"{res.leverage},{regime},{fmt_theta(res.theta)},"

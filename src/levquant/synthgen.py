@@ -10,6 +10,7 @@ per-year order, so attrition only removes rows from a seed's panel.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -27,6 +28,10 @@ _BURN_IN = 10
 
 DEFAULT_BETA = {"profta": -0.50, "liqta": -0.03, "sizeat": 0.02}
 DEFAULT_GAMMA = {"inflation": 0.002, "gdp_rate": -0.0015}
+
+
+def _finite(*values):
+    return all(isinstance(v, numbers.Real) and -np.inf < v < np.inf for v in values)
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,23 @@ class SynthConfig:
         bad = set(self.gamma) - {"inflation", "gdp_rate"}
         if bad:
             raise ConfigError(f"unknown macro names in gamma: {sorted(bad)}")
+        if not _finite(self.intercept, *self.beta.values(), *self.gamma.values()):
+            raise ConfigError("intercept, beta and gamma must be finite, got "
+                              f"{self.intercept}, {self.beta}, {self.gamma}")
+        if not 0.0 <= self.firm_effect_sd < np.inf:  # NaN fails both comparisons
+            raise ConfigError("firm_effect_sd must be nonnegative and finite, got "
+                              f"{self.firm_effect_sd}")
+        if not 0.0 < self.tax_rate < np.inf:
+            raise ConfigError(f"tax_rate must be positive and finite, got {self.tax_rate}")
+        if self.macro_path is not None:
+            if len(self.macro_path) < self.t_max:
+                raise ConfigError(
+                    f"macro_path covers {len(self.macro_path)} years, need {self.t_max}"
+                )
+            for entry in self.macro_path:
+                if np.shape(entry) != (2,) or not _finite(*entry):
+                    raise ConfigError("macro_path entries must be finite (inflation, gdp_growth) "
+                                      f"pairs, got {entry!r}")
 
     def delta_for(self, regime):
         if isinstance(self.delta, tuple):
@@ -125,13 +147,8 @@ def _macro_series(config, rng):
     total = _BURN_IN + config.t_max
     first = config.start_year - _BURN_IN
     if config.macro_path is not None:
-        path = list(config.macro_path)
-        if len(path) < config.t_max:
-            raise ConfigError(
-                f"macro_path covers {len(path)} years, need {config.t_max}"
-            )
         # recycle the first entry through the burn-in window
-        path = [path[0]] * _BURN_IN + path[: config.t_max]
+        path = [config.macro_path[0]] * _BURN_IN + list(config.macro_path[: config.t_max])
     else:
         infl, gdp = 3.0, 2.0
         path = []
@@ -323,12 +340,11 @@ def monte_carlo_speed(
             panel, _ = generate_panel(rep_config)
             if per_regime:
                 out = estimate_speed_by_regime(panel, spec)
-                results, skipped = out.results, out.skipped
+                results, skipped = sum(out.results.values(), []), out.skipped
             else:
-                results, skipped = {None: estimate_speed(panel, spec)}, {}
-            for regime, regime_results in results.items():
-                for res in regime_results:
-                    draws[(res.theta, regime)].append(res.speed)
+                results, skipped = estimate_speed(panel, spec), {}
+            for res in results:
+                draws[(res.theta, res.regime)].append(res.speed)
             for regime, reason in skipped.items():
                 failures.append(f"replication {i}: {regime.value} skipped: {reason}")
         except (

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levquant import adjustment, effects
+from levquant import adjustment, effects, quantreg
 from levquant import (
     ConfigError,
     Regime,
@@ -129,7 +129,7 @@ class TestFitQuantiles:
 
         def counted(design, groups, penalty):
             built.append(design)
-            return effects._fe_problem(design, groups, penalty)
+            return quantreg._fe_problem(design, groups, penalty)
 
         monkeypatch.setattr(adjustment, "_fe_problem", counted)
         design, firms, fits = fit_quantiles(panel, spec, predictors)

@@ -17,13 +17,11 @@ from levquant.cli import (
     Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
     simulate_config,
 )
-from levquant.effects import (
-    _fe_problem, fit_quantile_fixed_effects, hausman_decision, hausman_test,
-)
+from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
 from levquant.panel import design_from_panel
 from levquant import cli, effects, quantreg
 from levquant import panel as panel_module
-from levquant.quantreg import bootstrap_se
+from levquant.quantreg import _fe_problem, bootstrap_se
 
 THETAS = ("0.15", "0.35", "0.5", "0.75", "0.95")
 

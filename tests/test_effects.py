@@ -24,7 +24,7 @@ from levquant import (
     within_transform,
 )
 from levquant import quantreg
-from levquant.effects import _fe_problem
+from levquant.quantreg import _fe_problem
 
 
 def panel_design(rng, n=60, n_groups=6, k=2, noise=0.3, effect_sd=1.0):

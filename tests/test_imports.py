@@ -1,7 +1,11 @@
-"""The package's import set, and the tail probabilities that replace
-scipy.stats: each call site returns what scipy.stats returned, bit for bit."""
+"""The package's import set and import graph, and the tail probabilities
+that replace scipy.stats: each call site returns what scipy.stats returned,
+bit for bit."""
+import ast
+import graphlib
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -29,6 +33,43 @@ def test_a_fresh_import_loads_neither_scipy_stats_nor_optimize():
     ).stdout.split()
     assert "levquant.cli" in out
     assert [m for m in out if m.startswith(("scipy.stats", "scipy.optimize"))] == []
+
+
+def package_imports():
+    """module -> [(levquant module it imports, whether inside a function)]."""
+    out = {}
+    for path in sorted(pathlib.Path(levquant.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_function = {
+            id(node) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        edges = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = "levquant." * (node.level > 0) + (node.module or "")
+                names = [module] if node.module else [module + a.name for a in node.names]
+            else:
+                continue
+            edges += [
+                (name.split(".")[1], id(node) in in_function)
+                for name in names if name.startswith("levquant.")
+            ]
+        out[path.stem] = edges
+    return out
+
+
+def test_no_package_import_runs_at_call_time_and_the_import_graph_is_acyclic():
+    imports = package_imports()
+    assert {"quantreg", "effects", "adjustment"} <= set(imports)
+    late = {m: sorted({t for t, call in edges if call}) for m, edges in imports.items()}
+    assert {m: t for m, t in late.items() if t} == {}
+    graph = {m: {t for t, _ in edges} for m, edges in imports.items()}
+    assert graph["quantreg"] == {"errors"}
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
 @pytest.mark.parametrize("df", DFS)

@@ -545,6 +545,19 @@ class TestCsvIO:
         assert back.records == panel.records
         assert sorted(back.firms) == sorted(ids)
 
+    def test_round_trip_quotes_a_file_with_a_carriage_return_in_an_id(self, tmp_path):
+        from levquant import write_panel_csv
+
+        ids = ["a\rb", "plain"]
+        panel = ingest_records([record(firm=f) for f in ids])
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        assert path.read_bytes().startswith(b'"firm_id","fyear",')
+        back = read_panel_csv(path)
+        assert back.validation.rejected == []
+        assert back.records == panel.records
+        assert sorted(back.firms) == sorted(ids)
+
     def test_malformed_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         header = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp"

@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 from scipy.stats import norm
 
 from levquant import (
+    ConfigError,
     ConvergenceError,
     DegenerateResampleError,
     DesignError,
@@ -27,12 +28,13 @@ from levquant import (
     fit_quantile,
     fit_quantile_oracle,
 )
-from levquant.effects import _fe_problem, fit_quantile_fixed_effects
-from levquant import effects, quantreg
+from levquant.effects import fit_quantile_fixed_effects
+from levquant import quantreg
 from levquant.quantreg import (
     _check_rank_dense,
     _chol_factor,
     _DenseOps,
+    _fe_problem,
     _GroupedOps,
     _interior_point,
     _polish_vertex,
@@ -620,7 +622,7 @@ def bootstrap_case(mode):
 def fail_first_refit(monkeypatch, theta):
     """Make the next fixed-effects fit at ``theta`` raise ConvergenceError,
     once."""
-    real = effects.fit_quantile_fixed_effects
+    real = quantreg.fit_quantile_fixed_effects
     failed = []
 
     def flaky(design, groups, at, **kwargs):
@@ -629,7 +631,7 @@ def fail_first_refit(monkeypatch, theta):
             raise ConvergenceError("forced")
         return real(design, groups, at, **kwargs)
 
-    monkeypatch.setattr(effects, "fit_quantile_fixed_effects", flaky)
+    monkeypatch.setattr(quantreg, "fit_quantile_fixed_effects", flaky)
 
 
 class TestJointBootstrap:
@@ -677,6 +679,26 @@ class TestJointBootstrap:
             bootstrap_se(design, THETAS, n_boot=4, seed=5, **kwargs)
         assert str(boot.value) == str(point.value)
         assert boot.value.columns == ("intercept",)
+
+    @pytest.mark.parametrize("penalty", [-1.0, np.nan, np.inf])
+    def test_bad_penalty_raises_before_any_draw(self, penalty, monkeypatch):
+        design, kwargs = bootstrap_case("penalized")
+        with pytest.raises(ConfigError) as point:
+            fit_quantile_fixed_effects(design, kwargs["cluster"], 0.5, penalty=penalty)
+        real, calls = quantreg._draws, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(quantreg, "_draws", spy)
+        cluster = kwargs["cluster"]
+        with pytest.raises(ConfigError) as boot:
+            bootstrap_se(design, (0.5,), 4, seed=0, cluster=cluster, penalty=penalty)
+        with pytest.raises(ConfigError) as many:
+            bootstrap_many([(design, cluster, 0)], (0.5,), 4, penalty=penalty)
+        assert str(boot.value) == str(many.value) == str(point.value)
+        assert calls == []
 
     def test_failed_theta_redraws_alone(self, monkeypatch):
         design, kwargs = bootstrap_case("dummy")

@@ -43,6 +43,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="drivable"):
             SynthConfig(beta={"mbratio": 0.1})
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(macro_path=((math.nan, 1.0),) * 3), "macro_path entries must be finite"),
+        (dict(macro_path=((2.0, math.inf),) * 3), "macro_path entries must be finite"),
+        (dict(macro_path=((2.0,),) * 3), "macro_path entries must be finite"),
+        (dict(macro_path=((2.0, 1.0, 0.5),) * 3), "macro_path entries must be finite"),
+        (dict(macro_path=("ab",) * 3), "macro_path entries must be finite"),
+        (dict(macro_path=((2.0, 1.0),) * 2), "macro_path covers 2 years, need 3"),
+        (dict(beta={"profta": math.nan}), "intercept, beta and gamma must be finite"),
+        (dict(gamma={"inflation": math.inf}), "intercept, beta and gamma must be finite"),
+        (dict(intercept=math.nan), "intercept, beta and gamma must be finite"),
+        (dict(firm_effect_sd=math.nan), "firm_effect_sd must be nonnegative and finite"),
+        (dict(firm_effect_sd=-1.0), "firm_effect_sd must be nonnegative and finite"),
+        (dict(tax_rate=0.0), "tax_rate must be positive and finite"),
+        (dict(tax_rate=math.nan), "tax_rate must be positive and finite"),
+    ], ids=["nan macro", "inf macro", "short pair", "long pair", "string entry", "short path",
+            "nan beta", "inf gamma", "nan intercept", "nan firm sd", "negative firm sd",
+            "zero tax rate", "nan tax rate"])
+    def test_generator_parameters_that_would_spoil_the_panel_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            SynthConfig(n_firms=3, t_max=3, **fields)
+
     def test_unknown_error_kind(self):
         with pytest.raises(ConfigError):
             ErrorSpec(kind="cauchy")
