@@ -145,7 +145,7 @@ def _parse(key, text, where=""):
 
 def read_config_file(path):
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -342,14 +342,14 @@ def _write_outputs(cfg, items):
         if kind not in wanted:
             continue
         path = os.path.join(cfg.out, name)
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         written.append(name)
     return written
 
 
 def _write_config_echo(cfg):
-    with open(os.path.join(cfg.out, "config_resolved.txt"), "w") as fh:
+    with open(os.path.join(cfg.out, "config_resolved.txt"), "w", encoding="utf-8") as fh:
         fh.write(config_text(cfg))
     return ["config_resolved.txt"]
 
@@ -386,7 +386,7 @@ def _manifest(cfg, files, statuses, complete):
         with open(os.path.join(cfg.out, name), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         lines.append(f"{name} sha256={digest}")
-    with open(os.path.join(cfg.out, "manifest.txt"), "w") as fh:
+    with open(os.path.join(cfg.out, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -533,7 +533,7 @@ def _write_csv(path, columns, lines):
     # with one has every cell quoted
     lines = list(lines)
     quoting = csv.QUOTE_ALL if any("\r" in c for line in lines for c in line) else csv.QUOTE_MINIMAL
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         writer.writerow(columns)
         writer.writerows(lines)

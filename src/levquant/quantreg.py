@@ -184,13 +184,13 @@ def _koenker_machado(objective, y, theta):
 
 
 class _DenseOps:
-    """A = X^T for a plain dense design, with its response y and the
-    weight w of each row's check loss (default ones)."""
+    """A = X^T for a plain dense design, with its response y; each row's
+    check loss weighs w = 1."""
 
-    def __init__(self, X, y, w=None):
+    def __init__(self, X, y):
         self.X = X
         self.y = y
-        self.w = np.ones(y.size) if w is None else w
+        self.w = np.ones(y.size)
         self.pen = None  # no penalty rows
         self.ncols = X.shape[1]
         self.start = None  # the interior point's start, see _start
@@ -632,7 +632,7 @@ def fit_quantile(design, theta):
 
 def _group_codes(groups, n):
     groups = np.asarray(groups)
-    if groups.shape[0] != n:
+    if groups.shape != (n,):
         raise DataValidationError("every row needs a group label")
     labels, codes = np.unique(groups, return_inverse=True)
     return labels, codes
@@ -811,26 +811,24 @@ _REFIT_ERRORS = (DesignError, ConvergenceError, scipy.linalg.LinAlgError)
 
 
 def bootstrap_se(
-    design, thetas, n_boot=DEFAULT_BOOTSTRAP, seed=0, cluster=None, *, penalty=None,
+    design, thetas, n_boot=DEFAULT_BOOTSTRAP, seed=0, cluster=None, *, penalty=0.0,
     refit_group_effects=False, _pending=None,
 ):
-    """Pairs-bootstrap standard errors of quantile fits at each theta of
-    the tuple ``thetas``.
+    """Firm-cluster bootstrap standard errors of the quantile fixed-effects
+    fits at each theta of the tuple ``thetas``.
 
-    The resampling unit is the cluster when ``cluster`` labels are given
-    (all rows of a drawn cluster enter together), otherwise the row.  A
-    replicate draws as many units as there are, with replacement, and
-    refits once on the rows of the distinct units drawn, each row's check
-    loss weighted by its unit's multiplicity m: the same optimum as
-    refitting m copies of the unit.  ``penalty=None`` refits
-    ``fit_quantile``; a number refits ``fit_quantile_fixed_effects`` with
-    that L1 weight on the effects and the cluster labels as its groups, so
-    every drawn firm gets one effect (its penalty row also weighted by m),
-    and adds the multiplicity-weighted mean effect (``"fixed_effects_mean"``)
-    to the design's estimates.  A penalty needs cluster labels, and a
-    penalty or design its point fit rejects raises that fit's error before
-    the first draw.  Replicate seeds derive from ``seed``, so the same seed
-    gives bit-identical results in every run.
+    ``cluster`` holds one firm label per row; all rows of a drawn firm
+    enter together.  A replicate draws as many firms as there are, with
+    replacement, and refits ``fit_quantile_fixed_effects`` once on the rows
+    of the distinct firms drawn, with ``penalty`` the L1 weight on the
+    effects and the firms as its groups, each row's check loss (and its
+    firm's penalty row) weighted by the firm's multiplicity m: the same
+    optimum as refitting m copies of the firm, each with its own effect.
+    The estimates are the design's columns and the multiplicity-weighted
+    mean effect (``"fixed_effects_mean"``).  Labels, a penalty or a design
+    that the point fit rejects raise that fit's error before the first
+    draw.  Replicate seeds derive from ``seed``, so the same seed gives
+    bit-identical results in every run.
 
     The thetas share the draws: each draw's sub-problem is built once and
     refit at every theta, so replicate b of every theta comes from the
@@ -850,18 +848,18 @@ def bootstrap_se(
     each problem's chunks in one call of this function, with ``_pending``
     (private to it) the problem's checked work and chunk results.
 
-    ``refit_group_effects=True``, which also takes a scalar theta, is the
-    older spelling of ``penalty=0.0`` that perfbench's tracer test uses.
+    ``refit_group_effects=True``, which perfbench's tracer test passes,
+    also takes a scalar theta; every refit has group effects either way.
     """
     if _pending is not None:
         return _result(*_pending)
     if refit_group_effects:
-        thetas, penalty = tuple(np.ravel(thetas)), 0.0 if penalty is None else penalty
+        thetas = tuple(np.ravel(thetas))
     with _pooled_draws([(design, cluster, seed)], thetas, n_boot, penalty) as (pending,):
         return _result(*pending)
 
 
-def bootstrap_many(problems, thetas, n_boot=DEFAULT_BOOTSTRAP, *, penalty=None):
+def bootstrap_many(problems, thetas, n_boot=DEFAULT_BOOTSTRAP, *, penalty=0.0):
     """The ``bootstrap_se`` of each ``(design, cluster, seed)`` of
     ``problems`` at the same ``thetas``, ``n_boot`` and ``penalty``: a list
     of ``BootstrapResult`` in problem order, each bit-identical to a
@@ -905,21 +903,13 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
         raise ValueError(f"need one or more distinct thetas, got {thetas}")
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replications")
-    if penalty is not None:
-        _check_penalty(penalty)
+    _check_penalty(penalty)
     jobs = []
     for design, cluster, seed in problems:
-        if cluster is None:
-            if penalty is not None:
-                raise ValueError("a penalty needs cluster labels: they are the effects' groups")
-            codes = np.arange(design.n)  # the row bootstrap: one unit per row
-        elif penalty is None:
-            _, codes = _group_codes(cluster, design.n)
-        else:
-            _, codes, _ = _check_within(design, cluster)
+        labels, codes, _ = _check_within(design, cluster)
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
-        jobs.append(((design, codes, int(codes.max()) + 1, penalty, thetas), seed.spawn(n_boot)))
+        jobs.append(((design, codes, labels.size, penalty, thetas), seed.spawn(n_boot)))
 
     refit_rows = n_boot * len(thetas) * sum(work[0].n for work, _ in jobs)
     workers, setters = _workers(n_boot * len(jobs), refit_rows)
@@ -958,7 +948,7 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
 def _result(work, parts):
     """The ``BootstrapResult`` of one problem from the ``_draws`` of its
     chunks; the first chunk to fail raises its error."""
-    design, _, _, penalty, thetas = work
+    design, *_, thetas = work
     rows, *counts = zip(*parts)
     rows = np.concatenate(rows)
     attempts, degenerate, polished = (sum(c) for c in counts)
@@ -967,7 +957,7 @@ def _result(work, parts):
             raise DegenerateResampleError(
                 f"{bad} of {tried} resamples were degenerate at theta {t}"
             )
-    names = list(design.names) + ([] if penalty is None else ["fixed_effects_mean"])
+    names = [*design.names, "fixed_effects_mean"]
     ses = np.std(rows, axis=0, ddof=1)
     return BootstrapResult(
         std_errors={
@@ -986,7 +976,7 @@ def _draws(design, codes, n_units, penalty, thetas, first, children):
     bootstrap problem, one per seed of ``children``: (rows, attempts,
     degenerate, polished), the replicates and the per-theta counts.  The
     first replicate that gives up raises ``DegenerateResampleError``."""
-    rows = np.empty((len(children), len(thetas), len(design.names) + (penalty is not None)))
+    rows = np.empty((len(children), len(thetas), len(design.names) + 1))
     attempts = np.zeros(len(thetas), dtype=int)
     degenerate = np.zeros(len(thetas), dtype=int)
     polished = np.zeros(len(thetas), dtype=int)
@@ -1071,31 +1061,21 @@ def _one_blas_thread(setters):
 
 
 def _refit(design, codes, mult, penalty):
-    """The refit of one draw as a function of theta, which returns the
-    estimates in design column order (then ``fixed_effects_mean``, with a
-    penalty) and whether the refit was polished to a vertex.  The refit
-    keeps the rows of the units with ``mult > 0``, each row weighted by its
-    unit's multiplicity; what does not depend on theta is built here once,
-    and raises as a refit would.  ``penalty`` is None for a refit without
-    group effects, else the effects' L1 weight.  Its ``fixed_effects_mean``
-    is the mean effect over the drawn copies (each distinct firm weighted
-    by its multiplicity), not over distinct firms."""
+    """The fixed-effects refit of one draw, with ``penalty`` the effects'
+    L1 weight, as a function of theta, which returns the estimates in
+    design column order, then ``fixed_effects_mean``, and whether the refit
+    was polished to a vertex.  The refit keeps the rows of the firms with
+    ``mult > 0``, each row weighted by its firm's multiplicity; what does
+    not depend on theta is built here once, and raises as a refit would.
+    Its ``fixed_effects_mean`` is the mean effect over the drawn copies
+    (each distinct firm weighted by its multiplicity), not over distinct
+    firms."""
     idx = np.flatnonzero(mult[codes])
     weights = mult[codes[idx]].astype(float)
     sub = DesignMatrix(names=design.names, X=design.X[idx], y=design.y[idx])
-    if penalty is None:
-        _check_rank_dense(sub.X, sub.names)
-        ops = _DenseOps(sub.X, sub.y, weights)
-
-        def refit(theta):
-            fit, _ = _solve_pinball(ops, theta, sub.names)
-            return list(fit.coefficients.values()), fit.solver_meta["polished"]
-
-        return refit
-
     groups = codes[idx]
     problem = _fe_problem(sub, groups, penalty, weights)
-    # group effects come in ascending unit order, as mult[mult > 0] does
+    # group effects come in ascending firm order, as mult[mult > 0] does
     unit_weights = mult[mult > 0]
 
     def refit(theta):

@@ -386,5 +386,5 @@ def write_ground_truth(truth, path):
     lines.append("[firm_effects]")
     for firm, a_i in sorted(truth.firm_effects.items()):
         lines.append(f"{firm} = {a_i!r}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

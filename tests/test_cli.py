@@ -3,6 +3,8 @@ import inspect
 import multiprocessing.pool
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -396,6 +398,17 @@ class TestConfig:
         values = read_config_file(cfg)
         assert values == {"seed": 5, "theta": (0.25, 0.75), "winsorize": None}
 
+    def test_file_with_a_byte_order_mark(self, synth_inputs, tmp_path):
+        # an editor that saves "UTF-8 with BOM" puts U+FEFF before the first key
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("\ufeffseed = 5\ntheta = 0.25,0.75\n", encoding="utf-8")
+        assert read_config_file(cfg) == {"seed": 5, "theta": (0.25, 0.75)}
+        out = tmp_path / "ingest"
+        write_config(cfg, synth_inputs, out)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        assert (out / "validation_report.txt").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -617,3 +630,56 @@ class TestSimulate:
         assert main(["simulate", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
+
+
+# a locale whose encoding is ASCII, where Python's own UTF-8 modes stay off
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+PANEL_HEADER = "firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp\n"
+
+
+def run_in_c_locale(*args):
+    """``python *args`` run under ``C_LOCALE`` with this levquant."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, **C_LOCALE}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+class TestUtf8Files:
+    """Every file levquant writes is UTF-8, whatever the locale."""
+
+    def test_replicate_reports_a_non_ascii_firm(self, synth_inputs, tmp_path):
+        panel = tmp_path / "panel.csv"
+        flagged = "Zürich,2000,0,55,150,80,40,100,10,21,110,105,15\n"
+        text = (synth_inputs / "panel.csv").read_text(encoding="utf-8")
+        panel.write_text(text + flagged, encoding="utf-8")
+        out = tmp_path / "bundle"
+        done = run_in_c_locale(
+            "-m", "levquant.cli", "replicate", "--input", str(panel),
+            "--macro", str(synth_inputs / "macro.csv"),
+            "--tax-table", str(synth_inputs / "tax.csv"), "--bootstrap", "0", "--out", str(out),
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert "status = complete" in (out / "manifest.txt").read_text(encoding="utf-8")
+        report = (out / "validation_report.txt").read_text(encoding="utf-8")
+        assert "('Zürich', 2000): total_assets <= 0: unusable" in report
+
+    def test_panel_round_trip_of_a_non_ascii_id(self, tmp_path):
+        source, copy = tmp_path / "source.csv", tmp_path / "copy.csv"
+        source.write_text(
+            PANEL_HEADER
+            + "Zürich,2000,200,50,150,80,40,100,10,21,100,100,15\n"
+            + "Zürich,2001,210,55,150,80,40,100,10,21,110,105,15\n",
+            encoding="utf-8",
+        )
+        code = (
+            "import sys\n"
+            "from levquant import read_panel_csv, write_panel_csv\n"
+            "panel = read_panel_csv(sys.argv[1])\n"
+            "write_panel_csv(panel, sys.argv[2])\n"
+            "back = read_panel_csv(sys.argv[2])\n"
+            "assert back.records == panel.records and back.validation.rejected == []\n"
+        )
+        done = run_in_c_locale("-c", code, str(source), str(copy))
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        firms = [line.split(",")[0] for line in copy.read_text(encoding="utf-8").splitlines()]
+        assert firms == ["firm_id", "Zürich", "Zürich"]

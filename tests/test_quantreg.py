@@ -18,6 +18,7 @@ from scipy.stats import norm
 from levquant import (
     ConfigError,
     ConvergenceError,
+    DataValidationError,
     DegenerateResampleError,
     DesignError,
     DesignMatrix,
@@ -28,7 +29,7 @@ from levquant import (
     fit_quantile,
     fit_quantile_oracle,
 )
-from levquant.effects import fit_quantile_fixed_effects
+from levquant.effects import fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects
 from levquant import quantreg
 from levquant.quantreg import (
     _check_rank_dense,
@@ -39,7 +40,6 @@ from levquant.quantreg import (
     _interior_point,
     _polish_vertex,
     _primal_steplen,
-    _solve_pinball,
     _solve_square,
     _steplen,
 )
@@ -423,37 +423,28 @@ class TestPseudoR2:
 
 class TestBootstrap:
     def test_constant_panel_zero_se(self):
-        d = intercept_design(np.full(12, 2.5))
-        out = bootstrap_se(d, (0.5,), n_boot=2, seed=1)
-        assert out.std_errors[0.5]["intercept"] == 0.0
+        firms = np.repeat(np.arange(6), 2)
+        d = DesignMatrix(names=("x",), X=np.arange(12.0)[:, None], y=np.full(12, 2.5))
+        out = bootstrap_se(d, (0.5,), n_boot=2, seed=1, cluster=firms)
+        assert out.std_errors[0.5] == {"x": 0.0, "fixed_effects_mean": 0.0}
 
     def test_fixed_seed_reproducible(self):
-        rng = np.random.default_rng(9)
-        d = random_design(rng, n=25, k=2)
-        a = bootstrap_se(d, (0.5,), n_boot=25, seed=42)
-        b = bootstrap_se(d, (0.5,), n_boot=25, seed=42)
+        d, firms = grouped_panel(9, n_firms=8, years=3)
+        a = bootstrap_se(d, (0.5,), n_boot=25, seed=42, cluster=firms)
+        b = bootstrap_se(d, (0.5,), n_boot=25, seed=42, cluster=firms)
         assert a.std_errors == b.std_errors
         assert np.array_equal(a.replicates, b.replicates)
 
-    def test_matches_asymptotic_median_se(self):
-        # median of n iid normals has asymptotic SE 1/(2 f(0)) / sqrt(n)
-        rng = np.random.default_rng(202)
-        n = 400
-        d = intercept_design(rng.normal(size=n))
-        out = bootstrap_se(d, (0.5,), n_boot=500, seed=7)
-        target = np.sqrt(np.pi / 2.0) / np.sqrt(n)
-        assert abs(out.std_errors[0.5]["intercept"] - target) <= 0.25 * target
-
     def test_cluster_labels_must_cover(self):
-        d = intercept_design(np.arange(10.0))
+        d = DesignMatrix(names=("x",), X=np.arange(10.0)[:, None], y=np.arange(10.0))
         with pytest.raises(ValueError):
             bootstrap_se(d, (0.5,), n_boot=5, seed=0, cluster=np.arange(4))
 
     def test_group_effects_need_cluster_labels(self):
-        # a penalty is a fixed-effects refit, whose groups are the clusters
+        # the refit's groups are the clusters
         d = DesignMatrix(names=("x",), X=np.arange(10.0)[:, None], y=np.arange(10.0))
         for penalty in (0.0, 0.5):
-            with pytest.raises(ValueError, match="needs cluster labels"):
+            with pytest.raises(DataValidationError, match="every row needs a group label"):
                 bootstrap_se(d, (0.5,), n_boot=5, seed=0, penalty=penalty)
 
     def test_scalar_theta_rejected(self):
@@ -468,40 +459,68 @@ class TestBootstrap:
             bootstrap_se(d, (0.5,), n_boot=1, seed=0)
 
     def test_mostly_degenerate_resamples_error(self):
-        # two predictors alive only inside their own single cluster: most
-        # cluster resamples lose one of them entirely
+        # two predictors that vary within their own single cluster: most
+        # cluster resamples lose the within variation of one of them
         rng = np.random.default_rng(17)
         n_clusters, per = 8, 4
         n = n_clusters * per
         cl = np.repeat(np.arange(n_clusters), per)
         x1 = np.where(cl == 0, rng.normal(size=n), 0.0)
         x2 = np.where(cl == 1, rng.normal(size=n), 0.0)
-        X = np.column_stack([np.ones(n), x1, x2])
-        d = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=rng.normal(size=n))
-        with pytest.raises(DegenerateResampleError):
+        X = np.column_stack([x1, x2])
+        d = DesignMatrix(names=("x1", "x2"), X=X, y=rng.normal(size=n))
+        with pytest.raises(DegenerateResampleError,
+                           match="^[0-9]+ of [0-9]+ resamples were degenerate at theta 0.5$"):
             bootstrap_se(d, (0.5,), n_boot=30, seed=3, cluster=cl)
 
-    def test_every_resample_degenerate_stops_after_fifty(self):
-        x = np.arange(1.0, 11.0)
-        d = DesignMatrix(names=("x", "twice_x"), X=np.column_stack([x, 2.0 * x]),
-                         y=np.arange(10.0))
+    def test_every_resample_degenerate_stops_after_fifty(self, monkeypatch):
+        design, firms = grouped_panel(10, n_firms=5, years=2)
+
+        def degenerate(*args, **kwargs):
+            raise DesignError("forced")
+
+        monkeypatch.setattr(quantreg, "fit_quantile_fixed_effects", degenerate)
         with pytest.raises(DegenerateResampleError,
-                           match="replicate 0: 50 consecutive degenerate resamples"):
-            bootstrap_se(d, (0.5,), n_boot=5, seed=0)
+                           match="^replicate 0: 50 consecutive degenerate resamples at theta 0.5$"):
+            bootstrap_se(design, (0.5,), n_boot=5, seed=0, cluster=firms)
 
     def test_cluster_bootstrap_runs(self):
-        rng = np.random.default_rng(19)
-        n = 60
-        cl = np.repeat(np.arange(12), 5)
-        x = rng.normal(size=n)
-        d = DesignMatrix(
-            names=("intercept", "x"),
-            X=np.column_stack([np.ones(n), x]),
-            y=1 + x + rng.normal(size=n),
-        )
-        out = bootstrap_se(d, (0.5,), n_boot=30, seed=2, cluster=cl)
-        assert out.std_errors[0.5]["x"] > 0.0
-        assert set(out.std_errors[0.5]) == {"intercept", "x"}
+        design, firms = grouped_panel(19, n_firms=12, years=5)
+        out = bootstrap_se(design, (0.5,), n_boot=30, seed=2, cluster=firms)
+        assert out.std_errors[0.5]["x1"] > 0.0
+        assert set(out.std_errors[0.5]) == {"x1", "x2", "fixed_effects_mean"}
+
+
+GOOD_FIRMS = np.repeat(np.arange(6), 3)
+BAD_LABELS = {
+    "none": None,
+    "scalar": 3,
+    "two_d": GOOD_FIRMS[:, None],
+    "wrong_length": GOOD_FIRMS[:-1],
+}
+LABELLED_FITS = {
+    "fit_quantile_fixed_effects": lambda d, g: fit_quantile_fixed_effects(d, g, 0.5),
+    "fit_fixed_effects": fit_fixed_effects,
+    "fit_random_effects": lambda d, g: fit_random_effects(
+        d, g, fit_fixed_effects(d, GOOD_FIRMS)
+    ),
+    "bootstrap_se": lambda d, g: bootstrap_se(d, (0.5,), 4, seed=0, cluster=g),
+    "bootstrap_many": lambda d, g: bootstrap_many([(d, g, 0)], (0.5,), 4),
+}
+
+
+@pytest.mark.parametrize("labels", BAD_LABELS)
+@pytest.mark.parametrize("fit", LABELLED_FITS)
+def test_group_labels_are_one_per_row(fit, labels, monkeypatch):
+    design, _ = grouped_panel(12, n_firms=6, years=3)
+    LABELLED_FITS[fit](design, GOOD_FIRMS)  # the same call with good labels fits
+
+    def no_draw(*args):
+        raise AssertionError("a draw was refit")
+
+    monkeypatch.setattr(quantreg, "_refit", no_draw)
+    with pytest.raises(DataValidationError, match="^every row needs a group label$"):
+        LABELLED_FITS[fit](design, BAD_LABELS[labels])
 
 
 def grouped_panel(seed, n_firms=30, years=6):
@@ -525,14 +544,10 @@ class TestWeightedRefit:
     """A replicate refits once on the distinct units drawn, weighted by
     multiplicity; that LP has the optimum of the duplicated-row refit."""
 
-    @pytest.mark.parametrize("mode", ["dummy", "penalized", "row", "cluster"])
+    @pytest.mark.parametrize("mode", ["dummy", "penalized"])
     @pytest.mark.parametrize("theta", [0.2, 0.5, 0.9])
     def test_objective_matches_duplicated_rows(self, mode, theta):
-        design, firms = grouped_panel(51)
-        if mode in ("row", "cluster"):
-            X = np.column_stack([np.ones(design.n), design.X])
-            design = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y)
-        codes = np.arange(design.n) if mode == "row" else firms
+        design, codes = grouped_panel(51)
         n_units = codes.max() + 1
         for draw in range(4):
             picks = np.random.default_rng(draw).integers(0, n_units, n_units)
@@ -542,15 +557,11 @@ class TestWeightedRefit:
             keep = np.flatnonzero(mult[codes])
             w = mult[codes[keep]].astype(float)
             sub = DesignMatrix(names=design.names, X=design.X[keep], y=design.y[keep])
-            if mode in ("dummy", "penalized"):
-                ref = fit_quantile_fixed_effects(dup, copy, theta, penalty=PENALTY[mode])
-                problem = _fe_problem(sub, codes[keep], PENALTY[mode], w)
-                fit = fit_quantile_fixed_effects(
-                    sub, codes[keep], theta, penalty=PENALTY[mode], _problem=problem
-                )
-            else:
-                ref = fit_quantile(dup, theta)
-                fit, _ = _solve_pinball(_DenseOps(sub.X, sub.y, w), theta, sub.names)
+            ref = fit_quantile_fixed_effects(dup, copy, theta, penalty=PENALTY[mode])
+            problem = _fe_problem(sub, codes[keep], PENALTY[mode], w)
+            fit = fit_quantile_fixed_effects(
+                sub, codes[keep], theta, penalty=PENALTY[mode], _problem=problem
+            )
             ref_obj = ref.objective
             obj = quantreg._weighted_pinball(fit.residuals, w * theta, w * (1.0 - theta))
             if mode == "penalized":
@@ -586,13 +597,10 @@ class TestWeightedRefit:
         fit.std_errors = dict(std_errors, x1=0.0)
         assert fit.p_values["x1"] == 0.0
 
-    @pytest.mark.parametrize("mode", ["row", "cluster"])
-    def test_dense_refit_checks_rank_once_per_draw(self, mode, monkeypatch):
-        # the rank check and the operator are built once per draw and serve
-        # every theta, as a fixed-effects refit's problem does
+    def test_refit_checks_rank_once_per_draw(self, monkeypatch):
+        # the within-rank check and the operator are built once per draw
+        # and serve every theta; one more check precedes the first draw
         design, firms = grouped_panel(55)
-        X = np.column_stack([np.ones(design.n), design.X])
-        design = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y)
         calls = []
 
         def counted(*args):
@@ -600,10 +608,9 @@ class TestWeightedRefit:
             return _check_rank_dense(*args)
 
         monkeypatch.setattr(quantreg, "_check_rank_dense", counted)
-        cluster = firms if mode == "cluster" else None
-        out = bootstrap_se(design, (0.25, 0.5, 0.9), n_boot=3, seed=0, cluster=cluster)
+        out = bootstrap_se(design, (0.25, 0.5, 0.9), n_boot=3, seed=0, cluster=firms)
         assert out.n_redrawn == 0
-        assert len(calls) == 3
+        assert len(calls) == 1 + 3
 
 
 THETAS = (0.15, 0.5, 0.95)
@@ -611,11 +618,8 @@ THETAS = (0.15, 0.5, 0.95)
 
 def bootstrap_case(mode):
     """A design and the bootstrap_se keywords of a cluster refit with
-    group effects (dummy or penalized) or of the row bootstrap."""
+    group effects, dummy or penalized."""
     design, firms = grouped_panel(54)
-    if mode == "row":
-        X = np.column_stack([np.ones(design.n), design.X])
-        return DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=design.y), {}
     return design, dict(cluster=firms, penalty=PENALTY[mode])
 
 
@@ -638,11 +642,11 @@ class TestJointBootstrap:
     """A tuple of thetas refits each draw at every theta; each theta's
     replicates are those of a call with that theta alone."""
 
-    @pytest.mark.parametrize("mode", ["dummy", "penalized", "row"])
+    @pytest.mark.parametrize("mode", ["dummy", "penalized"])
     def test_joint_equals_separate_bit_for_bit(self, mode):
         design, kwargs = bootstrap_case(mode)
         joint = bootstrap_se(design, THETAS, n_boot=6, seed=5, **kwargs)
-        n_estimates = design.k + (mode != "row")  # plus fixed_effects_mean
+        n_estimates = design.k + 1  # plus fixed_effects_mean
         assert joint.replicates.shape == (6, len(THETAS), n_estimates)
         assert joint.n_boot == 6
         for i, theta in enumerate(THETAS):
@@ -738,8 +742,8 @@ def redrawing_case():
     rng = np.random.default_rng(23)
     cl = np.repeat(np.arange(10), 4)
     x1 = np.where(cl == 0, rng.normal(size=cl.size), 0.0)
-    X = np.column_stack([np.ones(cl.size), x1, rng.normal(size=cl.size)])
-    design = DesignMatrix(names=("intercept", "x1", "x2"), X=X, y=rng.normal(size=cl.size))
+    X = np.column_stack([x1, rng.normal(size=cl.size)])
+    design = DesignMatrix(names=("x1", "x2"), X=X, y=rng.normal(size=cl.size))
     return design, dict(cluster=cl)
 
 
@@ -776,7 +780,7 @@ class TestPooledBootstrap:
     """Draws refit in forked workers, one contiguous chunk each, give what
     the in-process loop gives, and leave no process behind."""
 
-    @pytest.mark.parametrize("mode", ["dummy", "penalized", "row", "redrawn"])
+    @pytest.mark.parametrize("mode", ["dummy", "penalized", "redrawn"])
     def test_every_worker_count_is_bit_identical(self, mode, monkeypatch):
         design, kwargs = redrawing_case() if mode == "redrawn" else bootstrap_case(mode)
         results = []
@@ -838,13 +842,13 @@ class TestPooledBootstrap:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_each_problem_of_one_call_equals_the_problem_alone(self, workers, monkeypatch):
-        row, _ = bootstrap_case("row")
+        clean, firms = grouped_panel(54)
         redrawn, kwargs = redrawing_case()
-        problems = [(row, None, 5), (redrawn, kwargs["cluster"], 6)]
+        problems = [(clean, firms, 5), (redrawn, kwargs["cluster"], 6)]
         alone = [bootstrap_se(d, THETAS, n_boot=7, seed=s, cluster=c) for d, c, s in problems]
         assert alone[1].n_redrawn > 0
         force_workers(monkeypatch, workers)
-        assert quantreg._workers(14, 7 * len(THETAS) * (row.n + redrawn.n))[0] == workers
+        assert quantreg._workers(14, 7 * len(THETAS) * (clean.n + redrawn.n))[0] == workers
         results = bootstrap_many(problems, THETAS, 7)
         assert multiprocessing.active_children() == []
         assert len(results) == 2
@@ -886,7 +890,7 @@ class TestPooledBootstrap:
             raise AssertionError("a draw was refit")
 
         monkeypatch.setattr(quantreg, "_refit", no_draw)
-        with pytest.raises(ValueError, match="a penalty needs cluster labels"):
+        with pytest.raises(DataValidationError, match="every row needs a group label"):
             bootstrap_many([(design, kwargs["cluster"], 1), (design, None, 2)], THETAS, 4,
                            penalty=kwargs["penalty"])
 
