@@ -117,8 +117,9 @@ class RunConfig:
         return ("book", "market") if self.leverage == "both" else (self.leverage,)
 
     @property
-    def formats(self):
-        return ("text", "delimited") if self.format == "both" else (self.format,)
+    def extensions(self):
+        """The report files this run writes, by extension."""
+        return {"text": (".txt",), "delimited": (".csv",)}.get(self.format, (".txt", ".csv"))
 
     def spec(self, kind):
         """The target model that every estimation stage fits for one
@@ -144,7 +145,7 @@ def _parse(key, text, where=""):
 
 
 def read_config_file(path):
-    values = {}
+    values, set_on = {}, {}  # set_on: key -> the line that set it
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -156,6 +157,9 @@ def read_config_file(path):
             key = key.strip()
             if key not in _PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
+            set_on[key] = lineno
             values[key] = _parse(key, value.strip(), f"{path}:{lineno}: ")
     return values
 
@@ -199,87 +203,71 @@ def config_text(cfg):
 
 
 # ---------------------------------------------------------------------------
-# pipeline context and stages
+# stages and the run loop
 # ---------------------------------------------------------------------------
 
 
-class Pipeline:
-    """Lazily loads and derives the panel once, shared across stages."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self._panel = None
-
-    @property
-    def panel(self):
-        if self._panel is None:
-            cfg = self.cfg
-            panel = read_panel_csv(cfg.input)
-            macro = read_macro_csv(cfg.macro)
-            if cfg.tax_table:
-                tax = read_tax_csv(cfg.tax_table)
-            else:
-                tax = dict.fromkeys(macro, cfg.tax_rate)
-            self._panel = derive_variables(panel, macro, tax, winsorize=cfg.winsorize)
-        return self._panel
-
-    def _boot_seed(self, kind):
-        # a fresh sequence per call (spawn advances it), keyed on the kind
-        # alone: every quantile of a kind refits the same firm draws
-        kind_index = ("book", "market").index(kind)
-        return np.random.SeedSequence(entropy=self.cfg.seed, spawn_key=(kind_index,))
+def load_panel(cfg):
+    """Read the run's input files and derive the panel every stage reads;
+    without a tax table, ``cfg.tax_rate`` stands in for every macro year."""
+    panel = read_panel_csv(cfg.input)
+    macro = read_macro_csv(cfg.macro)
+    tax = read_tax_csv(cfg.tax_table) if cfg.tax_table else dict.fromkeys(macro, cfg.tax_rate)
+    return derive_variables(panel, macro, tax, winsorize=cfg.winsorize)
 
 
-def stage_ingest(ctx):
-    return [("validation_report.txt", reports.render_validation(ctx.panel.validation), "text")]
+# each stage takes the run config and the derived panel and returns its
+# report files as (name, text) pairs: a .txt file is text, a .csv delimited
 
 
-def stage_describe(ctx):
-    ym = yearly_means(ctx.panel)
+def stage_ingest(cfg, panel):
+    return [("validation_report.txt", reports.render_validation(panel.validation))]
+
+
+def stage_describe(cfg, panel):
+    ym = yearly_means(panel)
     return [
-        ("yearly_means.txt", reports.render_yearly_means(ym), "text"),
-        ("yearly_means.csv", reports.yearly_means_csv(ym), "delimited"),
+        ("yearly_means.txt", reports.render_yearly_means(ym)),
+        ("yearly_means.csv", reports.yearly_means_csv(ym)),
     ]
 
 
-def stage_correlate(ctx):
-    cm = correlation_matrix(ctx.panel)
+def stage_correlate(cfg, panel):
+    cm = correlation_matrix(panel)
     return [
-        ("correlation.txt", reports.render_correlation(cm), "text"),
-        ("correlation.csv", reports.correlation_csv(cm), "delimited"),
+        ("correlation.txt", reports.render_correlation(cm)),
+        ("correlation.csv", reports.correlation_csv(cm)),
     ]
 
 
-def stage_hausman(ctx):
+def stage_hausman(cfg, panel):
     out = []
-    for kind in ctx.cfg.kinds:
-        spec = ctx.cfg.spec(kind)
-        design, firms, _ = design_from_panel(ctx.panel, spec.response, spec.predictors)
+    for kind in cfg.kinds:
+        spec = cfg.spec(kind)
+        design, firms, _ = design_from_panel(panel, spec.response, spec.predictors)
         fe = fit_fixed_effects(design, firms)
         re = fit_random_effects(design, firms, fe)
-        result = hausman_test(fe, re, significance=ctx.cfg.significance)
+        result = hausman_test(fe, re, significance=cfg.significance)
         equation = f"{kind}_leverage"
-        out.append(
-            (f"hausman_{kind}.txt", reports.render_hausman(result, equation), "text")
-        )
-        out.append(
-            (f"hausman_{kind}.csv", reports.hausman_csv(result, equation), "delimited")
-        )
+        out.append((f"hausman_{kind}.txt", reports.render_hausman(result, equation)))
+        out.append((f"hausman_{kind}.csv", reports.hausman_csv(result, equation)))
     return out
 
 
-def stage_qreg(ctx):
-    cfg = ctx.cfg
+def stage_qreg(cfg, panel):
     specs = {kind: cfg.spec(kind) for kind in cfg.kinds}
-    fitted = {kind: fit_quantiles(ctx.panel, s, s.predictors) for kind, s in specs.items()}
+    fitted = {kind: fit_quantiles(panel, s, s.predictors) for kind, s in specs.items()}
     if cfg.bootstrap:
         # every kind's draws are refit on one worker pool; the kinds' specs
-        # share their thetas and penalty
+        # share their thetas and penalty.  A kind's seed is keyed on the kind
+        # alone: every quantile of a kind, and a one-kind run, refits its draws
         first = specs[cfg.kinds[0]]
-        results = bootstrap_many(
-            [(design, firms, ctx._boot_seed(kind)) for kind, (design, firms, _) in fitted.items()],
-            first.thetas, cfg.bootstrap, penalty=first.penalty,
-        )
+        problems = [
+            (design, firms, np.random.SeedSequence(
+                entropy=cfg.seed, spawn_key=(("book", "market").index(kind),)))
+            for kind, (design, firms, _) in fitted.items()
+        ]
+        results = bootstrap_many(problems, first.thetas, cfg.bootstrap, penalty=first.penalty)
         for (_, _, fits), result in zip(fitted.values(), results):
             for theta, fit in fits.items():
                 fit.std_errors = result.std_errors[theta]
@@ -287,23 +275,18 @@ def stage_qreg(ctx):
     for kind, spec in specs.items():
         _, _, fits = fitted[kind]
         table = (spec.thetas, fits, spec.predictors)
-        out.append((
-            f"quantile_{kind}.txt",
-            reports.render_quantile_table(f"{kind.upper()} LEVERAGE", *table), "text",
-        ))
-        out.append((
-            f"quantile_{kind}.csv", reports.quantile_table_csv(*table), "delimited",
-        ))
+        title = f"{kind.upper()} LEVERAGE"
+        out.append((f"quantile_{kind}.txt", reports.render_quantile_table(title, *table)))
+        out.append((f"quantile_{kind}.csv", reports.quantile_table_csv(*table)))
     return out
 
 
-def stage_speed(ctx):
-    cfg = ctx.cfg
+def stage_speed(cfg, panel):
     overall, by_regime, notes = [], [], []
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
-        overall += estimate_speed(ctx.panel, spec)
-        regimes = estimate_speed_by_regime(ctx.panel, spec)
+        overall += estimate_speed(panel, spec)
+        regimes = estimate_speed_by_regime(panel, spec)
         by_regime += sum(regimes.results.values(), [])  # growth, then recession
         for regime, reason in regimes.skipped.items():
             notes.append(f"{kind} / {regime.value}: skipped ({reason})")
@@ -317,10 +300,10 @@ def stage_speed(ctx):
     if notes:
         regime_text.append("\n".join(notes) + "\n")
     return [
-        ("speed.txt", reports.render_speed_table(overall, cfg.theta), "text"),
-        ("speed.csv", reports.speed_table_csv(overall), "delimited"),
-        ("speed_by_regime.txt", "\n".join(regime_text), "text"),
-        ("speed_by_regime.csv", reports.speed_table_csv(by_regime), "delimited"),
+        ("speed.txt", reports.render_speed_table(overall, cfg.theta)),
+        ("speed.csv", reports.speed_table_csv(overall)),
+        ("speed_by_regime.txt", "\n".join(regime_text)),
+        ("speed_by_regime.csv", reports.speed_table_csv(by_regime)),
     ]
 
 
@@ -335,64 +318,55 @@ STAGES = {
 }
 
 
-def _write_outputs(cfg, items):
-    written = []
-    wanted = cfg.formats
-    for name, text, kind in items:
-        if kind not in wanted:
-            continue
-        path = os.path.join(cfg.out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        written.append(name)
-    return written
-
-
-def _write_config_echo(cfg):
-    with open(os.path.join(cfg.out, "config_resolved.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg))
-    return ["config_resolved.txt"]
+def _write(cfg, name, text):
+    """Write one file of the run into ``cfg.out`` as UTF-8; returns the
+    sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    with open(os.path.join(cfg.out, name), "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def run_stages(cfg, stage_names):
-    """Run the given stages in order into the existing directory ``cfg.out``;
-    returns (exit_code, files, statuses)."""
-    ctx = Pipeline(cfg)
-    files = _write_config_echo(cfg)
+    """Write the config echo, load the panel and run the given stages in
+    order into the existing directory ``cfg.out``, keeping the files of the
+    run's format; returns (exit_code, digests, statuses), where ``digests``
+    maps each written file to its sha256."""
+    digests = {"config_resolved.txt": _write(cfg, "config_resolved.txt", config_text(cfg))}
     statuses = {}
+    panel = None
     for name in stage_names:
         try:
-            files += _write_outputs(cfg, STAGES[name][0](ctx))
+            if panel is None:  # a load failure is the first stage's failure
+                panel = load_panel(cfg)
+            for file, text in STAGES[name][0](cfg, panel):
+                if file.endswith(cfg.extensions):
+                    digests[file] = _write(cfg, file, text)
             statuses[name] = "ok"
         except Exception as err:  # halt with a stage-named diagnostic
             statuses[name] = f"failed: {err}"
             print(f"stage {name} failed: {err}", file=sys.stderr)
             for later in stage_names[stage_names.index(name) + 1 :]:
                 statuses[later] = "not run"
-            return 1, files, statuses
-    return 0, files, statuses
-
-
-def _manifest(cfg, files, statuses, complete):
-    lines = ["levquant replicate manifest"]
-    lines.append(f"status = {'complete' if complete else 'incomplete'}")
-    lines.append(f"config_sha256 = {hashlib.sha256(config_text(cfg).encode()).hexdigest()}")
-    lines.append(f"master_seed = {cfg.seed}")
-    lines.append("[stages]")
-    for name in STAGES:
-        lines.append(f"{name} = {statuses.get(name, 'not run')}")
-    lines.append("[files]")
-    for name in sorted(set(files)):
-        with open(os.path.join(cfg.out, name), "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        lines.append(f"{name} sha256={digest}")
-    with open(os.path.join(cfg.out, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            return 1, digests, statuses
+    return 0, digests, statuses
 
 
 def run_replicate(cfg):
-    code, files, statuses = run_stages(cfg, tuple(STAGES))
-    _manifest(cfg, files, statuses, complete=(code == 0))
+    """Run every stage and write the manifest: the run's status, each
+    stage's status and the digest of every file written."""
+    code, digests, statuses = run_stages(cfg, tuple(STAGES))
+    lines = [
+        "levquant replicate manifest",
+        f"status = {'complete' if code == 0 else 'incomplete'}",
+        f"config_sha256 = {digests['config_resolved.txt']}",
+        f"master_seed = {cfg.seed}",
+        "[stages]",
+    ]
+    lines += [f"{name} = {statuses.get(name, 'not run')}" for name in STAGES]
+    lines.append("[files]")
+    lines += [f"{name} sha256={digests[name]}" for name in sorted(digests)]
+    _write(cfg, "manifest.txt", "\n".join(lines) + "\n")
     return code
 
 

@@ -631,11 +631,19 @@ def fit_quantile(design, theta):
 
 
 def _group_codes(groups, n):
+    """The sorted distinct labels of ``(n,)`` group labels and each row's
+    code.  Only float and object labels can be missing (NaN or ``None``),
+    so str labels and int codes skip that check."""
     groups = np.asarray(groups)
-    if groups.shape != (n,):
+    kind = groups.dtype.kind
+    if groups.shape != (n,) or (kind == "f" and np.isnan(groups).any()) or (
+        kind == "O" and any(g is None or g != g for g in groups)
+    ):
         raise DataValidationError("every row needs a group label")
-    labels, codes = np.unique(groups, return_inverse=True)
-    return labels, codes
+    try:
+        return np.unique(groups, return_inverse=True)
+    except TypeError:  # labels that do not sort against each other
+        raise DataValidationError("the group labels are not of one type") from None
 
 
 def _group_means(M, codes, n_groups):

@@ -12,11 +12,11 @@ import pytest
 from scipy.stats import norm
 
 from levquant import (
-    DesignMatrix, SynthConfig, TargetModelSpec, estimate_speed, generate_panel, write_macro_csv,
-    write_panel_csv, write_tax_csv,
+    ConfigError, DesignMatrix, SynthConfig, TargetModelSpec, estimate_speed, generate_panel,
+    write_macro_csv, write_panel_csv, write_tax_csv,
 )
 from levquant.cli import (
-    Pipeline, RunConfig, build_parser, config_text, main, read_config_file, resolve_config,
+    RunConfig, build_parser, config_text, load_panel, main, read_config_file, resolve_config,
     simulate_config,
 )
 from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
@@ -73,6 +73,24 @@ def hash_dir(path):
         with open(os.path.join(path, name), "rb") as fh:
             out[name] = hashlib.sha256(fh.read()).hexdigest()
     return out
+
+
+def empty_panel(root):
+    path = root / "empty.csv"
+    path.write_text("firm_id,fyear,at,debt,mkt_eq,act,lct,ebit,ip,txt,sale,ppent,dp\n")
+    return path
+
+
+def listed_files(out):
+    """The [files] section of a bundle's manifest: name -> sha256."""
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" sha256=") for line in lines[lines.index("[files]") + 1:])
+
+
+def assert_manifest_matches_disk(out):
+    on_disk = hash_dir(out)
+    del on_disk["manifest.txt"]
+    assert listed_files(out) == on_disk
 
 
 EXPECTED_FILES = {
@@ -190,6 +208,37 @@ class TestReplicate:
         assert "speed.txt" not in names and "quantile_book.txt" not in names
         assert "status = incomplete" in (out / "manifest.txt").read_text()
 
+    def test_empty_input_manifest_lists_the_config_echo(self, synth_inputs, tmp_path):
+        out = tmp_path / "failed"
+        assert main(["replicate", "--input", str(empty_panel(tmp_path)),
+                     "--macro", str(synth_inputs / "macro.csv"), "--out", str(out)]) == 1
+        assert set(listed_files(out)) == {"config_resolved.txt"}
+        assert_manifest_matches_disk(out)
+
+    def test_empty_input_fails_a_single_stage(self, synth_inputs, tmp_path, capsys):
+        # the panel is loaded in the first stage run, so its failure is named after it
+        out = tmp_path / "failed"
+        assert main(["qreg", "--input", str(empty_panel(tmp_path)),
+                     "--macro", str(synth_inputs / "macro.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("stage qreg failed: ")
+        assert os.listdir(out) == ["config_resolved.txt"]
+
+    @pytest.mark.parametrize("fmt,extensions", [
+        ("both", (".txt", ".csv")), ("text", (".txt",)), ("delimited", (".csv",)),
+    ])
+    def test_manifest_lists_the_digest_of_every_file_written(
+        self, bundle, synth_inputs, tmp_path, fmt, extensions
+    ):
+        _, out = bundle
+        if fmt != "both":
+            out = tmp_path / fmt
+            cfg = tmp_path / "c.cfg"
+            write_config(cfg, synth_inputs, out, bootstrap=0, extra=f"format = {fmt}\n")
+            assert main(["replicate", "--config", str(cfg)]) == 0
+        assert_manifest_matches_disk(out)
+        assert set(os.listdir(out)) == {
+            name for name in EXPECTED_FILES if name.endswith(extensions)
+        } | {"config_resolved.txt", "manifest.txt"}
 
     def test_ingest_reports_rejected_and_flagged_rows(self, synth_inputs, tmp_path):
         panel = tmp_path / "panel.csv"
@@ -312,7 +361,7 @@ class TestConfiguredEstimator:
         # on the drawn firms, weighted by how often each firm was drawn
         cfg = resolve_config(build_parser().parse_args(["qreg", "--config", str(cfg_path)]))
         predictors = cfg.determinants + cfg.macro_vars
-        design, firms, _ = design_from_panel(Pipeline(cfg).panel, "levb", predictors)
+        design, firms, _ = design_from_panel(load_panel(cfg), "levb", predictors)
         _, codes = np.unique(firms, return_inverse=True)
         n_firms = codes.max() + 1
         seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
@@ -343,7 +392,7 @@ class TestConfiguredEstimator:
 
         cfg = resolve_config(build_parser().parse_args(["speed", "--config", str(cfg_path)]))
         spec = cfg.spec("book")
-        panel = Pipeline(cfg).panel
+        panel = load_panel(cfg)
         penalized = estimate_speed(panel, spec)[0].speed
         dummy = estimate_speed(panel, replace(spec, penalty=0.0))[0].speed
         assert float(reported) == penalized != dummy
@@ -414,6 +463,22 @@ class TestConfig:
         cfg.write_text("not_a_key = 1\n")
         with pytest.raises(Exception, match="unknown key"):
             read_config_file(cfg)
+
+    def test_key_set_twice_is_exit_2_before_any_output(self, synth_inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.cfg"
+        write_config(cfg, synth_inputs, out, extra="theta = 0.5\n# later\ntheta = 0.25,0.75\n")
+        first = cfg.read_text().splitlines().index("theta = 0.5") + 1
+        message = f"{cfg}:{first + 2}: 'theta' is already set on line {first}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            read_config_file(cfg)
+        assert main(["replicate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+        # a flag still overrides the value of a file that sets it once
+        write_config(cfg, synth_inputs, out, extra="theta = 0.5\n")
+        args = build_parser().parse_args(["qreg", "--config", str(cfg), "--theta", "0.25,0.75"])
+        assert resolve_config(args).theta == (0.25, 0.75)
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -29,7 +29,9 @@ from levquant import (
     fit_quantile,
     fit_quantile_oracle,
 )
-from levquant.effects import fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects
+from levquant.effects import (
+    fit_fixed_effects, fit_quantile_fixed_effects, fit_random_effects, within_transform,
+)
 from levquant import quantreg
 from levquant.quantreg import (
     _check_rank_dense,
@@ -521,6 +523,41 @@ def test_group_labels_are_one_per_row(fit, labels, monkeypatch):
     monkeypatch.setattr(quantreg, "_refit", no_draw)
     with pytest.raises(DataValidationError, match="^every row needs a group label$"):
         LABELLED_FITS[fit](design, BAD_LABELS[labels])
+
+
+def _row_4_set_to(labels, value):
+    out = labels.copy()
+    out[4] = value
+    return out
+
+
+UNUSABLE_LABELS = {
+    "float_nan": (_row_4_set_to(GOOD_FIRMS.astype(float), np.nan),
+                  "^every row needs a group label$"),
+    "object_none": (_row_4_set_to(GOOD_FIRMS.astype(object), None),
+                    "^every row needs a group label$"),
+    "object_nan": (_row_4_set_to(GOOD_FIRMS.astype(str).astype(object), np.nan),
+                   "^every row needs a group label$"),
+    "ints_and_strings": (_row_4_set_to(GOOD_FIRMS.astype(object), "a"),
+                         "^the group labels are not of one type$"),
+}
+GROUPED_FITS = {**LABELLED_FITS, "within_transform": lambda d, g: within_transform(d.X, g)}
+
+
+@pytest.mark.parametrize("labels", UNUSABLE_LABELS)
+@pytest.mark.parametrize("fit", GROUPED_FITS)
+def test_missing_or_mixed_group_labels_are_rejected(fit, labels, monkeypatch):
+    # numpy sorts every NaN into one group and cannot sort None against a label
+    design, _ = grouped_panel(12, n_firms=6, years=3)
+    GROUPED_FITS[fit](design, GOOD_FIRMS)
+
+    def no_draw(*args):
+        raise AssertionError("a draw was refit")
+
+    monkeypatch.setattr(quantreg, "_refit", no_draw)
+    bad, message = UNUSABLE_LABELS[labels]
+    with pytest.raises(DataValidationError, match=message):
+        GROUPED_FITS[fit](design, bad)
 
 
 def grouped_panel(seed, n_firms=30, years=6):
