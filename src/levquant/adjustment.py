@@ -96,13 +96,12 @@ class AdjustmentResult:
     fit: QuantileFit = field(default=None, repr=False)
 
 
-def fit_quantiles(panel, spec, predictors):
-    """``(design, firms, {theta: fit})``: the quantile fixed-effects fits of
-    ``spec.response`` on ``predictors`` at every theta of ``spec``, with its
+def fit_quantiles(design, firms, spec):
+    """``{theta: fit}``: the quantile fixed-effects fits of ``design`` with
+    the firms ``firms`` as its groups at every theta of ``spec``, with its
     penalty, through one theta-free problem built for all of them."""
-    design, firms, _ = design_from_panel(panel, spec.response, predictors)
     problem = _fe_problem(design, firms, spec.penalty) if spec.thetas else None
-    return design, firms, {
+    return {
         theta: fit_quantile_fixed_effects(
             design, firms, theta, penalty=spec.penalty, _problem=problem
         )
@@ -117,9 +116,9 @@ def estimate_speed(panel, spec):
     lag coefficient`` holds exactly by construction; a lag coefficient
     outside [0, 1] is reported with ``out_of_range`` set, not clipped.
     """
-    design, _, fits = fit_quantiles(panel, spec, spec.predictors + (spec.lag,))
+    design, firms, _ = design_from_panel(panel, spec.response, spec.predictors + (spec.lag,))
     results = []
-    for theta, fit in fits.items():
+    for theta, fit in fit_quantiles(design, firms, spec).items():
         lam = fit.coefficients[spec.lag]
         results.append(AdjustmentResult(theta, spec.leverage, lam, 1.0 - lam, fit.pseudo_r2,
                                         design.n, out_of_range=not 0.0 <= lam <= 1.0, fit=fit))

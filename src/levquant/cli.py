@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -148,7 +149,8 @@ def read_config_file(path):
     values, set_on = {}, {}  # set_on: key -> the line that set it
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            # a comment starts at a # that opens the line or follows whitespace
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -254,9 +256,22 @@ def stage_hausman(cfg, panel):
     return out
 
 
-def stage_qreg(cfg, panel):
+def stage_qreg(cfg, panel, meanwhile=None):
+    """The coefficient tables.  With a bootstrap, this process makes the
+    point fits, then calls ``meanwhile`` if given, while the workers refit
+    the draws; without one, it makes them and calls ``meanwhile`` all the
+    same."""
     specs = {kind: cfg.spec(kind) for kind in cfg.kinds}
-    fitted = {kind: fit_quantiles(panel, s, s.predictors) for kind, s in specs.items()}
+    designs = {kind: design_from_panel(panel, s.response, s.predictors)[:2]
+               for kind, s in specs.items()}
+    fits = {}
+
+    def point_fits():
+        for kind, (design, firms) in designs.items():
+            fits[kind] = fit_quantiles(design, firms, specs[kind])
+        if meanwhile is not None:
+            meanwhile()
+
     if cfg.bootstrap:
         # every kind's draws are refit on one worker pool; the kinds' specs
         # share their thetas and penalty.  A kind's seed is keyed on the kind
@@ -265,23 +280,27 @@ def stage_qreg(cfg, panel):
         problems = [
             (design, firms, np.random.SeedSequence(
                 entropy=cfg.seed, spawn_key=(("book", "market").index(kind),)))
-            for kind, (design, firms, _) in fitted.items()
+            for kind, (design, firms) in designs.items()
         ]
-        results = bootstrap_many(problems, first.thetas, cfg.bootstrap, penalty=first.penalty)
-        for (_, _, fits), result in zip(fitted.values(), results):
-            for theta, fit in fits.items():
+        results = bootstrap_many(problems, first.thetas, cfg.bootstrap,
+                                 penalty=first.penalty, meanwhile=point_fits)
+        for kind, result in zip(designs, results):
+            for theta, fit in fits[kind].items():
                 fit.std_errors = result.std_errors[theta]
+    else:
+        point_fits()
     out = []
     for kind, spec in specs.items():
-        _, _, fits = fitted[kind]
-        table = (spec.thetas, fits, spec.predictors)
+        table = (spec.thetas, fits[kind], spec.predictors)
         title = f"{kind.upper()} LEVERAGE"
         out.append((f"quantile_{kind}.txt", reports.render_quantile_table(title, *table)))
         out.append((f"quantile_{kind}.csv", reports.quantile_table_csv(*table)))
     return out
 
 
-def stage_speed(cfg, panel):
+def speed_fits(cfg, panel):
+    """The speed stage's estimates: the full-sample speeds, the speeds by
+    regime, and a note for each regime skipped."""
     overall, by_regime, notes = [], [], []
     for kind in cfg.kinds:
         spec = cfg.spec(kind)
@@ -290,6 +309,13 @@ def stage_speed(cfg, panel):
         by_regime += sum(regimes.results.values(), [])  # growth, then recession
         for regime, reason in regimes.skipped.items():
             notes.append(f"{kind} / {regime.value}: skipped ({reason})")
+    return overall, by_regime, notes
+
+
+def stage_speed(cfg, panel, fitted=None):
+    """The speed tables, from ``fitted()`` where a run made ``speed_fits``
+    earlier (``fitted`` returns them, or raises their error)."""
+    overall, by_regime, notes = fitted() if fitted else speed_fits(cfg, panel)
     regime_text = [
         reports.render_speed_table(
             [r for r in by_regime if r.regime is regime], cfg.theta,
@@ -327,19 +353,44 @@ def _write(cfg, name, text):
     return hashlib.sha256(data).hexdigest()
 
 
+def _settled(fn, *args):
+    """Calls ``fn(*args)`` now; returns a function that returns its result,
+    or raises its error."""
+    try:
+        result = fn(*args)
+    except Exception as err:
+        error = err  # ``err`` itself is unbound when the except clause ends
+
+        def fail():
+            raise error
+
+        return fail
+    return lambda: result
+
+
 def run_stages(cfg, stage_names):
     """Write the config echo, load the panel and run the given stages in
     order into the existing directory ``cfg.out``, keeping the files of the
     run's format; returns (exit_code, digests, statuses), where ``digests``
-    maps each written file to its sha256."""
+    maps each written file to its sha256.  When ``speed`` follows ``qreg``,
+    the speed fits are made during ``qreg``, while its workers refit; an
+    error of theirs is still the speed stage's."""
     digests = {"config_resolved.txt": _write(cfg, "config_resolved.txt", config_text(cfg))}
     statuses = {}
     panel = None
-    for name in stage_names:
+    early_speed = []  # the speed fits, once made during qreg
+    for i, name in enumerate(stage_names):
         try:
             if panel is None:  # a load failure is the first stage's failure
                 panel = load_panel(cfg)
-            for file, text in STAGES[name][0](cfg, panel):
+            if name == "qreg" and "speed" in stage_names[i + 1 :]:
+                files = stage_qreg(cfg, panel, lambda: early_speed.append(
+                    _settled(speed_fits, cfg, panel)))
+            elif name == "speed" and early_speed:
+                files = stage_speed(cfg, panel, early_speed.pop())
+            else:
+                files = STAGES[name][0](cfg, panel)
+            for file, text in files:
                 if file.endswith(cfg.extensions):
                     digests[file] = _write(cfg, file, text)
             statuses[name] = "ok"

@@ -849,8 +849,8 @@ def bootstrap_se(
     than 50% failed resamples at one theta, or 50 failures in a row, is an
     error.
 
-    A large enough call refits contiguous chunks of its draws in forked
-    worker processes, each held to one BLAS thread (``_workers``); the
+    A large enough call refits short contiguous chunks of its draws in
+    forked worker processes, each with one BLAS thread (``_workers``); the
     result and any error are those of the in-process loop.
     ``bootstrap_many`` runs several problems on one such pool and collects
     each problem's chunks in one call of this function, with ``_pending``
@@ -867,7 +867,7 @@ def bootstrap_se(
         return _result(*pending)
 
 
-def bootstrap_many(problems, thetas, n_boot=DEFAULT_BOOTSTRAP, *, penalty=0.0):
+def bootstrap_many(problems, thetas, n_boot=DEFAULT_BOOTSTRAP, *, penalty=0.0, meanwhile=None):
     """The ``bootstrap_se`` of each ``(design, cluster, seed)`` of
     ``problems`` at the same ``thetas``, ``n_boot`` and ``penalty``: a list
     of ``BootstrapResult`` in problem order, each bit-identical to a
@@ -875,15 +875,20 @@ def bootstrap_many(problems, thetas, n_boot=DEFAULT_BOOTSTRAP, *, penalty=0.0):
 
     Every problem is checked before the first draw.  The draws of all
     problems share one pool of forked workers, sized by their refit rows
-    together (``_workers``): each problem's draws are cut into contiguous
-    chunks, and the chunks are dealt out in problem order, so a worker
-    that has finished its part of one problem refits the next problem's
-    draws while the others still run.  The first error in problem order,
-    then draw order, is raised; a failed replicate is named by its index
-    within its problem.
+    together (``_workers``): each problem's draws are cut into short
+    contiguous chunks, at least one per worker, and the chunks are dealt
+    out in problem order, so a worker that has finished one chunk takes
+    the next, of this problem or the next one.  ``meanwhile``, if given,
+    is called in this process once every chunk has been handed out and
+    before the first is collected, so that it runs while the workers
+    refit; an error it raises ends the pool like a refit's.  The first
+    error in problem order, then draw order, is raised; a failed replicate
+    is named by its index within its problem.
     """
     problems = list(problems)
     with _pooled_draws(problems, thetas, n_boot, penalty) as pending:
+        if meanwhile is not None:
+            meanwhile()
         # one bootstrap_se call per problem, which waits for that problem's
         # chunks alone, so perfbench's span tracer times every problem
         return [
@@ -901,7 +906,9 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
     run in problem order on one forked pool, or lazily in this process
     where there are fewer than two workers or the pool cannot start.  The
     pool is joined on exit; on an error, it is terminated once every
-    chunk has finished."""
+    chunk has finished.  With two or more workers, this process holds
+    every OpenBLAS to one thread from just before the fork until the draws
+    are done (``_hold_blas``)."""
     import multiprocessing
 
     if np.ndim(thetas) != 1:
@@ -914,43 +921,46 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
     _check_penalty(penalty)
     jobs = []
     for design, cluster, seed in problems:
-        labels, codes, _ = _check_within(design, cluster)
+        # the demeaned X is dropped here, not kept alive while the draws run
+        labels, codes = _check_within(design, cluster)[:2]
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         jobs.append(((design, codes, labels.size, penalty, thetas), seed.spawn(n_boot)))
 
     refit_rows = n_boot * len(thetas) * sum(work[0].n for work, _ in jobs)
-    workers, setters = _workers(n_boot * len(jobs), refit_rows)
-    bounds = np.linspace(0, n_boot, min(workers, n_boot) + 1).astype(int).tolist()
+    workers, blas = _workers(n_boot * len(jobs), refit_rows)
+    n_chunks = max(min(workers, n_boot), math.ceil(n_boot / _CHUNK_DRAWS))
+    bounds = np.linspace(0, n_boot, n_chunks + 1).astype(int).tolist()
     chunks = [
         [(*work, lo, children[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         for work, children in jobs
     ]
-    pool = None
-    if workers >= 2:
+    with _hold_blas(blas):
+        pool = None
+        if workers >= 2:
+            try:
+                pool = multiprocessing.get_context("fork").Pool(workers)
+            except OSError:
+                pass
+        if pool is None:
+            yield [(work, itertools.starmap(_draws, c)) for (work, _), c in zip(jobs, chunks)]
+            return
+        # submitted in problem order, one chunk per task
+        sent = [[pool.apply_async(_draws, chunk) for chunk in c] for c in chunks]
         try:
-            pool = multiprocessing.get_context("fork").Pool(workers, _one_blas_thread, (setters,))
-        except OSError:
-            pass
-    if pool is None:
-        yield [(work, itertools.starmap(_draws, c)) for (work, _), c in zip(jobs, chunks)]
-        return
-    # submitted in problem order, one chunk per task
-    sent = [[pool.apply_async(_draws, chunk) for chunk in c] for c in chunks]
-    try:
-        yield [(work, (r.get() for r in s)) for (work, _), s in zip(jobs, sent)]
-    except BaseException as err:
-        if isinstance(err, Exception):
-            # terminate kills a worker still in a task, which can leave a
-            # pool lock held, and terminate then waits on it for ever
-            for r in itertools.chain.from_iterable(sent):
-                r.wait()
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
+            yield [(work, (r.get() for r in s)) for (work, _), s in zip(jobs, sent)]
+        except BaseException as err:
+            if isinstance(err, Exception):
+                # terminate kills a worker still in a task, which can leave a
+                # pool lock held, and terminate then waits on it for ever
+                for r in itertools.chain.from_iterable(sent):
+                    r.wait()
+            pool.terminate()
+            raise
+        else:
+            pool.close()
+        finally:
+            pool.join()
 
 
 def _result(work, parts):
@@ -1021,32 +1031,38 @@ def _draws(design, codes, n_units, penalty, thetas, first, children):
     return rows, attempts, degenerate, polished
 
 
-# Starting and joining a forked pool of 2 took 30-65 ms (2-core VM, Python
-# 3.11) and a refit 1.5-1.8 us per row, so a worker pays for its start from
-# about 17,000-43,000 rows of refits; each one gets at least this many.
+# Starting and joining a forked pool of 2 from a process held at one BLAS
+# thread took 9-26 ms (2-core VM, Python 3.11), and a refit 1.1-3.0 us per
+# row, so a worker pays for its start from about 3,000-24,000 rows of
+# refits; each one gets at least this many.
 _ROWS_PER_WORKER = 50_000
-_SET_THREADS = tuple(
-    f"{prefix}_set_num_threads{suffix}"
+# The most draws of one chunk, a worker's task.  On the 4,200-row design of
+# perfbench's replicate_300x15, 5 draws at 5 thetas refit in about 0.13 s,
+# the longest the last chunk can leave another worker idle, and a chunk
+# pickles and unpickles in about 0.2 ms.
+_CHUNK_DRAWS = 5
+_THREAD_CALLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
 )
 
 
 def _workers(n_draws, refit_rows):
     """The worker processes for ``refit_rows`` rows of refits over
-    ``n_draws`` draws, and the ``_blas_setters`` to call in each; (1, ())
-    where the draws run in this process."""
+    ``n_draws`` draws, and the ``_blas_threads`` to hold while they run;
+    (1, ()) where the draws run in this process."""
     # Python 3.12 warns at os.fork in a process with threads, as OpenBLAS's
     if sys.version_info >= (3, 12) or not sys.platform.startswith("linux"):
         return 1, ()
     workers = min(len(os.sched_getaffinity(0)), refit_rows // _ROWS_PER_WORKER, n_draws)
-    setters = _blas_setters() if workers >= 2 else ()
-    return (workers, setters) if setters else (1, ())
+    blas = _blas_threads() if workers >= 2 else ()
+    return (workers, blas) if blas else (1, ())
 
 
-def _blas_setters():
-    """(path, thread-count setter) of each OpenBLAS mapped into this process
-    (a numpy and a scipy wheel bring one each); () if there is none, or one
-    without a setter."""
+def _blas_threads():
+    """The (get, set) thread-count functions of each OpenBLAS mapped into
+    this process (a numpy and a scipy wheel bring one each); () if there is
+    none, or one without both."""
     import ctypes
 
     try:
@@ -1054,18 +1070,34 @@ def _blas_setters():
             mapped = {line.split(None, 5)[-1].strip() for line in fh}
     except OSError:
         return ()
-    libs = sorted(path for path in mapped if "openblas" in os.path.basename(path))
-    names = [next((n for n in _SET_THREADS if hasattr(ctypes.CDLL(p), n)), None) for p in libs]
-    return () if None in names else tuple(zip(libs, names))
+    found = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        calls = next((c for c in _THREAD_CALLS if all(hasattr(lib, n) for n in c)), None)
+        if calls is None:
+            return ()
+        get, set_ = (getattr(lib, n) for n in calls)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return tuple(found)
 
 
-def _one_blas_thread(setters):
-    """Pool initializer: one BLAS thread per worker, so that the workers'
-    OpenBLAS thread pools do not oversubscribe the cores."""
-    import ctypes
-
-    for path, name in setters:
-        getattr(ctypes.CDLL(path), name)(1)
+@contextlib.contextmanager
+def _hold_blas(blas):
+    """Holds every OpenBLAS of ``blas`` (``_blas_threads``) to one thread in
+    this process, then gives each its own count back.  A worker forked
+    inside inherits the one thread and starts no BLAS thread of its own;
+    held in the worker instead, OpenBLAS would first start its default
+    threads there, which then spin on the worker's cores."""
+    counts = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(blas, counts):
+            set_threads(count)
 
 
 def _refit(design, codes, mult, penalty):

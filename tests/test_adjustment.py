@@ -132,13 +132,9 @@ class TestFitQuantiles:
             return quantreg._fe_problem(design, groups, penalty)
 
         monkeypatch.setattr(adjustment, "_fe_problem", counted)
-        design, firms, fits = fit_quantiles(panel, spec, predictors)
+        design, firms, _ = design_from_panel(panel, spec.response, predictors)
+        fits = fit_quantiles(design, firms, spec)
         assert len(built) == 1 and built[0] is design
-        want_design, want_firms, _ = design_from_panel(panel, spec.response, predictors)
-        assert design.names == want_design.names
-        assert design.X.tobytes() == want_design.X.tobytes()
-        assert design.y.tobytes() == want_design.y.tobytes()
-        assert list(firms) == list(want_firms)
         assert list(fits) == list(spec.thetas)
         for theta, fit in fits.items():
             alone = effects.fit_quantile_fixed_effects(design, firms, theta, penalty=penalty)
@@ -150,7 +146,8 @@ class TestFitQuantiles:
     def test_speeds_are_the_lag_coefficients_of_the_fits(self):
         panel, _ = synth_panel(n_firms=40, t_max=8, seed=5)
         spec = replace(SPEC, thetas=(0.25, 0.75))
-        design, _, fits = fit_quantiles(panel, spec, spec.predictors + (spec.lag,))
+        design, firms, _ = design_from_panel(panel, spec.response, spec.predictors + (spec.lag,))
+        fits = fit_quantiles(design, firms, spec)
         for res, (theta, fit) in zip(estimate_speed(panel, spec), fits.items()):
             assert res.theta == theta and res.n_used == design.n
             assert res.lag_coefficient == fit.coefficients[spec.lag]

@@ -19,6 +19,7 @@ from levquant.cli import (
     RunConfig, build_parser, config_text, load_panel, main, read_config_file, resolve_config,
     simulate_config,
 )
+from levquant.errors import DesignError
 from levquant.effects import fit_quantile_fixed_effects, hausman_decision, hausman_test
 from levquant.panel import design_from_panel
 from levquant import cli, effects, quantreg
@@ -91,6 +92,29 @@ def assert_manifest_matches_disk(out):
     on_disk = hash_dir(out)
     del on_disk["manifest.txt"]
     assert listed_files(out) == on_disk
+
+
+def force_run_workers(monkeypatch, workers):
+    """Make a run's bootstrap use ``workers`` processes, whatever the cores
+    and the size of the call; skips where a worker cannot be held to one
+    BLAS thread, so the draws always run in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(quantreg, "_ROWS_PER_WORKER", 1)
+    if workers > 1 and quantreg._workers(workers, workers)[0] < workers:
+        pytest.skip("the bootstrap cannot hold a worker to one BLAS thread here")
+
+
+def count_pools(monkeypatch):
+    """The arguments of every worker pool started from now on."""
+    pools = []
+    start = multiprocessing.pool.Pool.__init__
+
+    def counted(pool, *args, **kwargs):
+        pools.append(args)
+        start(pool, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
+    return pools
 
 
 EXPECTED_FILES = {
@@ -167,18 +191,8 @@ class TestReplicate:
             assert single and single == rows_at_median(out, kind)
 
     def test_both_kinds_bootstrap_on_one_pool(self, bundle, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(quantreg, "_ROWS_PER_WORKER", 1)
-        if quantreg._workers(2, 2)[0] < 2:
-            pytest.skip("the bootstrap cannot hold a worker to one BLAS thread here")
-        pools = []
-        start = multiprocessing.pool.Pool.__init__
-
-        def counted(pool, *args, **kwargs):
-            pools.append(args)
-            start(pool, *args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
+        force_run_workers(monkeypatch, 2)
+        pools = count_pools(monkeypatch)
         cfg_path, _ = bundle
         both = tmp_path / "both"
         assert main(["qreg", "--config", str(cfg_path), "--leverage", "both",
@@ -191,6 +205,84 @@ class TestReplicate:
             name = f"quantile_{kind}.csv"
             assert (alone / name).read_bytes() == (both / name).read_bytes()
         assert len(pools) == 3
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_run_starts_one_pool_and_writes_the_one_worker_bundle(
+            self, synth_inputs, tmp_path, monkeypatch, workers):
+        # the point and speed fits run in this process while the workers
+        # refit; every regime of book is skipped, so speed_by_regime has a note
+        cfg_path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        write_config(cfg_path, synth_inputs, out, bootstrap=6, extra="regime_threshold = 100\n")
+        pools = count_pools(monkeypatch)
+        force_run_workers(monkeypatch, 1)
+        assert main(["replicate", "--config", str(cfg_path)]) == 0
+        assert pools == []
+        assert "book / growth: skipped" in (out / "speed_by_regime.txt").read_text()
+        one = hash_dir(out)
+        force_run_workers(monkeypatch, workers)
+        assert main(["replicate", "--config", str(cfg_path)]) == 0
+        assert len(pools) == 1 and pools[0][0] == workers
+        assert hash_dir(out) == one
+        assert multiprocessing.active_children() == []
+
+    def test_a_degenerate_bootstrap_fails_qreg_and_speed_does_not_run(
+            self, synth_inputs, tmp_path, monkeypatch, capsys):
+        def refit(design, codes, mult, penalty):
+            raise DesignError("forced")
+
+        force_run_workers(monkeypatch, 2)
+        monkeypatch.setattr(quantreg, "_refit", refit)
+        cfg_path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        write_config(cfg_path, synth_inputs, out, bootstrap=4)
+        assert main(["replicate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "stage qreg failed: replicate 0: 50 consecutive degenerate resamples")
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "qreg = failed: replicate 0: 50 consecutive degenerate resamples at theta 0.15" \
+            in manifest
+        assert "speed = not run" in manifest
+        assert not (out / "speed.txt").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_point_fit_error_fails_qreg_and_ends_the_pool(
+            self, synth_inputs, tmp_path, monkeypatch, capsys):
+        def broken(design, firms, spec):
+            raise RuntimeError("point fit broke")
+
+        force_run_workers(monkeypatch, 2)
+        pools = count_pools(monkeypatch)
+        monkeypatch.setattr(cli, "fit_quantiles", broken)
+        cfg_path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        write_config(cfg_path, synth_inputs, out, bootstrap=4)
+        assert main(["replicate", "--config", str(cfg_path)]) == 1
+        assert len(pools) == 1
+        assert capsys.readouterr().err == "stage qreg failed: point fit broke\n"
+        assert "speed = not run" in (out / "manifest.txt").read_text().splitlines()
+        assert multiprocessing.active_children() == []
+
+    def test_a_speed_fit_error_made_during_qreg_is_the_speed_stages(
+            self, bundle, synth_inputs, tmp_path, monkeypatch, capsys):
+        def broken(panel, spec):
+            raise DesignError("regime fit broke")
+
+        force_run_workers(monkeypatch, 2)
+        monkeypatch.setattr(cli, "estimate_speed_by_regime", broken)
+        cfg_path, clean = bundle
+        out = tmp_path / "out"
+        assert main(["replicate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "stage speed failed: regime fit broke\n"
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "qreg = ok" in manifest and "speed = failed: regime fit broke" in manifest
+        for name in ("quantile_book.csv", "quantile_market.txt"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        assert not (out / "speed.txt").exists()
+        assert multiprocessing.active_children() == []
+        # the speed stage alone fails the same way
+        assert main(["speed", "--config", str(cfg_path), "--out", str(tmp_path / "alone")]) == 1
+        assert capsys.readouterr().err == "stage speed failed: regime fit broke\n"
 
     def test_empty_input_fails_at_ingest(self, synth_inputs, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -446,6 +538,14 @@ class TestConfig:
         cfg.write_text("seed = 5  # master seed\n\ntheta = 0.25,0.75\nwinsorize = off\n")
         values = read_config_file(cfg)
         assert values == {"seed": 5, "theta": (0.25, 0.75), "winsorize": None}
+
+    def test_a_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        # a comment starts at a # that opens the line or follows whitespace
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("# run\ninput = /data/hash#dir/panel.csv\n  # indented\n"
+                       "seed = 5\t# master seed\nout = a#b # here\n")
+        values = read_config_file(cfg)
+        assert values == {"input": "/data/hash#dir/panel.csv", "seed": 5, "out": "a#b"}
 
     def test_file_with_a_byte_order_mark(self, synth_inputs, tmp_path):
         # an editor that saves "UTF-8 with BOM" puts U+FEFF before the first key

@@ -1,5 +1,5 @@
-import ctypes
 import itertools
+import json
 import multiprocessing.pool
 import os
 import sys
@@ -784,14 +784,14 @@ def redrawing_case():
     return design, dict(cluster=cl)
 
 
-def blas_threads(setters):
-    """The thread count that each OpenBLAS of ``setters`` reports in this process."""
-    counts = []
-    for path, name in setters:
-        getter = getattr(ctypes.CDLL(path), name.replace("_set_", "_get_"))
-        getter.restype = ctypes.c_int
-        counts.append(getter())
-    return counts
+def blas_threads():
+    """The thread count that each OpenBLAS mapped into this process reports."""
+    return [get() for get, _ in quantreg._blas_threads()]
+
+
+def set_blas_threads(counts):
+    for (_, set_threads), count in zip(quantreg._blas_threads(), counts):
+        set_threads(count)
 
 
 _DRAWS = quantreg._draws
@@ -809,12 +809,25 @@ def slow_later_chunks(*args):
     return out
 
 
+def probed_chunks(*args):
+    """A ``_draws`` that first leaves a mark in ``$CHUNK_PROBES``: the
+    process, its OS threads and its OpenBLAS thread counts."""
+    first = args[5]
+    with open(os.path.join(os.environ["CHUNK_PROBES"], f"chunk{first}"), "w") as fh:
+        json.dump([os.getpid(), len(os.listdir("/proc/self/task")), blas_threads()], fh)
+    return _DRAWS(*args)
+
+
+def read_probes(path):
+    return {name: json.loads((path / name).read_text()) for name in sorted(os.listdir(path))}
+
+
 def no_pool(method):
     raise AssertionError("a worker pool was started")
 
 
 class TestPooledBootstrap:
-    """Draws refit in forked workers, one contiguous chunk each, give what
+    """Draws refit in forked workers, in short contiguous chunks, give what
     the in-process loop gives, and leave no process behind."""
 
     @pytest.mark.parametrize("mode", ["dummy", "penalized", "redrawn"])
@@ -955,7 +968,7 @@ class TestPooledBootstrap:
         force_workers(monkeypatch, 2)
         monkeypatch.setattr(quantreg, "open", unreadable, raising=False)
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        assert quantreg._blas_setters() == ()
+        assert quantreg._blas_threads() == ()
         assert quantreg._workers(5, 5 * len(THETAS) * design.n) == (1, ())
         fallback = bootstrap_se(design, THETAS, n_boot=5, seed=8, **kwargs)
         assert fallback.replicates.tobytes() == serial.replicates.tobytes()
@@ -986,18 +999,82 @@ class TestPooledBootstrap:
         assert multiprocessing.active_children() == []
         assert os.listdir(tmp_path) == ["chunk2"]
 
-    def test_each_worker_holds_every_openblas_to_one_thread(self):
-        setters = quantreg._blas_setters()
-        if not setters:
+    def test_each_worker_has_one_thread_and_one_blas_thread(self, monkeypatch, tmp_path):
+        # the workers fork from a parent held at one BLAS thread, so OpenBLAS
+        # starts no thread in them; the parent gets its own counts back
+        if not quantreg._blas_threads():
             pytest.skip("no OpenBLAS is mapped, so bootstrap_se starts no workers")
-        before = blas_threads(setters)
-        with multiprocessing.get_context("fork").Pool(
-            2, quantreg._one_blas_thread, (setters,)
-        ) as pool:
-            counts = pool.map(blas_threads, [setters] * 2, chunksize=1)
-        pool.join()
-        assert counts == [[1] * len(setters)] * 2
-        assert blas_threads(setters) == before  # the parent's pools keep their threads
+        design, kwargs = bootstrap_case("dummy")
+        before = blas_threads()
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(quantreg, "_draws", probed_chunks)
+        monkeypatch.setenv("CHUNK_PROBES", str(tmp_path))
+        bootstrap_se(design, THETAS, n_boot=4, seed=5, **kwargs)
+        probes = read_probes(tmp_path)
+        assert list(probes) == ["chunk0", "chunk2"]
+        for pid, threads, counts in probes.values():
+            assert pid != os.getpid()
+            assert threads == 1
+            assert counts == [1] * len(before)
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("fails", ["chunk", "meanwhile"])
+    def test_the_parent_holds_one_blas_thread_until_the_pool_ends(
+            self, fails, monkeypatch, tmp_path):
+        if not quantreg._blas_threads():
+            pytest.skip("no OpenBLAS is mapped, so bootstrap_se starts no workers")
+        design, kwargs = bootstrap_case("dummy")
+        before = blas_threads()
+        set_blas_threads([2] * len(before))  # a count that the hold changes
+        try:
+            force_workers(monkeypatch, 2)
+            if fails == "chunk":
+                monkeypatch.setattr(quantreg, "_draws", slow_later_chunks)
+                monkeypatch.setenv("FINISHED_CHUNKS", str(tmp_path))
+            held = []
+
+            def meanwhile():
+                held.append(blas_threads())
+                if fails == "meanwhile":
+                    raise RuntimeError("point fit broke")
+
+            with pytest.raises(RuntimeError, match="broke"):
+                bootstrap_many([(design, kwargs["cluster"], 5)], THETAS, 4,
+                               penalty=kwargs["penalty"], meanwhile=meanwhile)
+            assert held == [[1] * len(before)]
+            assert blas_threads() == [2] * len(before)
+            assert multiprocessing.active_children() == []
+        finally:
+            set_blas_threads(before)
+
+    def test_one_problem_forms_more_chunks_than_workers(self, monkeypatch, tmp_path):
+        design, kwargs = bootstrap_case("penalized")
+        serial = bootstrap_se(design, THETAS, n_boot=12, seed=3, **kwargs)
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(quantreg, "_draws", probed_chunks)
+        monkeypatch.setenv("CHUNK_PROBES", str(tmp_path))
+        pooled = bootstrap_se(design, THETAS, n_boot=12, seed=3, **kwargs)
+        assert pooled.replicates.tobytes() == serial.replicates.tobytes()
+        # chunks of at most _CHUNK_DRAWS draws: 4 + 4 + 4, three chunks for two workers
+        assert list(read_probes(tmp_path)) == ["chunk0", "chunk4", "chunk8"]
+        assert multiprocessing.active_children() == []
+
+    def test_meanwhile_runs_before_the_first_chunk_is_collected(self, monkeypatch):
+        design, kwargs = bootstrap_case("dummy")
+        force_workers(monkeypatch, 2)
+        order = []
+        real = quantreg._result
+
+        def collected(*args):
+            order.append("collected")
+            return real(*args)
+
+        monkeypatch.setattr(quantreg, "_result", collected)
+        results = bootstrap_many([(design, kwargs["cluster"], 5)] * 2, THETAS, 4,
+                                 penalty=kwargs["penalty"],
+                                 meanwhile=lambda: order.append("meanwhile"))
+        assert order == ["meanwhile", "collected", "collected"]
+        assert results[0].replicates.tobytes() == results[1].replicates.tobytes()
 
     def test_a_tiny_call_stays_in_process(self, monkeypatch):
         # perfbench's tracer test: 3 draws of 40 rows at one theta
@@ -1017,7 +1094,7 @@ class TestPooledBootstrap:
         elif where == "not linux":
             monkeypatch.setattr(sys, "platform", "darwin")
         else:
-            monkeypatch.setattr(quantreg, "_blas_setters", lambda: ())
+            monkeypatch.setattr(quantreg, "_blas_threads", lambda: ())
         assert quantreg._workers(40, 10**6) == (1, ())
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         design, kwargs = bootstrap_case("dummy")
