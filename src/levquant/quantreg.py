@@ -876,7 +876,8 @@ def bootstrap_many(problems, thetas, n_boot=DEFAULT_BOOTSTRAP, *, penalty=0.0, m
     Every problem is checked before the first draw.  The draws of all
     problems share one pool of forked workers, sized by their refit rows
     together (``_workers``): each problem's draws are cut into short
-    contiguous chunks, at least one per worker, and the chunks are dealt
+    contiguous chunks, which shrink to single draws over the call's last
+    draws so that the workers end together, and the chunks are dealt
     out in problem order, so a worker that has finished one chunk takes
     the next, of this problem or the next one.  ``meanwhile``, if given,
     is called in this process once every chunk has been handed out and
@@ -929,12 +930,18 @@ def _pooled_draws(problems, thetas, n_boot, penalty):
 
     refit_rows = n_boot * len(thetas) * sum(work[0].n for work, _ in jobs)
     workers, blas = _workers(n_boot * len(jobs), refit_rows)
-    n_chunks = max(min(workers, n_boot), math.ceil(n_boot / _CHUNK_DRAWS))
-    bounds = np.linspace(0, n_boot, n_chunks + 1).astype(int).tolist()
-    chunks = [
-        [(*work, lo, children[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        for work, children in jobs
-    ]
+    chunks, left = [], n_boot * len(jobs)  # left: the draws of all problems still to deal
+    for work, children in jobs:
+        chunks.append([])
+        lo = 0
+        while lo < n_boot:
+            # at most _CHUNK_DRAWS draws, and at most a 2 * workers-th share
+            # of those left, so the last chunks are short and the workers end
+            # together
+            hi = lo + min(_CHUNK_DRAWS, n_boot - lo, -(-left // (2 * workers)))
+            chunks[-1].append((*work, lo, children[lo:hi]))
+            left -= hi - lo
+            lo = hi
     with _hold_blas(blas):
         pool = None
         if workers >= 2:
@@ -1037,9 +1044,9 @@ def _draws(design, codes, n_units, penalty, thetas, first, children):
 # refits; each one gets at least this many.
 _ROWS_PER_WORKER = 50_000
 # The most draws of one chunk, a worker's task.  On the 4,200-row design of
-# perfbench's replicate_300x15, 5 draws at 5 thetas refit in about 0.13 s,
-# the longest the last chunk can leave another worker idle, and a chunk
-# pickles and unpickles in about 0.2 ms.
+# perfbench's replicate_300x15, 5 draws at 5 thetas refit in 0.10-0.17 s and
+# one draw in 0.02-0.03 s, the longest the last chunk can leave another
+# worker idle; a chunk pickles and unpickles in about 0.2 ms.
 _CHUNK_DRAWS = 5
 _THREAD_CALLS = tuple(
     (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
@@ -1060,9 +1067,11 @@ def _workers(n_draws, refit_rows):
 
 
 def _blas_threads():
-    """The (get, set) thread-count functions of each OpenBLAS mapped into
-    this process (a numpy and a scipy wheel bring one each); () if there is
-    none, or one without both."""
+    """The (get, set, stop) thread functions of each OpenBLAS mapped into
+    this process (a numpy and a scipy wheel bring one each): its thread
+    count, its setter, and the shutdown of its helper threads that OpenBLAS
+    runs before a fork (None where the library has none); () if there is no
+    OpenBLAS, or one without both thread-count functions."""
     import ctypes
 
     try:
@@ -1079,7 +1088,10 @@ def _blas_threads():
         get, set_ = (getattr(lib, n) for n in calls)
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        found.append((get, set_))
+        stop = getattr(lib, "blas_thread_shutdown_", None)
+        if stop is not None:
+            stop.argtypes, stop.restype = [], ctypes.c_int
+        found.append((get, set_, stop))
     return tuple(found)
 
 
@@ -1089,15 +1101,20 @@ def _hold_blas(blas):
     this process, then gives each its own count back.  A worker forked
     inside inherits the one thread and starts no BLAS thread of its own;
     held in the worker instead, OpenBLAS would first start its default
-    threads there, which then spin on the worker's cores."""
-    counts = [get() for get, _ in blas]
-    for _, set_threads in blas:
+    threads there, which then spin on the worker's cores.  Setting the
+    count back after a fork starts the helper threads again, and they spin
+    idle for about 0.1 s; so they are stopped, as the fork stopped them,
+    and the library starts them at its next threaded call."""
+    counts = [get() for get, _, _ in blas]
+    for _, set_threads, _ in blas:
         set_threads(1)
     try:
         yield
     finally:
-        for (_, set_threads), count in zip(blas, counts):
+        for (_, set_threads, stop), count in zip(blas, counts):
             set_threads(count)
+            if stop is not None:
+                stop()
 
 
 def _refit(design, codes, mult, penalty):

@@ -786,11 +786,11 @@ def redrawing_case():
 
 def blas_threads():
     """The thread count that each OpenBLAS mapped into this process reports."""
-    return [get() for get, _ in quantreg._blas_threads()]
+    return [get() for get, _, _ in quantreg._blas_threads()]
 
 
 def set_blas_threads(counts):
-    for (_, set_threads), count in zip(quantreg._blas_threads(), counts):
+    for (_, set_threads, _), count in zip(quantreg._blas_threads(), counts):
         set_threads(count)
 
 
@@ -997,7 +997,8 @@ class TestPooledBootstrap:
         with pytest.raises(RuntimeError, match="first chunk broke"):
             bootstrap_se(design, THETAS, n_boot=4, seed=8, **kwargs)
         assert multiprocessing.active_children() == []
-        assert os.listdir(tmp_path) == ["chunk2"]
+        # four chunks of one draw: the three after the failed one all finish
+        assert sorted(os.listdir(tmp_path)) == ["chunk1", "chunk2", "chunk3"]
 
     def test_each_worker_has_one_thread_and_one_blas_thread(self, monkeypatch, tmp_path):
         # the workers fork from a parent held at one BLAS thread, so OpenBLAS
@@ -1011,7 +1012,7 @@ class TestPooledBootstrap:
         monkeypatch.setenv("CHUNK_PROBES", str(tmp_path))
         bootstrap_se(design, THETAS, n_boot=4, seed=5, **kwargs)
         probes = read_probes(tmp_path)
-        assert list(probes) == ["chunk0", "chunk2"]
+        assert list(probes) == ["chunk0", "chunk1", "chunk2", "chunk3"]
         for pid, threads, counts in probes.values():
             assert pid != os.getpid()
             assert threads == 1
@@ -1047,16 +1048,50 @@ class TestPooledBootstrap:
         finally:
             set_blas_threads(before)
 
+    def test_the_parent_is_left_without_blas_helper_threads(self, monkeypatch):
+        # setting a count back after the fork starts the helper threads again,
+        # to spin idle on the cores; the hold stops them, as the fork did
+        blas = quantreg._blas_threads()
+        if not blas or any(stop is None for *_, stop in blas):
+            pytest.skip("no OpenBLAS with a thread shutdown is mapped")
+        for *_, stop in blas:
+            stop()
+        idle = len(os.listdir("/proc/self/task"))
+        before = blas_threads()
+        set_blas_threads([2] * len(before))
+        try:
+            design, kwargs = bootstrap_case("dummy")
+            force_workers(monkeypatch, 2)
+            bootstrap_se(design, THETAS, n_boot=4, seed=5, **kwargs)
+            assert blas_threads() == [2] * len(before)
+            assert len(os.listdir("/proc/self/task")) == idle
+        finally:
+            set_blas_threads(before)
+
+    def test_the_hold_sets_each_count_back_and_stops_what_it_can(self):
+        calls = []
+        blas = (
+            (lambda: 4, lambda n: calls.append(("a", n)), lambda: calls.append(("a", "stop"))),
+            (lambda: 2, lambda n: calls.append(("b", n)), None),
+        )
+        with pytest.raises(RuntimeError, match="broke"):
+            with quantreg._hold_blas(blas):
+                assert calls == [("a", 1), ("b", 1)]
+                raise RuntimeError("broke")
+        assert calls == [("a", 1), ("b", 1), ("a", 4), ("a", "stop"), ("b", 2)]
+
     def test_one_problem_forms_more_chunks_than_workers(self, monkeypatch, tmp_path):
         design, kwargs = bootstrap_case("penalized")
-        serial = bootstrap_se(design, THETAS, n_boot=12, seed=3, **kwargs)
+        serial = bootstrap_se(design, THETAS, n_boot=24, seed=3, **kwargs)
         force_workers(monkeypatch, 2)
         monkeypatch.setattr(quantreg, "_draws", probed_chunks)
         monkeypatch.setenv("CHUNK_PROBES", str(tmp_path))
-        pooled = bootstrap_se(design, THETAS, n_boot=12, seed=3, **kwargs)
+        pooled = bootstrap_se(design, THETAS, n_boot=24, seed=3, **kwargs)
         assert pooled.replicates.tobytes() == serial.replicates.tobytes()
-        # chunks of at most _CHUNK_DRAWS draws: 4 + 4 + 4, three chunks for two workers
-        assert list(read_probes(tmp_path)) == ["chunk0", "chunk4", "chunk8"]
+        # a chunk has at most _CHUNK_DRAWS draws and a quarter of those left
+        # (two workers): 5, 5, 4, 3, 2, 2, then single draws
+        starts = sorted(int(name.removeprefix("chunk")) for name in read_probes(tmp_path))
+        assert starts == [0, 5, 10, 14, 17, 19, 21, 22, 23]
         assert multiprocessing.active_children() == []
 
     def test_meanwhile_runs_before_the_first_chunk_is_collected(self, monkeypatch):

@@ -36,3 +36,32 @@ def test_summary_counts_better_pairs_in_each_direction_and_skips_errors():
 def test_summary_of_only_errored_pairs_is_empty():
     pairs = [{"seed": 1, "parent": side(1.0, 1.0), "change": {"error": "exit 1"}}]
     assert bench_pairs.summarize(pairs, {}) == {}
+
+
+def test_summary_leaves_out_a_metric_that_a_run_did_not_print():
+    pairs = [
+        {"seed": 1, "parent": side(2.0, 10.0), "change": side(1.0, 12.0)},
+        {"seed": 2, "parent": side(4.0, 10.0), "change": {"metrics": {"op_p50_s": 3.0}}},
+    ]
+    assert set(bench_pairs.summarize(pairs, {})) == {"op_p50_s"}
+
+
+def test_a_run_keeps_every_metric_it_prints(monkeypatch):
+    stdout = "\n".join([
+        "# replicate_300x15 seed 1 trace 1 size full",
+        "op_p50_s = 1.25 s",
+        "quantreg.bootstrap_self_s = 0.5 s",
+        "effects.fit_qfe_calls = 40 count",
+        '{"correct": true, "attempted": 3, "failed": 0, '
+        '"metrics": {"op_p50_s": {"value": 1.2500001, "unit": "s"}}}',
+    ])
+
+    def run(cmd, **kwargs):
+        return type("Done", (), {"stdout": stdout, "stderr": "", "returncode": 0})()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    result = bench_pairs.run_once(".", "replicate_300x15", 1, 30, 1)
+    # the result line's value wins over the printed, rounded one
+    assert result["metrics"] == {
+        "op_p50_s": 1.2500001, "quantreg.bootstrap_self_s": 0.5, "effects.fit_qfe_calls": 40.0,
+    }

@@ -21,7 +21,11 @@ The results are merged into ``--out`` under the key
 "<workload> trace<R> seeds <first>-<last>": every pair's metrics on both
 sides, and per metric the median and quartiles of each side, the median of
 the per-pair change / parent - 1, and the number of pairs in which the
-change was better, in the direction BENCHMARK.json declares for that metric.
+change was better, in the direction BENCHMARK.json declares for that metric
+(lower where it declares none).  The metrics of a run are every
+``name = value unit`` line it prints, so a traced pair also has the layer
+metrics that BENCHMARK.json does not list, such as
+``quantreg.bootstrap_self_s``.
 """
 import argparse
 import ctypes
@@ -102,6 +106,10 @@ def run_once(checkout, workload, seed, seconds, trace):
     except (IndexError, json.JSONDecodeError):
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    for line in lines[:-1]:
+        name, equals, value = line.partition(" = ")
+        if equals and not name.startswith("#"):
+            result["metrics"].setdefault(name, float(value.split()[0]))
     return result
 
 
@@ -110,7 +118,10 @@ def summarize(pairs, better):
     change and the count of pairs in which the change was better."""
     done = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     summary = {}
+    # a metric that some run did not print (op_tail_s needs enough ops) is left out
     for name in done[0]["parent"]["metrics"] if done else ():
+        if any(name not in p[side]["metrics"] for p in done for side in ("parent", "change")):
+            continue
         sides = {side: [p[side]["metrics"][name] for p in done] for side in ("parent", "change")}
         row = {}
         for side, values in sides.items():
